@@ -19,8 +19,6 @@ from .numkernel import (
     binomial,
     certify_sign,
     decimal_str,
-    integrate,
-    integrate_with_error,
 )
 from .moments import (
     MomentSequence,

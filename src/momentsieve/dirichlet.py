@@ -54,17 +54,18 @@ from .numkernel import (
     DomainError,
     PrecisionPolicy,
     QuadratureSpec,
-    bisect_sign_change,
+    bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
     decimal_str,
+    scan_spec,
+    sign_change_brackets,
     to_mpf,
 )
-from .riemann import ZeroBracket, auto_scale
+from .riemann import auto_scale
 
 __all__ = [
     "CharCoefficients",
     "DirichletCharacter",
     "GrhPipelineResult",
-    "bracket_char_zeros",
     "char_coeffs",
     "characters_mod",
     "f_char_eval",
@@ -568,83 +569,25 @@ def z_char_eval(s, chi: DirichletCharacter,
     return value.real
 
 
-def _bracket_spec(prec: int) -> QuadratureSpec:
-    return QuadratureSpec(target_abs_error=mpf(2) ** (-(3 * prec // 4)))
-
-
-def bracket_char_zeros(chi: DirichletCharacter, s_max, step=mpf("0.5"),
-                       spec: Optional[QuadratureSpec] = None) -> List[ZeroBracket]:
-    """Sign-change brackets of Z(s, chi) on [0, s_max], bisection-refined."""
-    _require_analytic(chi)
-    s_max = to_mpf(s_max)
-    step = to_mpf(step)
-    if not step > 0:
-        raise DomainError("step must be > 0")
-    prec = mp.prec
-    if spec is None:
-        spec = _bracket_spec(prec)
-    f = lambda s: z_char_eval(s, chi, spec)
-    width = mpf(2) ** (-(prec // 2))
-    out: List[ZeroBracket] = []
-    s_prev, v_prev = mpf(0), f(mpf(0))
-    s = step
-    while s_prev < s_max:
-        s = min(s, s_max)
-        v = f(s)
-        if v_prev * v < 0:
-            lo, hi, _, _ = bisect_sign_change(f, s_prev, s, v_prev, v, width)
-            out.append(ZeroBracket(lo, hi, (lo + hi) / 2))
-        s_prev, v_prev = s, v
-        s = s + step
-    return out
-
-
-def first_zero_height(chi: DirichletCharacter, scan_max=mpf(40),
-                      step=mpf("0.5"),
-                      spec: Optional[QuadratureSpec] = None) -> mpf:
+def first_zero_height(chi: DirichletCharacter, scan_max=mpf(40)) -> mpf:
     """Smallest positive zero height s_1(chi) of f(s, chi).
 
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
+    Each scan stops at its first sign change of Z.
     """
     scan_max = to_mpf(scan_max)
+    spec = scan_spec(mp.prec)
     candidates = []
-    block = mpf(8)
-    chars = [chi] if chi.is_real else [chi, chi.conjugate()]
-    for c in chars:
-        lo = mpf(0)
-        while lo < scan_max:
-            hi = min(lo + block, scan_max)
-            found = _bracket_range(c, lo, hi, to_mpf(step), spec)
-            if found:
-                candidates.append(found[0].refined_root)
-                break
-            lo = hi
+    for c in [chi] if chi.is_real else [chi, chi.conjugate()]:
+        first = next(sign_change_brackets(
+            lambda s: z_char_eval(s, c, spec), 0, scan_max), None)
+        if first is not None:
+            candidates.append(first.refined_root)
     if not candidates:
         raise DomainError(
             f"no zero of f(s, {chi.label()}) found below {scan_max}")
     return min(candidates)
-
-
-def _bracket_range(chi, lo, hi, step, spec):
-    prec = mp.prec
-    if spec is None:
-        spec = _bracket_spec(prec)
-    f = lambda s: z_char_eval(s, chi, spec)
-    width = mpf(2) ** (-(prec // 2))
-    out = []
-    s_prev, v_prev = lo, f(lo)
-    s = lo + step
-    while s_prev < hi:
-        s = min(s, hi)
-        v = f(s)
-        if v_prev * v < 0:
-            a, b, _, _ = bisect_sign_change(f, s_prev, s, v_prev, v, width)
-            out.append(ZeroBracket(a, b, (a + b) / 2))
-            break
-        s_prev, v_prev = s, v
-        s = s + step
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ precision wrap calls in ``mpmath.workprec(bits)``.
 Provided here:
 
 * :class:`PrecisionPolicy` - bits / escalation knobs for sign certification.
-* :class:`QuadratureSpec` and :func:`integrate` - double-exponential
-  (tanh-sinh, with a sinh-type map for semi-infinite ranges) and composite
-  Gauss-Legendre rules, with inter-level error estimation.  Node tables are
-  cached per precision, so repeated integrals at one precision are cheap.
-* :class:`CachedKernelQuadrature` - evaluates many integrals
+* :class:`CachedKernelQuadrature` - tanh-sinh quadrature of many integrals
   ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``; the kernel
-  values at the quadrature nodes are computed once.
+  values at the nodes are computed once, node tables are cached per
+  precision, and the error is estimated from inter-level differences.
+  :class:`QuadratureSpec` carries the target error.
+* :func:`sign_change_brackets` - zero location: a scan for sign changes
+  at step :data:`SCAN_STEP`, each bracket bisected by
+  :func:`bisect_sign_change` to width ``2^-(prec/2)``.
 * :func:`binomial` - exact integer binomial coefficients.
 * :func:`certify_sign` - sign certification by agreement at two consecutive
   precision levels, escalating up to ``max_bits`` before giving up with
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
 import mpmath
@@ -44,14 +45,15 @@ __all__ = [
     "PrecisionPolicy",
     "QuadratureSpec",
     "UNCERTAIN",
+    "ZeroBracket",
     "binomial",
     "bisect_sign_change",
     "certify_sign",
     "comp_sum",
     "decimal_str",
-    "integrate",
-    "integrate_with_error",
     "require_finite",
+    "scan_spec",
+    "sign_change_brackets",
     "to_mpc",
     "to_mpf",
 ]
@@ -184,20 +186,6 @@ class CertifiedSign:
     sign: str
     bits_used: int
 
-    @property
-    def is_positive(self) -> bool:
-        return self.sign == POSITIVE
-
-    @property
-    def is_negative(self) -> bool:
-        return self.sign == NEGATIVE
-
-    @property
-    def is_nonnegative(self) -> bool:
-        # an uncertain cell is not a certified violation, but it is not
-        # certified nonnegative either
-        return self.sign == POSITIVE
-
 
 def certify_sign(computation: Callable[[], Number],
                  policy: PrecisionPolicy = PrecisionPolicy()) -> CertifiedSign:
@@ -233,31 +221,25 @@ def certify_sign(computation: Callable[[], Number],
 # ---------------------------------------------------------------------------
 # Quadrature
 
-TANH_SINH = "tanh-sinh"
-GAUSS_LEGENDRE = "gauss-legendre-composite"
-
 #: extra working bits inside quadrature loops
 _QUAD_GUARD = 32
+
+#: tanh-sinh levels (step halvings) tried before giving up
+MAX_LEVELS = 12
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme selection and accuracy contract for :func:`integrate`.
+    """Accuracy contract for :meth:`CachedKernelQuadrature.integrate`.
 
     ``target_abs_error = None`` resolves to ``2^-(prec-16)`` at call time.
     """
 
-    scheme: str = TANH_SINH
     target_abs_error: Optional[Number] = None
-    max_levels: int = 12
 
     def __post_init__(self):
-        if self.scheme not in (TANH_SINH, GAUSS_LEGENDRE):
-            raise DomainError(f"unknown quadrature scheme: {self.scheme!r}")
         if self.target_abs_error is not None and to_mpf(self.target_abs_error) <= 0:
             raise DomainError("target_abs_error must be > 0")
-        if self.max_levels < 2:
-            raise DomainError("max_levels must be >= 2")
 
     def resolved_target(self, prec: int) -> mpf:
         if self.target_abs_error is None:
@@ -267,8 +249,6 @@ class QuadratureSpec:
 
 # node tables, keyed by working precision so escalated reruns do not collide
 _ts_cache: dict = {}
-_es_cache: dict = {}
-_gl_cache: dict = {}
 
 
 def _ts_tmax(prec: int) -> mpf:
@@ -280,8 +260,8 @@ def _tanh_sinh_nodes(prec: int, level: int):
     """New (delta, weight) pairs introduced at ``level`` for t > 0.
 
     ``delta = 1 - x`` keeps full relative accuracy near the endpoint; the
-    abscissa on [-1, 1] is ``+-(1 - delta)``.  Level 0 also contains the
-    t = 0 node, reported separately by :func:`_tanh_sinh_center`.
+    abscissa on [-1, 1] is ``+-(1 - delta)``.  The t = 0 node of level 0 is
+    not listed; :class:`CachedKernelQuadrature` adds it with weight pi/2.
     """
     key = (prec, level)
     if key in _ts_cache:
@@ -305,202 +285,6 @@ def _tanh_sinh_nodes(prec: int, level: int):
     return pairs
 
 
-def _exp_sinh_nodes(prec: int, level: int):
-    """New (offset, weight) pairs for the sinh-mapped half line at ``level``.
-
-    The abscissa on [a, inf) is ``a + offset`` with
-    ``offset = exp((pi/2) sinh t)``; nodes are ordered by increasing t over
-    the whole (negative and positive) range introduced at this level.
-    """
-    key = (prec, level)
-    if key in _es_cache:
-        return _es_cache[key]
-    with workprec(prec + 2 * _QUAD_GUARD):
-        tmax = _ts_tmax(prec) + mpf("0.7")  # exp-sinh decays about half as fast
-        h = mpf(2) ** (-level)
-        ks = []
-        k = 1
-        while k * h <= tmax:
-            ks.append(k)
-            k += 2 if level > 0 else 1
-        pairs = []
-        for k in [-k for k in reversed(ks)] + ([0] if level == 0 else []) + ks:
-            t = k * h
-            x = mpmath.exp(mpmath.pi / 2 * mpmath.sinh(t))
-            w = mpmath.pi / 2 * mpmath.cosh(t) * x
-            pairs.append((x, w))
-    _es_cache[key] = pairs
-    return pairs
-
-
-def _legendre_nodes(prec: int, n: int):
-    """Gauss-Legendre nodes/weights on [-1, 1], Newton-refined at precision."""
-    key = (prec, n)
-    if key in _gl_cache:
-        return _gl_cache[key]
-    with workprec(prec + 2 * _QUAD_GUARD):
-        tol = mpf(2) ** (-(prec + _QUAD_GUARD))
-        nodes = []
-        for i in range(1, n // 2 + 2):
-            if 2 * i > n + 1:
-                break
-            x = mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
-            for _ in range(100):
-                p0, p1 = mpf(1), x
-                for j in range(2, n + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < tol:
-                    break
-            p0, p1 = mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x, w))
-    _gl_cache[key] = nodes
-    return nodes
-
-
-def _normalize_interval(interval) -> Tuple[mpf, Optional[mpf]]:
-    try:
-        a, b = interval
-    except (TypeError, ValueError):
-        raise DomainError(f"interval must be a pair (a, b), got {interval!r}")
-    a = to_mpf(a)
-    if b == mpmath.inf:
-        return a, None
-    b = to_mpf(b)
-    if not b > a:
-        raise DomainError(f"interval must satisfy a < b, got ({a}, {b})")
-    return a, b
-
-
-def _ts_level_sum(f, a, b, prec, level):
-    """Sum of w*f over the tanh-sinh nodes new at ``level`` on [a, b]."""
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    s = mpf(0)
-    if level == 0:
-        s += f(mid)  # t = 0 node, weight pi/2
-        s *= mpmath.pi / 2
-    for delta, w in _tanh_sinh_nodes(prec, level):
-        d = half * delta
-        s += w * (f(a + d) + f(b - d))
-    return s * half
-
-
-def _es_level_sum(f, a, prec, level, tail_tol):
-    """Trapezoid contribution of the new exp-sinh nodes at ``level``.
-
-    Sweeps nodes in increasing t and abandons the divergent (large-x) side
-    once two consecutive products |w * f| fall below ``tail_tol``; the
-    integrand is assumed to decay (precondition of the semi-infinite form).
-    """
-    s = mpf(0)
-    small = 0
-    for x, w in _exp_sinh_nodes(prec, level):
-        t = w * f(a + x)
-        s += t
-        if x > 1:
-            if abs(t) < tail_tol:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-    return s
-
-
-def _integrate_tanh_sinh(f, a, b, spec, prec):
-    target = spec.resolved_target(prec)
-    with workprec(prec + _QUAD_GUARD):
-        semi = b is None
-        tail_tol = target / 16
-        best = None
-        err = mpf("inf")
-        for level in range(spec.max_levels + 1):
-            h = mpf(2) ** (-level)
-            if semi:
-                new = _es_level_sum(f, a, prec, level, tail_tol)
-            else:
-                new = _ts_level_sum(f, a, b, prec, level)
-            s = new * h if best is None else best / 2 + new * h
-            if best is not None:
-                err = abs(s - best)
-                if err <= target and level >= 2:
-                    return +s, +err
-            best = s
-    raise AccuracyError(
-        f"tanh-sinh did not reach target {mpmath.nstr(target, 5)} within "
-        f"{spec.max_levels} levels (last inter-level difference "
-        f"{mpmath.nstr(err, 5)})",
-        best_estimate=+best, error_estimate=+err)
-
-
-def _integrate_gauss(f, a, b, spec, prec):
-    target = spec.resolved_target(prec)
-    with workprec(prec + _QUAD_GUARD):
-        if b is None:
-            # algebraic map u -> a + u/(1-u) onto [a, inf)
-            g, origin = f, a
-            f = lambda u: g(origin + u / (1 - u)) / (1 - u) ** 2
-            a, b = mpf(0), mpf(1)
-        n = max(24, prec // 2 + 8)
-        nodes = _legendre_nodes(prec, n)
-        best = None
-        err = mpf("inf")
-        for level in range(spec.max_levels + 1):
-            panels = 2 ** level
-            width = (b - a) / panels
-            s = mpf(0)
-            for p in range(panels):
-                mid = a + width * (2 * p + 1) / 2
-                half = width / 2
-                for x, w in nodes:
-                    s += w * f(mid + half * x)
-                    if x != 0:
-                        s += w * f(mid - half * x)
-            s *= width / 2
-            if best is not None:
-                err = abs(s - best)
-                if err <= target:
-                    return +s, +err
-            best = s
-    raise AccuracyError(
-        f"composite Gauss-Legendre did not reach target "
-        f"{mpmath.nstr(target, 5)} within {spec.max_levels} doublings",
-        best_estimate=+best, error_estimate=+err)
-
-
-def integrate_with_error(f, interval, spec: Optional[QuadratureSpec] = None):
-    """Integrate ``f`` over ``interval``; return (value, error_estimate).
-
-    ``interval`` is a pair (a, b); b may be ``mpmath.inf``.  The error
-    estimate is the last inter-level difference, a conservative proxy for
-    the true error of the double-exponential rule.  Raises
-    :class:`AccuracyError` (carrying the best estimate) if ``max_levels``
-    is exhausted before the target is met.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    a, b = _normalize_interval(interval)
-    prec = mp.prec
-    if spec.scheme == TANH_SINH:
-        value, err = _integrate_tanh_sinh(f, a, b, spec, prec)
-    else:
-        value, err = _integrate_gauss(f, a, b, spec, prec)
-    return require_finite(+value, "integral"), +err
-
-
-def integrate(f, interval, spec: Optional[QuadratureSpec] = None) -> mpf:
-    """Integrate ``f`` over ``interval`` to ``spec.target_abs_error``."""
-    value, _ = integrate_with_error(f, interval, spec)
-    return value
-
-
 class CachedKernelQuadrature:
     """Many integrals ``int_a^b K(x) g(x) dx`` sharing one kernel ``K``.
 
@@ -510,14 +294,12 @@ class CachedKernelQuadrature:
     series) is far more expensive than the polynomial or oscillatory factor.
     """
 
-    def __init__(self, kernel, a, b, prec: Optional[int] = None,
-                 max_levels: int = 12):
+    def __init__(self, kernel, a, b, prec: Optional[int] = None):
         self.a = to_mpf(a)
         self.b = to_mpf(b)
         if not self.b > self.a:
             raise DomainError("CachedKernelQuadrature needs a < b")
         self.prec = prec if prec is not None else mp.prec
-        self.max_levels = max_levels
         self._kernel = kernel
         self._levels = []  # level -> list of (x, K(x)*w*half)
 
@@ -546,7 +328,7 @@ class CachedKernelQuadrature:
                 target = to_mpf(target)
             best = None
             err = mpf("inf")
-            for level in range(self.max_levels + 1):
+            for level in range(MAX_LEVELS + 1):
                 self._ensure_level(level)
                 h = mpf(2) ** (-level)
                 new = mpmath.fsum(kw * g(x) for x, kw in self._levels[level])
@@ -567,13 +349,41 @@ class CachedKernelQuadrature:
 
 
 # ---------------------------------------------------------------------------
-# Root refinement
+# Zero location
 
-def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None, width=None):
+#: spacing of the sign scan; it must stay below the gap between neighbouring
+#: zeros (about 7 near the first Xi zeros, shrinking like 2 pi / log of the
+#: height), so 0.5 is safe up to heights of a few hundred
+SCAN_STEP = mpf("0.5")
+
+
+def scan_spec(prec: int) -> QuadratureSpec:
+    """Quadrature target 2^-(3 prec/4) for the evaluations of a sign scan."""
+    # sign resolution near a simple zero needs error << |f'| * final width
+    # ~ 2^-(prec/2); a 3*prec/4 target leaves ample margin and saves levels
+    return QuadratureSpec(target_abs_error=mpf(2) ** (-(3 * prec // 4)))
+
+
+@dataclass(frozen=True)
+class ZeroBracket:
+    """An interval around a zero of a real function, with its midpoint."""
+
+    lo: mpf
+    hi: mpf
+    refined_root: mpf
+
+    def __post_init__(self):
+        if not (self.lo < self.refined_root < self.hi):
+            raise DomainError("refined root must lie inside the bracket")
+
+
+def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None,
+                       width=None) -> ZeroBracket:
     """Shrink a sign-change bracket [lo, hi] of ``f`` to ``width`` by bisection.
 
-    Returns (lo, hi, f_lo, f_hi) with f(lo)*f(hi) < 0 preserved.  A midpoint
-    evaluating to exactly zero narrows to a bracket of that width around it.
+    The returned bracket holds either a sign change of ``f`` or, when a
+    midpoint evaluates to exactly zero, that zero at its centre.  ``width``
+    defaults to 2^-(prec/2).
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
     if width is None:
@@ -586,12 +396,30 @@ def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None, width=None):
         mid = (lo + hi) / 2
         f_mid = f(mid)
         if f_mid == 0:
-            eps = (hi - lo) / 4
-            lo, hi = mid - eps, mid + eps
-            f_lo, f_hi = f(lo), f(hi)
-            continue
+            lo, hi = mid - width / 2, mid + width / 2
+            break
         if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return lo, hi, f_lo, f_hi
+    return ZeroBracket(lo, hi, (lo + hi) / 2)
+
+
+def sign_change_brackets(f, lo, hi) -> Iterator[ZeroBracket]:
+    """Yield a bisected :class:`ZeroBracket` per sign change of ``f`` on [lo, hi].
+
+    ``f`` is evaluated once at each of lo, lo + SCAN_STEP, ..., hi, lazily:
+    a caller that stops after one bracket evaluates no scan point beyond it.
+    Brackets are refined to the default width of :func:`bisect_sign_change`
+    at the precision current when the generator resumes.  An even number of
+    zeros within one step, or a zero exactly on a scan point, produce no
+    bracket.
+    """
+    lo, hi = to_mpf(lo), to_mpf(hi)
+    s_prev, v_prev = lo, f(lo)
+    while s_prev < hi:
+        s = min(s_prev + SCAN_STEP, hi)
+        v = f(s)
+        if v_prev * v < 0:
+            yield bisect_sign_change(f, s_prev, s, v_prev, v)
+        s_prev, v_prev = s, v

@@ -51,9 +51,12 @@ from .numkernel import (
     DomainError,
     PrecisionPolicy,
     QuadratureSpec,
-    bisect_sign_change,
+    ZeroBracket,
+    bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
     decimal_str,
     require_finite,
+    scan_spec,
+    sign_change_brackets,
     to_mpf,
 )
 from .oracle import save_zeros
@@ -61,13 +64,11 @@ from .oracle import save_zeros
 __all__ = [
     "XiCoefficients",
     "XiPipelineResult",
-    "ZeroBracket",
     "auto_scale",
     "bracket_zeros",
     "export_brackets",
     "phi",
     "rh_moment_pipeline",
-    "xi_coeff",
     "xi_coefficients",
     "xi_eval",
     "zero_sum_tail_bound",
@@ -178,20 +179,6 @@ def xi_coefficients(N: int, spec: Optional[QuadratureSpec] = None) -> XiCoeffici
     return XiCoefficients(tuple(a), tuple(errs))
 
 
-def xi_coeff(n: int, spec: Optional[QuadratureSpec] = None) -> mpf:
-    """Single coefficient a_n; see :func:`xi_coefficients` for batches."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if spec is None:
-        spec = QuadratureSpec()
-    prec = mp.prec
-    kernel = _phi_kernel(_u_max(prec, n), prec)
-    fac = 2 / mpf(mpmath.factorial(2 * n))
-    value, _ = kernel.integrate(lambda u: u ** (2 * n) if n else mpf(1),
-                                spec.resolved_target(prec))
-    return fac * value
-
-
 def xi_eval(s, spec: Optional[QuadratureSpec] = None) -> mpf:
     """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s."""
     if spec is None:
@@ -204,64 +191,23 @@ def xi_eval(s, spec: Optional[QuadratureSpec] = None) -> mpf:
     return require_finite(value, "Xi(s)")
 
 
-@dataclass(frozen=True)
-class ZeroBracket:
-    """A sign-change interval of Xi with its bisection-refined midpoint."""
-
-    lo: mpf
-    hi: mpf
-    refined_root: mpf
-
-    def __post_init__(self):
-        if not (self.lo < self.refined_root < self.hi):
-            raise DomainError("refined root must lie inside the bracket")
-
-
-def _bracket_spec(prec: int) -> QuadratureSpec:
-    # sign resolution near a simple zero needs error << |Xi'| * final width
-    # ~ 2^-(prec/2); a 3*prec/4 target leaves ample margin and saves levels
-    return QuadratureSpec(target_abs_error=mpf(2) ** (-(3 * prec // 4)))
-
-
 _bracket_cache: dict = {}
 
 
-def bracket_zeros(s_max, step=mpf("0.5"),
-                  spec: Optional[QuadratureSpec] = None) -> List[ZeroBracket]:
-    """Scan [0, s_max] for sign changes of Xi and bisect each to full width.
+def bracket_zeros(s_max) -> List[ZeroBracket]:
+    """Sign-change brackets of Xi on [0, s_max], bisected to width 2^-(prec/2).
 
-    The scan step must be below the local zero spacing (about 7 near the
-    first zeros, shrinking like 2 pi / log growth); the default 0.5 is safe
-    up to heights of a few hundred.  Brackets are refined to width
-    2^-(prec/2).  An empty list is a valid result.
+    The scan is :func:`numkernel.sign_change_brackets`; its step is safe up
+    to heights of a few hundred.  An empty list is a valid result.
     """
     s_max = to_mpf(s_max)
-    step = to_mpf(step)
-    if not step > 0:
-        raise DomainError("step must be > 0")
     prec = mp.prec
-    key = (prec, str(s_max), str(step),
-           None if spec is None else str(spec.target_abs_error))
-    if key in _bracket_cache:
-        return _bracket_cache[key]
-    if spec is None:
-        spec = _bracket_spec(prec)
-    f = lambda s: xi_eval(s, spec)
-    width = mpf(2) ** (-(prec // 2))
-    brackets: List[ZeroBracket] = []
-    s_prev = mpf(0)
-    v_prev = f(s_prev)
-    s = step
-    while s_prev < s_max:
-        s = min(s, s_max)
-        v = f(s)
-        if v_prev * v < 0:
-            lo, hi, _, _ = bisect_sign_change(f, s_prev, s, v_prev, v, width)
-            brackets.append(ZeroBracket(lo, hi, (lo + hi) / 2))
-        s_prev, v_prev = s, v
-        s = s + step
-    _bracket_cache[key] = brackets
-    return brackets
+    key = (prec, str(s_max))
+    if key not in _bracket_cache:
+        spec = scan_spec(prec)
+        _bracket_cache[key] = list(sign_change_brackets(
+            lambda s: xi_eval(s, spec), 0, s_max))
+    return _bracket_cache[key]
 
 
 def zero_sum_tail_bound(T, k: int) -> mpf:

@@ -45,7 +45,6 @@ from momentsieve.oracle import (
 from momentsieve.riemann import (
     bracket_zeros,
     rh_moment_pipeline,
-    xi_coeff,
     xi_coefficients,
     xi_eval,
     zero_sum_moment,
@@ -149,7 +148,7 @@ def test_criterion_4_riemann_anchors():
         xi_half = (mpmath.pi ** (-mpf(1) / 4) * (mpf(1) / 2 - 1)
                    * mpmath.gamma(1 + mpf(1) / 4)
                    * mpmath.zeta(mpf(1) / 2))
-        a0_ok = abs(xi_coeff(0) - xi_half) <= mpf(10) ** -15
+        a0_ok = abs(xi_coefficients(0).a[0] - xi_half) <= mpf(10) ** -15
         sign_ok = xi_eval(mpf(14)) * xi_eval(mpf("14.3")) < 0
         coeffs = xi_coefficients(5)
         rec = moments_by_recursion(normalize(coeffs.a), 3)

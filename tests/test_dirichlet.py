@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from momentsieve.dirichlet import (
-    bracket_char_zeros,
     char_coeffs,
     characters_mod,
     epsilon_factor,
@@ -18,9 +17,21 @@ from momentsieve.dirichlet import (
     xi_char_eval,
     z_char_eval,
 )
-from momentsieve.numkernel import DomainError, PrecisionPolicy
+from momentsieve.numkernel import (
+    DomainError,
+    PrecisionPolicy,
+    scan_spec,
+    sign_change_brackets,
+)
 
 from conftest import close
+
+
+def z_brackets(chi, s_max):
+    """Sign-change brackets of Z(s, chi) on [0, s_max]."""
+    spec = scan_spec(mp.prec)
+    return list(sign_change_brackets(
+        lambda s: z_char_eval(s, chi, spec), 0, s_max))
 
 
 def chi_by_values(q, index):
@@ -345,7 +356,7 @@ def test_first_zero_heights(chi3, chi4):
 
 def test_bracket_char_zeros(chi3):
     with workprec(96):
-        brackets = bracket_char_zeros(chi3, 12)
+        brackets = z_brackets(chi3, 12)
     assert len(brackets) == 2
     assert close(brackets[0].refined_root, mpf("8.039737"), mpf(10) ** -4)
     assert close(brackets[1].refined_root, mpf("11.249206"), mpf(10) ** -3)
@@ -366,7 +377,7 @@ def test_grh_pipeline_q3(chi3):
     assert close(result.moments.m[0], r[1] ** 2 - 2 * r[2], mpf(2) ** -130)
     # doubled zeros of the squared factor: m_0 = 2 sum t^-4 over heights
     with workprec(96):
-        heights = [b.refined_root for b in bracket_char_zeros(chi3, 24)]
+        heights = [b.refined_root for b in z_brackets(chi3, 24)]
     truncated = 2 * mpf(mpmath.fsum(t ** -4 for t in heights))
     assert abs(result.moments.m[0] - truncated) < mpf(10) ** -4
 

@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workprec
 
+from momentsieve import numkernel
 from momentsieve.numkernel import (
     AccuracyError,
     CachedKernelQuadrature,
     DomainError,
     PrecisionPolicy,
     QuadratureSpec,
+    SCAN_STEP,
     binomial,
     bisect_sign_change,
     certify_sign,
     comp_sum,
     decimal_str,
-    integrate,
-    integrate_with_error,
+    sign_change_brackets,
     to_mpf,
 )
 
@@ -27,13 +28,13 @@ from conftest import close
 # --- quadrature battery -----------------------------------------------------
 
 def battery():
-    """Analytically known integrals, including semi-infinite and endpoint-
-    singular cases that the double-exponential scheme must absorb."""
-    inf = mpmath.inf
+    """Analytically known integrals, including endpoint-singular cases that
+    the double-exponential scheme must absorb.  Semi-infinite ones are cut
+    where the tail drops below 2^-256, as the kernels are at u_max."""
     return [
-        (lambda x: mpmath.exp(-x), (0, inf), mpf(1)),
-        (lambda x: x ** 3 * mpmath.exp(-x), (0, inf), mpf(6)),
-        (lambda x: mpmath.exp(-x * x), (0, inf), mpmath.sqrt(mpmath.pi) / 2),
+        (lambda x: mpmath.exp(-x), (0, 180), mpf(1)),
+        (lambda x: x ** 3 * mpmath.exp(-x), (0, 200), mpf(6)),
+        (lambda x: mpmath.exp(-x * x), (0, 14), mpmath.sqrt(mpmath.pi) / 2),
         (lambda x: 1 / mpmath.sqrt(x), (0, 1), mpf(2)),
         (lambda x: mpmath.log(1 / x), (0, 1), mpf(1)),
         (lambda x: 4 / (1 + x * x), (0, 1), +mpmath.pi),
@@ -43,48 +44,41 @@ def battery():
 
 @pytest.mark.parametrize("case", range(7))
 def test_tanh_sinh_battery(case):
-    f, interval, exact = battery()[case]
-    spec = QuadratureSpec()
-    value, err = integrate_with_error(f, interval, spec)
-    target = spec.resolved_target(mp.prec)
+    f, (a, b), exact = battery()[case]
+    value, err = CachedKernelQuadrature(f, a, b).integrate(lambda x: 1)
+    target = QuadratureSpec().resolved_target(mp.prec)
     assert abs(value - exact) <= target
     assert err <= target
 
 
-@pytest.mark.parametrize("case", [0, 2, 5, 6])
-def test_gauss_legendre_battery(case):
-    f, interval, exact = battery()[case]
-    spec = QuadratureSpec(scheme="gauss-legendre-composite")
-    value, _ = integrate_with_error(f, interval, spec)
-    assert abs(value - exact) <= spec.resolved_target(mp.prec)
-
-
 def test_phi_kernel_integral_matches_xi_half():
-    # independent target: the completed zeta at the central point,
-    # evaluated through library gamma/zeta
-    from momentsieve.riemann import phi
+    # independent targets: the completed zeta at the central point,
+    # evaluated through library gamma/zeta, and mpmath's own quadrature
+    from momentsieve.riemann import _u_max, phi
     xi_half = mpmath.pi ** (-mpf(1) / 4) * (mpf(1) / 2 - 1) \
         * mpmath.gamma(1 + mpf(1) / 4) * mpmath.zeta(mpf(1) / 2)
-    value = integrate(phi, (0, mpmath.inf))
-    assert close(value, xi_half / 2, mpf(10) ** -15)
-    assert close(value, xi_half / 2, mpf(2) ** -(mp.prec - 24))
+    u_max = _u_max(mp.prec, 0)
+    reference = mpmath.quad(phi, [0, u_max])
+    assert close(reference, xi_half / 2, mpf(10) ** -15)
+    assert close(reference, xi_half / 2, mpf(2) ** -(mp.prec - 24))
+    value, _ = CachedKernelQuadrature(phi, 0, u_max).integrate(lambda u: 1)
+    assert close(value, reference, mpf(2) ** -(mp.prec - 24))
 
 
-def test_accuracy_failure_carries_best_estimate():
-    spec = QuadratureSpec(target_abs_error=mpf(2) ** -200, max_levels=3)
+def test_accuracy_failure_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(numkernel, "MAX_LEVELS", 3)
+    kernel = CachedKernelQuadrature(lambda x: mpmath.cos(1000 * x), 0, 1)
     with pytest.raises(AccuracyError) as info:
-        integrate(lambda x: mpmath.cos(1000 * x), (0, 1), spec)
+        kernel.integrate(lambda x: 1, mpf(2) ** -200)
     assert info.value.best_estimate is not None
     assert info.value.error_estimate > 0
 
 
 def test_interval_validation():
     with pytest.raises(DomainError):
-        integrate(lambda x: x, (1, 1))
+        CachedKernelQuadrature(lambda x: x, 1, 1)
     with pytest.raises(DomainError):
-        integrate(lambda x: x, (2, 1))
-    with pytest.raises(DomainError):
-        QuadratureSpec(scheme="simpson")
+        CachedKernelQuadrature(lambda x: x, 2, 1)
     with pytest.raises(DomainError):
         QuadratureSpec(target_abs_error=-1)
 
@@ -92,8 +86,8 @@ def test_interval_validation():
 def test_cached_kernel_matches_direct():
     kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x), 0, 4)
     v1, e1 = kernel.integrate(lambda x: x * x)
-    direct = integrate(lambda x: x * x * mpmath.exp(-x), (0, 4))
-    assert abs(v1 - direct) <= mpf(2) ** -(mp.prec - 24)
+    exact = 2 - 26 * mpmath.exp(-4)
+    assert abs(v1 - exact) <= mpf(2) ** -(mp.prec - 24)
     assert e1 <= mpf(2) ** -(mp.prec - 16)
 
 
@@ -210,9 +204,56 @@ def test_comp_sum_cancellation():
 
 
 def test_bisect_sign_change():
-    lo, hi, flo, fhi = bisect_sign_change(mpmath.cos, 1, 2, width=mpf(2) ** -100)
-    assert hi - lo <= mpf(2) ** -100
-    assert lo < mpmath.pi / 2 < hi
-    assert flo * fhi < 0
+    b = bisect_sign_change(mpmath.cos, 1, 2, width=mpf(2) ** -100)
+    assert b.hi - b.lo <= mpf(2) ** -100
+    assert b.lo < mpmath.pi / 2 < b.hi
+    assert b.lo < b.refined_root < b.hi
+    assert mpmath.cos(b.lo) * mpmath.cos(b.hi) < 0
     with pytest.raises(DomainError):
         bisect_sign_change(mpmath.cos, 0, 1)
+
+
+def test_bisect_stops_at_exact_zero():
+    # both midpoints x = 3/2 evaluate to exactly 0
+    with workprec(128):
+        width = mpf(2) ** -64
+        points = []
+
+        def linear(x):
+            points.append(x)
+            return x - mpf(3) / 2
+
+        b = bisect_sign_change(linear, 1, 2)
+        assert len(points) <= 3
+        assert b.refined_root == mpf(3) / 2
+        assert b.hi - b.lo == width
+
+        # the exact zero is a double root without a sign change; the sign
+        # change itself sits at 11/10, outside the returned bracket
+        cubic = lambda x: (x - mpf(3) / 2) ** 2 * (x - mpf(11) / 10)
+        b = bisect_sign_change(cubic, 1, 2)
+        assert cubic(b.refined_root) == 0
+        assert b.lo < mpf(3) / 2 < b.hi
+        assert b.hi - b.lo == width
+
+
+def test_sign_change_brackets_on_cos():
+    points = []
+
+    def cos(x):
+        points.append(x)
+        return mpmath.cos(x)
+
+    first = next(sign_change_brackets(cos, 0, 10))
+    assert first.lo < mpmath.pi / 2 < first.hi
+    assert max(points) < mpmath.pi / 2 + SCAN_STEP
+
+    points.clear()
+    brackets = list(sign_change_brackets(cos, 0, 10))
+    assert len(brackets) == 3
+    for b, k in zip(brackets, (1, 3, 5)):
+        assert b.lo < k * mpmath.pi / 2 < b.hi
+        assert b.hi - b.lo <= mpf(2) ** -(mp.prec // 2)
+    # bisection midpoints fall strictly between two scan points
+    scan = [x for x in points if 2 * x == int(2 * x)]
+    assert scan == [k * SCAN_STEP for k in range(21)]
