@@ -15,7 +15,6 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     PrecisionPolicy,
-    QuadratureSpec,
     binomial,
     certify_sign,
     decimal_str,

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from mpmath import mpf, workprec
 
@@ -26,7 +26,6 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     PrecisionPolicy,
-    QuadratureSpec,
     decimal_str,
 )
 
@@ -43,12 +42,8 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    @staticmethod
-    def exit_with(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SystemExit(EXIT_ERROR)
 
 
 def _default_bits() -> int:
@@ -73,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bits", type=int, default=None,
                         help=f"working precision in bits (default: "
                              f"${ENV_BITS} or {DEFAULT_BITS})")
-    common.add_argument("--quad-error", default=None, metavar="EPS",
-                        help="absolute quadrature error target "
-                             "(decimal string; default 2^-(bits-16))")
     common.add_argument("--nmax", type=int, default=8,
                         help="grid depth in n (default 8)")
     common.add_argument("--kmax", type=int, default=8,
@@ -119,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # report helpers
 
-def _emit(report, fmt: str, out: Optional[str], grid=None) -> None:
+def _emit(report, fmt: str, out: Optional[str], grid) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
@@ -151,95 +143,78 @@ def _to_csv(report, grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_exit(grid) -> int:
-    counts = grid.counts()
-    if counts["negative"]:
-        return EXIT_VIOLATION
-    if counts["zero-uncertain"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
 def _policy(bits: int) -> PrecisionPolicy:
     return PrecisionPolicy(bits=bits, max_bits=max(4096, 2 * bits))
 
 
-def _quad_spec(args) -> Optional[QuadratureSpec]:
-    if args.quad_error is None:
-        return None
-    return QuadratureSpec(target_abs_error=args.quad_error)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs at the working precision and returns its report
+# and the grid it certified (None when it built none)
 
-def cmd_synthetic(args, bits: int) -> int:
-    raw = oracle.load_zeros(args.zeros_file)
+Report = Tuple[dict, Optional[moments.PositivityGrid]]
+
+
+def cmd_synthetic(args, bits: int) -> Report:
+    raw = args.zeros
     if not raw:
         raise DomainError(f"{args.zeros_file}: no zeros found")
-    with workprec(bits):
-        admiss = oracle.admissibility(raw)
-        if admiss.zero_set is None:
-            zs = oracle.ZeroSet.from_zeros(raw, complete=True)
-        else:
-            zs = admiss.zero_set
-        L = mpf(1) if args.L == "auto" else mpf(args.L)
-        M = args.nmax + args.kmax
-        m_zero = oracle.moments_from_zeros(zs, M)
-        series = oracle.product_to_series(zs).padded(M + 2)
-        m_rec = moments.moments_by_recursion(series, M)
-        abs_res = [abs(a - b) for a, b in zip(m_zero.m, m_rec.m)]
-        scale = [abs(a) + abs(b) for a, b in zip(m_zero.m, m_rec.m)]
-        max_abs = max(abs_res)
-        max_rel = max(r / s if s > 0 else mpf(0)
-                      for r, s in zip(abs_res, scale))
-        grid = moments.build_grid(m_zero, L, args.nmax, args.kmax,
-                                  _policy(bits))
-        report = {
-            "command": "synthetic",
-            "bits": bits,
-            "zeros_file": args.zeros_file,
-            "zeros": [[decimal_str(z.real, bits), decimal_str(z.imag, bits)]
-                      for z in zs.zeros],
-            "admissibility": admiss.to_dict(),
-            "roundtrip": {
-                "moments_compared": M + 1,
-                "max_abs_residual": decimal_str(max_abs, bits),
-                "max_rel_residual": decimal_str(max_rel, bits),
-            },
-            "grid": moments.grid_report(grid),
-        }
-    _emit(report, args.format, args.out, grid)
-    return _grid_exit(grid)
+    admiss = oracle.admissibility(raw)
+    if admiss.zero_set is None:
+        zs = oracle.ZeroSet.from_zeros(raw, complete=True)
+    else:
+        zs = admiss.zero_set
+    L = mpf(1) if args.L == "auto" else mpf(args.L)
+    M = args.nmax + args.kmax
+    m_zero = oracle.moments_from_zeros(zs, M)
+    series = oracle.product_to_series(zs).padded(M + 2)
+    m_rec = moments.moments_by_recursion(series, M)
+    abs_res = [abs(a - b) for a, b in zip(m_zero.m, m_rec.m)]
+    scale = [abs(a) + abs(b) for a, b in zip(m_zero.m, m_rec.m)]
+    max_abs = max(abs_res)
+    max_rel = max(r / s if s > 0 else mpf(0)
+                  for r, s in zip(abs_res, scale))
+    grid = moments.build_grid(m_zero, L, args.nmax, args.kmax, _policy(bits))
+    report = {
+        "command": "synthetic",
+        "bits": bits,
+        "zeros_file": args.zeros_file,
+        "zeros": [[decimal_str(z.real, bits), decimal_str(z.imag, bits)]
+                  for z in zs.zeros],
+        "admissibility": admiss.to_dict(),
+        "roundtrip": {
+            "moments_compared": M + 1,
+            "max_abs_residual": decimal_str(max_abs, bits),
+            "max_rel_residual": decimal_str(max_rel, bits),
+        },
+        "grid": moments.grid_report(grid),
+    }
+    return report, grid
 
 
-def cmd_xi(args, bits: int) -> int:
-    with workprec(bits):
-        L = "auto" if args.L == "auto" else mpf(args.L)
-        result = riemann.rh_moment_pipeline(
-            args.N, L, args.nmax, args.kmax, _policy(bits), _quad_spec(args))
-        if args.zeros_out:
-            riemann.export_brackets(result.brackets, args.zeros_out)
-        report = {
-            "command": "xi",
-            "bits": bits,
-            "N": args.N,
-            "s1": decimal_str(result.s1, bits),
-            "L": decimal_str(result.L, bits),
-            "brackets": [[decimal_str(b.lo, bits), decimal_str(b.hi, bits),
-                          decimal_str(b.refined_root, bits)]
-                         for b in result.brackets],
-            "coefficients": [decimal_str(a, bits)
-                             for a in result.coefficients.a],
-            "quadrature_errors": [decimal_str(e, bits)
-                                  for e in result.coefficients.quadrature_error],
-            "moments": [decimal_str(v, bits) for v in result.moments.m],
-            "determinant_residuals": [decimal_str(r, bits)
-                                      for r in result.det_residuals],
-            "grid": moments.grid_report(result.grid),
-        }
-    _emit(report, args.format, args.out, result.grid)
-    return _grid_exit(result.grid)
+def cmd_xi(args, bits: int) -> Report:
+    result = riemann.rh_moment_pipeline(
+        args.N, args.L, args.nmax, args.kmax, _policy(bits))
+    if args.zeros_out:
+        riemann.export_brackets(result.brackets, args.zeros_out)
+    report = {
+        "command": "xi",
+        "bits": bits,
+        "N": args.N,
+        "s1": decimal_str(result.s1, bits),
+        "L": decimal_str(result.L, bits),
+        "brackets": [[decimal_str(b.lo, bits), decimal_str(b.hi, bits),
+                      decimal_str(b.refined_root, bits)]
+                     for b in result.brackets],
+        "coefficients": [decimal_str(a, bits)
+                         for a in result.coefficients.a],
+        "quadrature_errors": [decimal_str(e, bits)
+                              for e in result.coefficients.quadrature_error],
+        "moments": [decimal_str(v, bits) for v in result.moments.m],
+        "determinant_residuals": [decimal_str(r, bits)
+                                  for r in result.det_residuals],
+        "grid": moments.grid_report(result.grid),
+    }
+    return report, result.grid
 
 
 def _pick_character(q: int, index: Optional[int]) -> dirichlet.DirichletCharacter:
@@ -255,68 +230,67 @@ def _pick_character(q: int, index: Optional[int]) -> dirichlet.DirichletCharacte
     return chars[index]
 
 
-def cmd_dirichlet(args, bits: int) -> int:
-    with workprec(bits):
-        chi = _pick_character(args.q, args.index)
-        L = "auto" if args.L == "auto" else mpf(args.L)
-        result = dirichlet.grh_moment_pipeline(
-            chi, args.N, L, args.nmax, args.kmax, _policy(bits),
-            _quad_spec(args))
-        tau = dirichlet.gauss_sum(chi)
-        coeffs = result.coefficients
-        report = {
-            "command": "dirichlet",
-            "bits": bits,
-            "q": chi.q,
-            "index": chi.index,
-            "parity": chi.parity,
-            "conductor": chi.conductor,
-            "primitive": chi.is_primitive,
-            "order": chi.order,
-            "tau": [decimal_str(tau.real, bits), decimal_str(tau.imag, bits)],
-            "N": args.N,
-            "mu": coeffs.mu,
-            "b_ratios": [decimal_str(r, bits) for r in result.b_ratios],
-            "eq331_status": result.eq331_status,
-            "eq324_max_residual": decimal_str(max(coeffs.eq_residuals), bits),
-            "s1": decimal_str(result.s1, bits) if result.s1 is not None else None,
-            "L": decimal_str(result.L, bits) if result.L is not None else None,
-            "moments": ([decimal_str(v, bits) for v in result.moments.m]
-                        if result.moments is not None else None),
-            "grid": (moments.grid_report(result.grid)
-                     if result.grid is not None else None),
-            "verdict": result.verdict,
-        }
-    _emit(report, args.format, args.out, result.grid)
-    if result.grid is None:
-        return EXIT_INCONCLUSIVE
-    return _grid_exit(result.grid)
+def cmd_dirichlet(args, bits: int) -> Report:
+    chi = _pick_character(args.q, args.index)
+    result = dirichlet.grh_moment_pipeline(
+        chi, args.N, args.L, args.nmax, args.kmax, _policy(bits))
+    tau = dirichlet.gauss_sum(chi)
+    coeffs = result.coefficients
+    report = {
+        "command": "dirichlet",
+        "bits": bits,
+        "q": chi.q,
+        "index": chi.index,
+        "parity": chi.parity,
+        "conductor": chi.conductor,
+        "primitive": chi.is_primitive,
+        "order": chi.order,
+        "tau": [decimal_str(tau.real, bits), decimal_str(tau.imag, bits)],
+        "N": args.N,
+        "mu": coeffs.mu,
+        "b_ratios": [decimal_str(r, bits) for r in result.b_ratios],
+        "eq331_status": result.eq331_status,
+        "eq324_max_residual": decimal_str(max(coeffs.eq_residuals), bits),
+        "s1": decimal_str(result.s1, bits) if result.s1 is not None else None,
+        "L": decimal_str(result.L, bits) if result.L is not None else None,
+        "moments": ([decimal_str(v, bits) for v in result.moments.m]
+                    if result.moments is not None else None),
+        "grid": (moments.grid_report(result.grid)
+                 if result.grid is not None else None),
+        "verdict": result.verdict,
+    }
+    return report, result.grid
 
 
-def cmd_char_table(args, bits: int) -> int:
-    with workprec(bits):
-        chars = dirichlet.characters_mod(args.q)
-        rows = []
-        for c in chars:
-            tau = dirichlet.gauss_sum(c)
-            rows.append({
-                "index": c.index,
-                "exponents": list(c.exponents),
-                "order": c.order,
-                "parity": c.parity,
-                "conductor": c.conductor,
-                "primitive": c.is_primitive,
-                "tau_re": decimal_str(tau.real, bits),
-                "tau_im": decimal_str(tau.imag, bits),
-            })
-        report = {
-            "command": "char-table",
-            "bits": bits,
-            "q": args.q,
-            "characters": rows,
-        }
-    _emit(report, args.format, args.out)
-    return EXIT_OK
+def cmd_char_table(args, bits: int) -> Report:
+    rows = []
+    for c in dirichlet.characters_mod(args.q):
+        tau = dirichlet.gauss_sum(c)
+        rows.append({
+            "index": c.index,
+            "exponents": list(c.exponents),
+            "order": c.order,
+            "parity": c.parity,
+            "conductor": c.conductor,
+            "primitive": c.is_primitive,
+            "tau_re": decimal_str(tau.real, bits),
+            "tau_im": decimal_str(tau.imag, bits),
+        })
+    report = {
+        "command": "char-table",
+        "bits": bits,
+        "q": args.q,
+        "characters": rows,
+    }
+    return report, None
+
+
+COMMANDS = {
+    "synthetic": cmd_synthetic,
+    "xi": cmd_xi,
+    "dirichlet": cmd_dirichlet,
+    "char-table": cmd_char_table,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -330,18 +304,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         if bits <= 0:
             raise DomainError("--bits must be positive")
         if args.command == "synthetic":
-            return cmd_synthetic(args, bits)
-        if args.command == "xi":
-            return cmd_xi(args, bits)
-        if args.command == "dirichlet":
-            return cmd_dirichlet(args, bits)
-        if args.command == "char-table":
-            return cmd_char_table(args, bits)
-        raise DomainError(f"unknown command {args.command!r}")
+            # the fixture is parsed at the caller's precision, not at bits
+            args.zeros = oracle.load_zeros(args.zeros_file)
+        with workprec(bits):
+            report, grid = COMMANDS[args.command](args, bits)
+        _emit(report, args.format, args.out, grid)
     except (DomainError, AccuracyError, ConsistencyError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if grid is None:  # a character table, or a failed positivity hypothesis
+        return EXIT_OK if args.command == "char-table" else EXIT_INCONCLUSIVE
+    counts = grid.counts()
+    if counts["negative"]:
+        return EXIT_VIOLATION
+    if counts["zero-uncertain"]:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ exactly the zero heights of the chi factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +44,9 @@ from .moments import (
     MomentSequence,
     PositivityGrid,
     SeriesPrefix,
-    build_grid,
-    moments_by_determinant,
-    moments_by_recursion,
+    build_grid,  # unused here; perfbench/spans.py wraps it by this name
+    moments_by_determinant,  # unused here; perfbench/spans.py wraps it by this name
+    moments_by_recursion,  # unused here; perfbench/spans.py wraps it by this name
 )
 from .numkernel import (
     AccuracyError,
@@ -53,14 +54,13 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     PrecisionPolicy,
-    QuadratureSpec,
     bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
-    decimal_str,
-    scan_spec,
+    default_target,
+    scan_target,
     sign_change_brackets,
     to_mpf,
 )
-from .riemann import auto_scale
+from .riemann import moment_tail
 
 __all__ = [
     "CharCoefficients",
@@ -119,23 +119,11 @@ def _unit_group(q: int):
             gens.append(lifted % q)
     orders = [order for _, order in comps]
     dlog: Dict[int, Tuple[int, ...]] = {}
-    idx = [0] * len(orders)
-    while True:
-        v = 1
+    for idx in itertools.product(*(range(d) for d in orders)):
+        v = 1 % q
         for g, c in zip(gens, idx):
             v = v * pow(g, c, q) % q
-        dlog[v] = tuple(idx)
-        for i in range(len(orders) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < orders[i]:
-                break
-            idx[i] = 0
-        else:
-            break
-        if all(c == 0 for c in idx):
-            break
-    if not orders:
-        dlog[1 % q] = ()
+        dlog[v] = idx
     return tuple(gens), tuple(orders), dlog
 
 
@@ -298,20 +286,8 @@ def characters_mod(q: int) -> List[DirichletCharacter]:
     if q < 1:
         raise DomainError("modulus must be >= 1")
     _, orders, _ = _unit_group(q)
-    chars = []
-    idx = [0] * len(orders)
-    while True:
-        chars.append(DirichletCharacter(q, tuple(idx)))
-        for i in range(len(orders) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < orders[i]:
-                break
-            idx[i] = 0
-        else:
-            break
-        if all(c == 0 for c in idx):
-            break
-    return chars
+    return [DirichletCharacter(q, idx)
+            for idx in itertools.product(*(range(d) for d in orders))]
 
 
 def gauss_sum(chi: DirichletCharacter) -> mpc:
@@ -321,7 +297,6 @@ def gauss_sum(chi: DirichletCharacter) -> mpc:
     so |tau|^2 = q holds to working accuracy for primitive characters.
     """
     q = chi.q
-    total = mpc(0)
     terms = []
     for n in range(1, q + 1):
         t = chi.value_fraction(n)
@@ -355,20 +330,15 @@ def _require_analytic(chi: DirichletCharacter):
 
 
 @lru_cache(maxsize=None)
-def _chi_table(q: int, exponents: Tuple[int, ...], prec: int) -> Tuple[mpc, ...]:
-    chi = DirichletCharacter(q, exponents)
-    with workprec(prec):
-        return tuple(chi(n) for n in range(q))
-
-
-@lru_cache(maxsize=None)
 def _chi_split_table(q: int, exponents: Tuple[int, ...], prec: int):
     """Per-residue (re, im) mpf pairs, None on non-units; for hot loops."""
-    table = _chi_table(q, exponents, prec)
+    chi = DirichletCharacter(q, exponents)
+    with workprec(prec):
+        table = [chi(n) for n in range(q)]
     return tuple(None if v == 0 else (v.real, v.imag) for v in table)
 
 
-def phi_char(y, chi: DirichletCharacter, n_terms: int = 1000000) -> mpc:
+def phi_char(y, chi: DirichletCharacter) -> mpc:
     """Truncated theta kernel phi(y, chi) for a primitive chi, q >= 3.
 
     The term magnitude n^kappa exp(-n^2 pi e^(2y)/q + (kappa+1/2) y) decays
@@ -376,6 +346,7 @@ def phi_char(y, chi: DirichletCharacter, n_terms: int = 1000000) -> mpc:
     of the largest magnitude seen (after at least one full period of chi).
     """
     _require_analytic(chi)
+    n_terms = 1000000  # give up after this many terms
     y = to_mpf(y)
     q = chi.q
     kappa = chi.parity
@@ -451,20 +422,15 @@ class CharCoefficients:
     b: Tuple[mpc, ...]
     eq_residuals: Tuple[mpf, ...]
     quadrature_error: Tuple[mpf, ...]
-    y_max: mpf
     bits: int
 
 
-def char_coeffs(chi: DirichletCharacter, N: int,
-                spec: Optional[QuadratureSpec] = None) -> CharCoefficients:
+def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
     """Coefficients a_0..a_N(chi) and a_n(conj chi) by shared-kernel quadrature."""
     _require_analytic(chi)
     if N < 2:
         raise DomainError("N must be >= 2")
-    if spec is None:
-        spec = QuadratureSpec()
     prec = mp.prec
-    target = spec.resolved_target(prec)
     kappa = chi.parity
     y_max = _y_max(prec, chi.q, kappa, N)
     kernel = _char_kernel(chi, prec, y_max)
@@ -476,10 +442,7 @@ def char_coeffs(chi: DirichletCharacter, N: int,
         # so the moment integral carries the 1/n! factor
         vals, errs = [], []
         for n in range(N + 1):
-            if n == 0:
-                v, e = kern.integrate(lambda y: mpf(1), target)
-            else:
-                v, e = kern.integrate(lambda y, n=n: y ** n, target)
+            v, e = kern.integrate(lambda y, n=n: y ** n)
             fac = mpf(mpmath.factorial(n))
             vals.append(mpc(v) / fac)
             errs.append(e / fac)
@@ -507,86 +470,79 @@ def char_coeffs(chi: DirichletCharacter, N: int,
             (a[j + mu] * a_bar[2 * n - j + mu]).imag for j in range(2 * n + 1))))
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
-        eq_residuals=residuals, quadrature_error=tuple(errs),
-        y_max=y_max, bits=prec)
+        eq_residuals=residuals, quadrature_error=tuple(errs), bits=prec)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation on the critical line and zero bracketing
 
 def xi_char_eval(s, chi: DirichletCharacter,
-                 spec: Optional[QuadratureSpec] = None) -> mpc:
-    """xi(1/2 + is, chi) = int e^(isy) phi(y, chi) dy for real s."""
+                 target: Optional[mpf] = None) -> mpc:
+    """xi(1/2 + is, chi) = int e^(isy) phi(y, chi) dy for real s.
+
+    ``target`` is the absolute quadrature error goal (None: the default).
+    """
     _require_analytic(chi)
-    if spec is None:
-        spec = QuadratureSpec()
     s = to_mpf(s)
     prec = mp.prec
     kernel = _char_kernel(chi, prec, _y_max(prec, chi.q, chi.parity, 0))
-    value, _ = kernel.integrate(lambda y: mpmath.expj(s * y),
-                                spec.resolved_target(prec))
+    value, _ = kernel.integrate(lambda y: mpmath.expj(s * y), target)
     return mpc(value)
 
 
-def f_char_eval(s, chi: DirichletCharacter,
-                spec: Optional[QuadratureSpec] = None,
-                mu: int = 0) -> mpc:
-    """f(s, chi) = s^(-2 mu) xi(1/2+is, chi) xi(1/2+is, conj chi).
+def f_char_eval(s, chi: DirichletCharacter) -> mpc:
+    """f(s, chi) = xi(1/2+is, chi) xi(1/2+is, conj chi), the mu = 0 product.
 
-    Real and even in s up to quadrature error.  ``mu`` must match the
-    character (0 unless the central coefficient vanishes); s = 0 is only
-    admissible with mu = 0.
+    Real and even in s up to quadrature error.
     """
     s = to_mpf(s)
-    if s == 0 and mu > 0:
-        raise DomainError("f(0, chi) with mu > 0 is a removable limit; "
-                          "evaluate at s != 0")
-    left = xi_char_eval(s, chi, spec)
+    left = xi_char_eval(s, chi)
     chi_bar = chi.conjugate()
-    right = left if chi_bar == chi else xi_char_eval(s, chi_bar, spec)
-    value = left * right
-    if mu:
-        value = value * s ** (-2 * mu)
-    return value
+    right = left if chi_bar == chi else xi_char_eval(s, chi_bar)
+    return left * right
 
 
 def z_char_eval(s, chi: DirichletCharacter,
-                spec: Optional[QuadratureSpec] = None) -> mpf:
+                target: Optional[mpf] = None) -> mpf:
     """Phase-corrected real factor epsilon(chi)^(-1/2) xi(1/2+is, chi).
 
     Analytically real for real s; its sign changes are the zero heights of
-    the chi factor of f.  The imaginary residue must stay at quadrature
-    level or a ConsistencyError is raised.
+    the chi factor of f.  The imaginary residue must stay at the level of
+    the quadrature target (None: the default) or a ConsistencyError is
+    raised.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     prec = mp.prec
-    value = xi_char_eval(s, chi, spec) / mpmath.sqrt(epsilon_factor(chi))
-    tol = 64 * spec.resolved_target(prec) + mpf(2) ** (-(prec - 24)) * abs(value)
+    if target is None:
+        target = default_target(prec)
+    value = xi_char_eval(s, chi, target) / mpmath.sqrt(epsilon_factor(chi))
+    tol = 64 * target + mpf(2) ** (-(prec - 24)) * abs(value)
     if abs(value.imag) > tol:
         raise ConsistencyError(
             f"Z(s, {chi.label()}) has imaginary residue {value.imag}")
     return value.real
 
 
-def first_zero_height(chi: DirichletCharacter, scan_max=mpf(40)) -> mpf:
-    """Smallest positive zero height s_1(chi) of f(s, chi).
+#: the zero scan of :func:`first_zero_height` covers [0, SCAN_MAX]
+SCAN_MAX = mpf(40)
+
+
+def first_zero_height(chi: DirichletCharacter) -> mpf:
+    """Smallest positive zero height s_1(chi) of f(s, chi), below SCAN_MAX.
 
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
     Each scan stops at its first sign change of Z.
     """
-    scan_max = to_mpf(scan_max)
-    spec = scan_spec(mp.prec)
+    target = scan_target(mp.prec)
     candidates = []
     for c in [chi] if chi.is_real else [chi, chi.conjugate()]:
         first = next(sign_change_brackets(
-            lambda s: z_char_eval(s, c, spec), 0, scan_max), None)
+            lambda s: z_char_eval(s, c, target), 0, SCAN_MAX), None)
         if first is not None:
             candidates.append(first.refined_root)
     if not candidates:
         raise DomainError(
-            f"no zero of f(s, {chi.label()}) found below {scan_max}")
+            f"no zero of f(s, {chi.label()}) found below {SCAN_MAX}")
     return min(candidates)
 
 
@@ -614,16 +570,15 @@ class GrhPipelineResult:
 
 def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
                         n_max: int, k_max: int,
-                        policy: PrecisionPolicy = PrecisionPolicy(),
-                        spec: Optional[QuadratureSpec] = None,
-                        scan_max=mpf(40)) -> GrhPipelineResult:
+                        policy: PrecisionPolicy = PrecisionPolicy()
+                        ) -> GrhPipelineResult:
     """Full grid check for the moments of f(s, chi).
 
     ``N`` counts the even-series coefficients: products b_0..b_N are formed
-    (requiring a_0..a_(2N+mu)), the ratios b_n/b_0 are checked for the
-    positivity hypothesis, and when it holds the moment recursion runs to
-    depth N-2 and the (n_max, k_max) grid is certified at scale L
-    ("auto" or None resolves to 1.05 * s_1(chi)^(-2)).
+    (requiring a_0..a_(2N+mu)) and the ratios b_n/b_0 are checked for the
+    positivity hypothesis; when it holds, s_1(chi) is located and the
+    ratios go to :func:`riemann.moment_tail`, which resolves ``L`` and
+    certifies the (n_max, k_max) grid.
 
     The positivity of b_n/b_0 is a hypothesis of the criterion, not a
     consequence: if it fails on the computed range the pipeline halts with
@@ -633,17 +588,15 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
         raise DomainError(
             f"{chi.label()} is not primitive: conductor {chi.conductor} "
             f"< modulus {chi.q}")
-    if N < n_max + k_max + 2:
-        raise DomainError(
-            f"N = {N} too small: grid ({n_max},{k_max}) needs N >= "
-            f"{n_max + k_max + 2}")
-    with workprec(policy.bits):
-        coeffs = char_coeffs(chi, 2 * N, spec)
+    coeffs = ratios = None
+
+    def source():
+        nonlocal coeffs, ratios
+        coeffs = char_coeffs(chi, 2 * N)
         if coeffs.mu > 0:  # deepen so that b_0..b_N stay available
-            coeffs = char_coeffs(chi, 2 * N + coeffs.mu, spec)
-        prec = policy.bits
-        tol = mpf(2) ** (-(prec - 24))
-        ratios: List[mpf] = []
+            coeffs = char_coeffs(chi, 2 * N + coeffs.mu)
+        tol = mpf(2) ** (-(policy.bits - 24))
+        ratios = []
         b0 = coeffs.b[0]
         for n, bn in enumerate(coeffs.b[:N + 1]):
             r = bn / b0
@@ -651,28 +604,17 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
                 raise ConsistencyError(
                     f"b_{n}/b_0 has imaginary residue {r.imag}")
             ratios.append(r.real if n else mpf(1))
-        bad = next((n for n, r in enumerate(ratios) if n and not r > 0), None)
-        if bad is not None:
-            return GrhPipelineResult(
-                character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
-                eq331_status=f"fails at n = {bad}", s1=None, L=None,
-                moments=None, grid=None, det_residuals=())
-        s1 = first_zero_height(chi, scan_max)
-        if L is None or L == "auto":
-            L = auto_scale(s1)
-        else:
-            L = to_mpf(L)
-            if not L > 1 / (s1 * s1):
-                raise DomainError(
-                    f"L = {decimal_str(L)} violates the constraint "
-                    f"L > s_1(chi)^-2 = {decimal_str(1 / (s1 * s1))}")
-        series = SeriesPrefix(tuple(ratios))
-        moments = moments_by_recursion(series, N - 2)
-        residuals = tuple(
-            abs(moments.m[l] - moments_by_determinant(series, l))
-            for l in range(min(8, N - 2) + 1))
-        grid = build_grid(moments, L, n_max, k_max, policy)
+        if not all(r > 0 for r in ratios):
+            return None
+        return SeriesPrefix(tuple(ratios)), first_zero_height(chi)
+
+    tail = moment_tail(N, L, n_max, k_max, policy, source)
+    if tail is None:
+        bad = next(n for n, r in enumerate(ratios) if not r > 0)
+        return GrhPipelineResult(
+            character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
+            eq331_status=f"fails at n = {bad}", s1=None, L=None,
+            moments=None, det_residuals=(), grid=None)
     return GrhPipelineResult(
         character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
-        eq331_status=f"holds for n <= {N}", s1=s1, L=L, moments=moments,
-        grid=grid, det_residuals=residuals)
+        eq331_status=f"holds for n <= {N}", **tail._asdict())

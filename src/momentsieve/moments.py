@@ -67,20 +67,16 @@ __all__ = [
 class SeriesPrefix:
     """Finite prefix a_0..a_N of Taylor coefficients.
 
-    ``mu`` records the order of a zero at the origin that was already divided
-    out.  After the leading coefficient, every entry must have the same sign
+    After the leading coefficient, every entry must have the same sign
     as a_0; zeros are admitted only as a trailing run, so that polynomials
     (finite zero sets) can be represented exactly.
     """
 
     coeffs: Tuple[mpf, ...]
-    mu: int = 0
 
     def __post_init__(self):
         coeffs = tuple(to_mpf(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.mu < 0:
-            raise DomainError("mu must be >= 0")
         if not coeffs:
             raise DomainError("empty coefficient list")
         a0 = coeffs[0]
@@ -106,10 +102,10 @@ class SeriesPrefix:
         if n <= self.degree_bound:
             return self
         extra = (mpf(0),) * (n - self.degree_bound)
-        return SeriesPrefix(self.coeffs + extra, self.mu)
+        return SeriesPrefix(self.coeffs + extra)
 
 
-def normalize(raw: Sequence, mu: int = 0) -> SeriesPrefix:
+def normalize(raw: Sequence) -> SeriesPrefix:
     """Divide a raw coefficient list by a_0 (fixing an overall sign).
 
     Accepts any list with a_0 != 0 and a_0*a_n > 0 up to trailing zeros;
@@ -122,27 +118,20 @@ def normalize(raw: Sequence, mu: int = 0) -> SeriesPrefix:
     if a0 == 0:
         raise DomainError("a_0 must be nonzero (index 0)")
     normalized = [c / a0 for c in coeffs]
-    return SeriesPrefix(tuple(normalized), mu)
+    return SeriesPrefix(tuple(normalized))
 
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """m_0..m_M with provenance and the scale already applied (1 = unscaled)."""
+    """Unscaled moments m_0..m_M with their provenance."""
 
     m: Tuple[mpf, ...]
     source: str = "recursion"  # recursion | determinant | zero-sum
-    scale_L: mpf = mpf(1)
 
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(to_mpf(v) for v in self.m))
-        object.__setattr__(self, "scale_L", to_mpf(self.scale_L))
-        if not self.scale_L > 0:
-            raise DomainError("scale_L must be > 0")
         for v in self.m:
             require_finite(v, "moment")
-
-    def __len__(self) -> int:
-        return len(self.m)
 
     @property
     def max_index(self) -> int:
@@ -298,9 +287,6 @@ def build_grid(m: MomentSequence, L, n_max: int, k_max: int,
         raise DomainError(
             f"grid ({n_max},{k_max}) needs moments up to index "
             f"{n_max + k_max}, sequence has {m.max_index}")
-    if m.scale_L != 1:
-        raise DomainError("build_grid expects an unscaled MomentSequence; "
-                          "the scale is applied through L")
     cells: Dict[Tuple[int, int], CertifiedSign] = {}
     first_violation = None
     min_cell = None

@@ -7,12 +7,12 @@ precision wrap calls in ``mpmath.workprec(bits)``.
 
 Provided here:
 
-* :class:`PrecisionPolicy` - bits / escalation knobs for sign certification.
+* :class:`PrecisionPolicy` - the precision ladder for sign certification.
 * :class:`CachedKernelQuadrature` - tanh-sinh quadrature of many integrals
   ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``; the kernel
   values at the nodes are computed once, node tables are cached per
-  precision, and the error is estimated from inter-level differences.
-  :class:`QuadratureSpec` carries the target error.
+  precision, and the error is estimated from inter-level differences;
+  :func:`default_target` is the error target unless a caller passes one.
 * :func:`sign_change_brackets` - zero location: a scan for sign changes
   at step :data:`SCAN_STEP`, each bracket bisected by
   :func:`bisect_sign_change` to width ``2^-(prec/2)``.
@@ -43,7 +43,6 @@ __all__ = [
     "NEGATIVE",
     "POSITIVE",
     "PrecisionPolicy",
-    "QuadratureSpec",
     "UNCERTAIN",
     "ZeroBracket",
     "binomial",
@@ -51,8 +50,9 @@ __all__ = [
     "certify_sign",
     "comp_sum",
     "decimal_str",
+    "default_target",
     "require_finite",
-    "scan_spec",
+    "scan_target",
     "sign_change_brackets",
     "to_mpc",
     "to_mpf",
@@ -160,22 +160,19 @@ class PrecisionPolicy:
     """Mantissa-bit budget for certified computations."""
 
     bits: int = 256
-    escalation_factor: int = 2
     max_bits: int = 4096
 
     def __post_init__(self):
         if self.bits <= 0:
             raise DomainError("PrecisionPolicy.bits must be positive")
-        if self.escalation_factor < 2:
-            raise DomainError("PrecisionPolicy.escalation_factor must be >= 2")
         if self.bits > self.max_bits:
             raise DomainError("PrecisionPolicy.bits must not exceed max_bits")
 
     def stages(self):
-        """Yield (low, high) precision pairs, escalating up to max_bits."""
+        """Yield (low, high) precision pairs, doubling up to max_bits."""
         lo = self.bits
         while lo < self.max_bits:
-            hi = min(lo * self.escalation_factor, self.max_bits)
+            hi = min(2 * lo, self.max_bits)
             yield lo, hi
             lo = hi
 
@@ -228,23 +225,9 @@ _QUAD_GUARD = 32
 MAX_LEVELS = 12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for :meth:`CachedKernelQuadrature.integrate`.
-
-    ``target_abs_error = None`` resolves to ``2^-(prec-16)`` at call time.
-    """
-
-    target_abs_error: Optional[Number] = None
-
-    def __post_init__(self):
-        if self.target_abs_error is not None and to_mpf(self.target_abs_error) <= 0:
-            raise DomainError("target_abs_error must be > 0")
-
-    def resolved_target(self, prec: int) -> mpf:
-        if self.target_abs_error is None:
-            return mpf(2) ** (-(prec - 16))
-        return to_mpf(self.target_abs_error)
+def default_target(prec: int) -> mpf:
+    """Absolute quadrature error target 2^-(prec-16) at ``prec`` bits."""
+    return mpf(2) ** (-(prec - 16))
 
 
 # node tables, keyed by working precision so escalated reruns do not collide
@@ -319,11 +302,14 @@ class CachedKernelQuadrature:
                 self._levels.append(entries)
 
     def integrate(self, g, target=None):
-        """Return (value, err) for ``int K(x) g(x) dx`` at the cached nodes."""
+        """Return (value, err) for ``int K(x) g(x) dx`` at the cached nodes.
+
+        ``target`` is the absolute error goal, :func:`default_target` if None.
+        """
         result = None
         with workprec(self.prec + _QUAD_GUARD):
             if target is None:
-                target = mpf(2) ** (-(self.prec - 16))
+                target = default_target(self.prec)
             else:
                 target = to_mpf(target)
             best = None
@@ -357,11 +343,11 @@ class CachedKernelQuadrature:
 SCAN_STEP = mpf("0.5")
 
 
-def scan_spec(prec: int) -> QuadratureSpec:
+def scan_target(prec: int) -> mpf:
     """Quadrature target 2^-(3 prec/4) for the evaluations of a sign scan."""
     # sign resolution near a simple zero needs error << |f'| * final width
     # ~ 2^-(prec/2); a 3*prec/4 target leaves ample margin and saves levels
-    return QuadratureSpec(target_abs_error=mpf(2) ** (-(3 * prec // 4)))
+    return mpf(2) ** (-(3 * prec // 4))
 
 
 @dataclass(frozen=True)

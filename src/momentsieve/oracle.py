@@ -202,7 +202,7 @@ def product_to_series(zs: ZeroSet) -> SeriesPrefix:
         coeffs = nxt
     real = tuple(_real_part_checked(c, abs(c), f"coefficient a_{i}")
                  for i, c in enumerate(coeffs))
-    return SeriesPrefix(real, mu=0)
+    return SeriesPrefix(real)
 
 
 def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf, workprec
 import mpmath
@@ -50,23 +50,24 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     PrecisionPolicy,
-    QuadratureSpec,
     ZeroBracket,
     bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
     decimal_str,
     require_finite,
-    scan_spec,
+    scan_target,
     sign_change_brackets,
     to_mpf,
 )
 from .oracle import save_zeros
 
 __all__ = [
+    "MomentTail",
     "XiCoefficients",
     "XiPipelineResult",
     "auto_scale",
     "bracket_zeros",
     "export_brackets",
+    "moment_tail",
     "phi",
     "rh_moment_pipeline",
     "xi_coefficients",
@@ -148,12 +149,8 @@ class XiCoefficients:
             if not v > 0:
                 raise ConsistencyError(f"a_{n} evaluated nonpositive: {v}")
 
-    @property
-    def max_index(self) -> int:
-        return len(self.a) - 1
 
-
-def xi_coefficients(N: int, spec: Optional[QuadratureSpec] = None) -> XiCoefficients:
+def xi_coefficients(N: int) -> XiCoefficients:
     """Taylor coefficients a_0..a_N of xi(1/2 + s) in s^2, by quadrature.
 
     All coefficients share one cached Phi kernel on [0, u_max(N)]; the
@@ -161,33 +158,27 @@ def xi_coefficients(N: int, spec: Optional[QuadratureSpec] = None) -> XiCoeffici
     """
     if N < 0:
         raise DomainError("N must be >= 0")
-    if spec is None:
-        spec = QuadratureSpec()
     prec = mp.prec
-    target = spec.resolved_target(prec)
     kernel = _phi_kernel(_u_max(prec, N), prec)
     a: List[mpf] = []
     errs: List[mpf] = []
     for n in range(N + 1):
         fac = 2 / mpf(mpmath.factorial(2 * n))
-        if n == 0:
-            value, err = kernel.integrate(lambda u: mpf(1), target)
-        else:
-            value, err = kernel.integrate(lambda u, n=n: u ** (2 * n), target)
+        value, err = kernel.integrate(lambda u, n=n: u ** (2 * n))
         a.append(fac * value)
         errs.append(fac * err)
     return XiCoefficients(tuple(a), tuple(errs))
 
 
-def xi_eval(s, spec: Optional[QuadratureSpec] = None) -> mpf:
-    """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s."""
-    if spec is None:
-        spec = QuadratureSpec()
+def xi_eval(s, target: Optional[mpf] = None) -> mpf:
+    """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s.
+
+    ``target`` is the absolute quadrature error goal (None: the default).
+    """
     s = to_mpf(s)
     prec = mp.prec
     kernel = _phi_kernel(_u_max(prec, 0), prec)
-    value, _ = kernel.integrate(lambda u: 2 * mpmath.cos(u * s),
-                                spec.resolved_target(prec))
+    value, _ = kernel.integrate(lambda u: 2 * mpmath.cos(u * s), target)
     return require_finite(value, "Xi(s)")
 
 
@@ -204,9 +195,9 @@ def bracket_zeros(s_max) -> List[ZeroBracket]:
     prec = mp.prec
     key = (prec, str(s_max))
     if key not in _bracket_cache:
-        spec = scan_spec(prec)
+        target = scan_target(prec)
         _bracket_cache[key] = list(sign_change_brackets(
-            lambda s: xi_eval(s, spec), 0, s_max))
+            lambda s: xi_eval(s, target), 0, s_max))
     return _bracket_cache[key]
 
 
@@ -238,57 +229,92 @@ def auto_scale(s1) -> mpf:
     return mpf("1.05") / (s1 * s1)
 
 
-@dataclass(frozen=True)
-class XiPipelineResult:
-    coefficients: XiCoefficients
-    series: SeriesPrefix
-    moments: MomentSequence
-    grid: PositivityGrid
-    brackets: Tuple[ZeroBracket, ...]
+class MomentTail(NamedTuple):
+    """What the Xi and Dirichlet pipelines compute from a series and s_1."""
+
     s1: mpf
     L: mpf
+    moments: MomentSequence
     det_residuals: Tuple[mpf, ...]  # |recursion - determinant| for small l
+    grid: PositivityGrid
 
 
-def rh_moment_pipeline(N: int, L, n_max: int, k_max: int,
-                       policy: PrecisionPolicy = PrecisionPolicy(),
-                       spec: Optional[QuadratureSpec] = None,
-                       scan_max=mpf(16)) -> XiPipelineResult:
-    """Full grid check for the Xi moments.
+def moment_tail(N: int, L, n_max: int, k_max: int, policy: PrecisionPolicy,
+                source: Callable[[], Optional[Tuple[SeriesPrefix, mpf]]]
+                ) -> Optional[MomentTail]:
+    """The criterion once the normalized coefficients and s_1 are known.
 
-    Computes a_0..a_N, normalizes, runs the moment recursion to depth N-2,
-    cross-checks the first moments against the determinant path, and
-    certifies the (n_max, k_max) grid at the scale L.  ``L`` may be the
-    string "auto" (or None) for 1.05 * s_1^(-2); an explicit L must satisfy
-    L > s_1^(-2).
+    Checks N >= n_max + k_max + 2 and parses an explicit ``L`` first, then
+    calls ``source()`` at ``policy.bits`` for the normalized series
+    a_0..a_N and s_1, or None when the positivity hypothesis fails (then
+    this returns None too).  ``L`` "auto" or None means :func:`auto_scale`;
+    an explicit L must exceed s_1^(-2).  The recursion runs to depth N-2,
+    is cross-checked against the determinant path for l <= 8, and the
+    (n_max, k_max) grid is certified at the scale L.
     """
     if N < n_max + k_max + 2:
         raise DomainError(
             f"N = {N} too small: grid ({n_max},{k_max}) needs N >= "
             f"{n_max + k_max + 2}")
     with workprec(policy.bits):
-        brackets = bracket_zeros(scan_max)
-        if not brackets:
-            raise DomainError(f"no Xi zero located below {scan_max}")
-        s1 = brackets[0].refined_root
-        if L is None or L == "auto":
-            L = auto_scale(s1)
-        else:
+        auto = L is None or L == "auto"
+        if not auto:
             L = to_mpf(L)
-            if not L > 1 / (s1 * s1):
-                raise DomainError(
-                    f"L = {decimal_str(L)} violates the constraint "
-                    f"L > s_1^-2 = {decimal_str(1 / (s1 * s1))}")
-        coeffs = xi_coefficients(N, spec)
-        series = normalize(coeffs.a)
+        found = source()
+        if found is None:
+            return None
+        series, s1 = found
+        if auto:
+            L = auto_scale(s1)
+        elif not L > 1 / (s1 * s1):
+            raise DomainError(
+                f"L = {decimal_str(L)} violates the constraint "
+                f"L > s_1^-2 = {decimal_str(1 / (s1 * s1))}")
         moments = moments_by_recursion(series, N - 2)
         residuals = tuple(
             abs(moments.m[l] - moments_by_determinant(series, l))
             for l in range(min(8, N - 2) + 1))
         grid = build_grid(moments, L, n_max, k_max, policy)
-    return XiPipelineResult(
-        coefficients=coeffs, series=series, moments=moments, grid=grid,
-        brackets=tuple(brackets), s1=s1, L=L, det_residuals=residuals)
+    return MomentTail(s1, L, moments, residuals, grid)
+
+
+#: the Xi zero scan covers [0, SCAN_MAX]; s_1 ~= 14.13 lies inside
+SCAN_MAX = mpf(16)
+
+
+@dataclass(frozen=True)
+class XiPipelineResult:
+    coefficients: XiCoefficients
+    brackets: Tuple[ZeroBracket, ...]
+    s1: mpf
+    L: mpf
+    moments: MomentSequence
+    det_residuals: Tuple[mpf, ...]
+    grid: PositivityGrid
+
+
+def rh_moment_pipeline(N: int, L, n_max: int, k_max: int,
+                       policy: PrecisionPolicy = PrecisionPolicy()
+                       ) -> XiPipelineResult:
+    """Full grid check for the Xi moments.
+
+    Brackets the Xi zeros below :data:`SCAN_MAX`, computes a_0..a_N and
+    hands the normalized series and s_1 to :func:`moment_tail`, which
+    resolves ``L`` and certifies the (n_max, k_max) grid.
+    """
+    coeffs = brackets = None
+
+    def source():
+        nonlocal coeffs, brackets
+        brackets = tuple(bracket_zeros(SCAN_MAX))
+        if not brackets:
+            raise DomainError(f"no Xi zero located below {SCAN_MAX}")
+        coeffs = xi_coefficients(N)
+        return normalize(coeffs.a), brackets[0].refined_root
+
+    tail = moment_tail(N, L, n_max, k_max, policy, source)
+    return XiPipelineResult(coefficients=coeffs, brackets=brackets,
+                            **tail._asdict())
 
 
 def export_brackets(brackets: Sequence[ZeroBracket],

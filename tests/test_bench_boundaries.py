@@ -3,13 +3,18 @@
 ``perfbench/spans.py`` replaces every name of its ``BOUNDARIES`` table with
 ``getattr``/``setattr`` on the module where callers look it up, so a name
 that leaves its module aborts every traced benchmark run.
+``perfbench/worker.py`` records each ``synthetic`` grid by replacing
+``moments.build_grid``, so the command must look it up there at call time.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from momentsieve import cli, moments
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_boundary_resolves():
@@ -24,3 +29,19 @@ def test_every_boundary_resolves():
             importlib.import_module(f"momentsieve.{module_name}"), name, None))
     ]
     assert missing == []
+
+
+def test_synthetic_grid_goes_through_moments_build_grid(monkeypatch, capsys):
+    grids = []
+    build_grid = moments.build_grid
+
+    def recording(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(moments, "build_grid", recording)
+    code = cli.main(["synthetic", str(ROOT / "fixtures" / "wide_pair.zeros"),
+                     "--L", "1"])
+    capsys.readouterr()
+    assert code == 2
+    assert len(grids) == 1

@@ -67,6 +67,15 @@ def test_xi_rejects_scale_below_constraint(capsys):
     assert "s_1" in err
 
 
+def test_xi_rejects_quad_error_option(capsys):
+    # the option once set the quadrature target of every value and zero
+    # scan; 1e-3 turned this clean grid into a certified violation
+    code, _, err = run(["xi", "--N", "8", "--nmax", "3", "--kmax", "3",
+                        "--bits", "128", "--quad-error", "1e-3"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --quad-error" in err
+
+
 def test_xi_rejects_small_N(capsys):
     code, _, err = run(["xi", "--N", "6", "--nmax", "4", "--kmax", "4",
                         "--bits", "96"], capsys)

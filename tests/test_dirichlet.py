@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from momentsieve.dirichlet import (
+    _unit_group,
     char_coeffs,
     characters_mod,
     epsilon_factor,
@@ -20,7 +21,7 @@ from momentsieve.dirichlet import (
 from momentsieve.numkernel import (
     DomainError,
     PrecisionPolicy,
-    scan_spec,
+    scan_target,
     sign_change_brackets,
 )
 
@@ -29,9 +30,9 @@ from conftest import close
 
 def z_brackets(chi, s_max):
     """Sign-change brackets of Z(s, chi) on [0, s_max]."""
-    spec = scan_spec(mp.prec)
+    target = scan_target(mp.prec)
     return list(sign_change_brackets(
-        lambda s: z_char_eval(s, chi, spec), 0, s_max))
+        lambda s: z_char_eval(s, chi, target), 0, s_max))
 
 
 def chi_by_values(q, index):
@@ -93,6 +94,19 @@ def test_character_counts_and_examples():
     assert len(characters_mod(15)) == 8
     with pytest.raises(DomainError):
         characters_mod(0)
+
+
+def test_unit_group_enumeration():
+    for q in range(1, 41):
+        units = {n for n in range(q) if math.gcd(n, q) == 1}
+        assert [c.index for c in characters_mod(q)] == list(range(len(units)))
+        gens, _, dlog = _unit_group(q)
+        assert set(dlog) == units
+        for unit, exponents in dlog.items():
+            value = 1 % q
+            for g, c in zip(gens, exponents):
+                value = value * pow(g, c, q) % q
+            assert value == unit, (q, unit, exponents)
 
 
 def test_q3_nontrivial(chi3):
@@ -395,6 +409,13 @@ def test_grh_pipeline_rejects_nonprimitive():
     chi6 = characters_mod(6)[1]
     with pytest.raises(DomainError, match="conductor 3 < modulus 6"):
         grh_moment_pipeline(chi6, 6, "auto", 2, 2, PrecisionPolicy(bits=96))
+
+
+def test_grh_pipeline_rejects_bad_scale(chi3):
+    with workprec(96):
+        with pytest.raises(DomainError, match="s_1"):
+            grh_moment_pipeline(chi3, 6, mpf("0.001"), 2, 2,
+                                PrecisionPolicy(bits=96))
 
 
 def test_grh_pipeline_rejects_small_N(chi3):

@@ -11,7 +11,6 @@ from momentsieve.numkernel import (
     CachedKernelQuadrature,
     DomainError,
     PrecisionPolicy,
-    QuadratureSpec,
     SCAN_STEP,
     binomial,
     bisect_sign_change,
@@ -46,7 +45,7 @@ def battery():
 def test_tanh_sinh_battery(case):
     f, (a, b), exact = battery()[case]
     value, err = CachedKernelQuadrature(f, a, b).integrate(lambda x: 1)
-    target = QuadratureSpec().resolved_target(mp.prec)
+    target = numkernel.default_target(mp.prec)
     assert abs(value - exact) <= target
     assert err <= target
 
@@ -79,8 +78,6 @@ def test_interval_validation():
         CachedKernelQuadrature(lambda x: x, 1, 1)
     with pytest.raises(DomainError):
         CachedKernelQuadrature(lambda x: x, 2, 1)
-    with pytest.raises(DomainError):
-        QuadratureSpec(target_abs_error=-1)
 
 
 def test_cached_kernel_matches_direct():
@@ -183,8 +180,6 @@ def test_certify_escalates_precision():
 def test_policy_validation():
     with pytest.raises(DomainError):
         PrecisionPolicy(bits=0)
-    with pytest.raises(DomainError):
-        PrecisionPolicy(escalation_factor=1)
     with pytest.raises(DomainError):
         PrecisionPolicy(bits=8192, max_bits=4096)
 
