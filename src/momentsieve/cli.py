@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -34,7 +33,6 @@ EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 
-ENV_BITS = "MOMENT_SIEVE_BITS"
 DEFAULT_BITS = 256
 
 
@@ -46,28 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _default_bits() -> int:
-    env = os.environ.get(ENV_BITS)
-    if env is None:
-        return DEFAULT_BITS
-    try:
-        bits = int(env)
-    except ValueError:
-        raise DomainError(f"{ENV_BITS} must be an integer, got {env!r}")
-    if bits <= 0:
-        raise DomainError(f"{ENV_BITS} must be positive")
-    return bits
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="moment-sieve",
                      description="finite moment-positivity checks for entire "
                                  "functions, the Riemann Xi function, and "
                                  "Dirichlet L-functions")
     common = _Parser(add_help=False)
-    common.add_argument("--bits", type=int, default=None,
-                        help=f"working precision in bits (default: "
-                             f"${ENV_BITS} or {DEFAULT_BITS})")
+    common.add_argument("--bits", type=int, default=DEFAULT_BITS,
+                        help=f"working precision in bits "
+                             f"(default {DEFAULT_BITS})")
     common.add_argument("--nmax", type=int, default=8,
                         help="grid depth in n (default 8)")
     common.add_argument("--kmax", type=int, default=8,
@@ -300,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        bits = args.bits if args.bits is not None else _default_bits()
+        bits = args.bits
         if bits <= 0:
             raise DomainError("--bits must be positive")
         if args.command == "synthetic":

@@ -60,7 +60,7 @@ from .numkernel import (
     sign_change_brackets,
     to_mpf,
 )
-from .riemann import moment_tail
+from .riemann import kernel_cutoff, moment_tail
 
 __all__ = [
     "CharCoefficients",
@@ -378,15 +378,6 @@ def phi_char(y, chi: DirichletCharacter) -> mpc:
         f"phi(y, chi) did not converge within {n_terms} terms at y = {y}")
 
 
-def _y_max(prec: int, q: int, kappa: int, n: int) -> mpf:
-    """Truncation point for the coefficient integrals, q-scaled Phi bound."""
-    goal = prec * math.log(2) + 16
-    y = 1.0
-    while math.pi * math.exp(2 * y) / q - (kappa + 0.5 + n) * y <= goal:
-        y += 0.25
-    return mpf(y)
-
-
 _char_kernel_cache: dict = {}
 
 
@@ -397,8 +388,7 @@ def _char_kernel(chi: DirichletCharacter, prec: int,
     found = _char_kernel_cache.get(base_key)
     if found is not None and found.b >= y_max:
         return found
-    kernel = CachedKernelQuadrature(
-        lambda y: phi_char(y, chi), -y_max, y_max, prec=prec)
+    kernel = CachedKernelQuadrature(lambda y: phi_char(y, chi), -y_max, y_max)
     _char_kernel_cache[base_key] = kernel
     return kernel
 
@@ -413,7 +403,9 @@ class CharCoefficients:
     sum_(j=0..2n) a_(j+mu)(chi) a_(2n-j+mu)(conj chi), defined while
     2n + mu <= N.  ``eq_residuals`` stores
     |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|, which should sit at
-    quadrature-error level.
+    quadrature-error level.  ``quadrature_error[n]`` is the scaled
+    difference of the last two quadrature levels of a_n(chi), not an error
+    bound: it is exactly 0 when two levels agree to every guard bit.
     """
 
     a: Tuple[mpc, ...]
@@ -431,8 +423,7 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
     if N < 2:
         raise DomainError("N must be >= 2")
     prec = mp.prec
-    kappa = chi.parity
-    y_max = _y_max(prec, chi.q, kappa, N)
+    y_max = kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N)
     kernel = _char_kernel(chi, prec, y_max)
     chi_bar = chi.conjugate()
     kernel_bar = kernel if chi_bar == chi else _char_kernel(chi_bar, prec, y_max)
@@ -485,7 +476,8 @@ def xi_char_eval(s, chi: DirichletCharacter,
     _require_analytic(chi)
     s = to_mpf(s)
     prec = mp.prec
-    kernel = _char_kernel(chi, prec, _y_max(prec, chi.q, chi.parity, 0))
+    kernel = _char_kernel(
+        chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
     value, _ = kernel.integrate(lambda y: mpmath.expj(s * y), target)
     return mpc(value)
 

@@ -8,11 +8,13 @@ precision wrap calls in ``mpmath.workprec(bits)``.
 Provided here:
 
 * :class:`PrecisionPolicy` - the precision ladder for sign certification.
-* :class:`CachedKernelQuadrature` - tanh-sinh quadrature of many integrals
-  ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``; the kernel
-  values at the nodes are computed once, node tables are cached per
-  precision, and the error is estimated from inter-level differences;
-  :func:`default_target` is the error target unless a caller passes one.
+* :class:`CachedKernelQuadrature` - trapezoidal-rule quadrature of many
+  integrals ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``;
+  the kernel values at the equispaced nodes are computed once, there are
+  no node tables, and the error is estimated from inter-level
+  differences; :func:`default_target` is the error target unless a caller
+  passes one.  The rule needs K*g analytic in a strip around [a, b],
+  negligible at b, and negligible or even at a.
 * :func:`sign_change_brackets` - zero location: a scan for sign changes
   at step :data:`SCAN_STEP`, each bracket bisected by
   :func:`bisect_sign_change` to width ``2^-(prec/2)``.
@@ -221,8 +223,11 @@ def certify_sign(computation: Callable[[], Number],
 #: extra working bits inside quadrature loops
 _QUAD_GUARD = 32
 
-#: tanh-sinh levels (step halvings) tried before giving up
+#: trapezoidal levels (step halvings) tried before giving up
 MAX_LEVELS = 12
+
+#: intervals of the level-0 trapezoidal rule on [a, b]
+BASE_INTERVALS = 8
 
 
 def default_target(prec: int) -> mpf:
@@ -230,75 +235,52 @@ def default_target(prec: int) -> mpf:
     return mpf(2) ** (-(prec - 16))
 
 
-# node tables, keyed by working precision so escalated reruns do not collide
-_ts_cache: dict = {}
-
-
-def _ts_tmax(prec: int) -> mpf:
-    # weights decay like exp(-(pi/2)e^t); one extra unit of t is cheap margin
-    return mpf(math.log(2 * (prec + 16) * math.log(2) / math.pi) + 1.0)
-
-
-def _tanh_sinh_nodes(prec: int, level: int):
-    """New (delta, weight) pairs introduced at ``level`` for t > 0.
-
-    ``delta = 1 - x`` keeps full relative accuracy near the endpoint; the
-    abscissa on [-1, 1] is ``+-(1 - delta)``.  The t = 0 node of level 0 is
-    not listed; :class:`CachedKernelQuadrature` adds it with weight pi/2.
-    """
-    key = (prec, level)
-    if key in _ts_cache:
-        return _ts_cache[key]
-    with workprec(prec + 2 * _QUAD_GUARD):
-        tmax = _ts_tmax(prec)
-        h = mpf(2) ** (-level)
-        pairs = []
-        k = 1
-        while True:
-            t = k * h
-            if t > tmax:
-                break
-            v = mpmath.pi / 2 * mpmath.sinh(t)
-            e2v = mpmath.exp(2 * v)
-            delta = 2 / (e2v + 1)  # = 1 - tanh(v)
-            w = mpmath.pi / 2 * mpmath.cosh(t) * 4 / (e2v + 2 + 1 / e2v)
-            pairs.append((delta, w))
-            k += 2 if level > 0 else 1
-    _ts_cache[key] = pairs
-    return pairs
-
-
 class CachedKernelQuadrature:
     """Many integrals ``int_a^b K(x) g(x) dx`` sharing one kernel ``K``.
 
-    Kernel values at the tanh-sinh nodes are computed lazily, once per level,
-    and reused for every ``g``.  This is the workhorse behind Taylor
-    coefficient batches and zero bracketing, where the kernel (a theta-type
-    series) is far more expensive than the polynomial or oscillatory factor.
+    The rule is the equispaced trapezoidal rule: level 0 has
+    :data:`BASE_INTERVALS` intervals with half weights at a and b, and each
+    later level adds the midpoints and halves the step.  It converges
+    geometrically only if K*g is analytic in a strip around [a, b], is
+    negligible at b, and at a is negligible or even about a; otherwise it
+    converges like h^2 and ends in :class:`AccuracyError`.  Phi(u) u^(2n)
+    and Phi(u) cos(us) are even at u = 0 and phi(y, chi) is negligible at
+    +-y_max, so the theta kernels of this package qualify.
+
+    Kernel values at the nodes are computed lazily, once per level, at the
+    precision current at construction, and reused for every ``g``.  This
+    is the workhorse behind Taylor coefficient batches and zero
+    bracketing, where the kernel (a theta-type series) is far more
+    expensive than the polynomial or oscillatory factor.
     """
 
-    def __init__(self, kernel, a, b, prec: Optional[int] = None):
+    def __init__(self, kernel, a, b):
         self.a = to_mpf(a)
         self.b = to_mpf(b)
         if not self.b > self.a:
             raise DomainError("CachedKernelQuadrature needs a < b")
-        self.prec = prec if prec is not None else mp.prec
+        self.prec = mp.prec
         self._kernel = kernel
-        self._levels = []  # level -> list of (x, K(x)*w*half)
+        self._levels = []  # level -> list of (x, weight * K(x)), step omitted
+
+    def _step(self, level: int) -> mpf:
+        return (self.b - self.a) / (BASE_INTERVALS << level)
 
     def _ensure_level(self, level: int):
         with workprec(self.prec + _QUAD_GUARD):
-            half = (self.b - self.a) / 2
-            mid = (self.a + self.b) / 2
             while len(self._levels) <= level:
                 lv = len(self._levels)
-                entries = []
-                if lv == 0:
-                    entries.append((mid, mpmath.pi / 2 * self._kernel(mid) * half))
-                for delta, w in _tanh_sinh_nodes(self.prec, lv):
-                    d = half * delta
-                    for x in (self.a + d, self.b - d):
-                        entries.append((x, w * self._kernel(x) * half))
+                n = BASE_INTERVALS << lv
+                h = self._step(lv)
+                if lv == 0:  # half weights at the ends
+                    entries = [(x, self._kernel(x) / 2)
+                               for x in (self.a, self.b)]
+                    js = range(1, n)
+                else:  # the midpoints of the previous level
+                    entries = []
+                    js = range(1, n, 2)
+                entries += [(x, self._kernel(x))
+                            for x in (self.a + j * h for j in js)]
                 self._levels.append(entries)
 
     def integrate(self, g, target=None):
@@ -316,7 +298,7 @@ class CachedKernelQuadrature:
             err = mpf("inf")
             for level in range(MAX_LEVELS + 1):
                 self._ensure_level(level)
-                h = mpf(2) ** (-level)
+                h = self._step(level)
                 new = mpmath.fsum(kw * g(x) for x, kw in self._levels[level])
                 s = new * h if best is None else best / 2 + new * h
                 if best is not None:

@@ -67,6 +67,7 @@ __all__ = [
     "auto_scale",
     "bracket_zeros",
     "export_brackets",
+    "kernel_cutoff",
     "moment_tail",
     "phi",
     "rh_moment_pipeline",
@@ -113,16 +114,18 @@ def phi(u, n_terms: int = 100000) -> mpf:
         best_estimate=s)
 
 
-def _u_max(prec: int, n: int) -> mpf:
-    """Truncation point: integrand of a_n below working epsilon beyond it.
+def kernel_cutoff(prec: int, q: int, slope: float) -> mpf:
+    """Truncation point of a theta-kernel moment integral.
 
-    Smallest u (on a quarter-unit grid) with
-    pi*e^(2u) - (9/2 + 2n) u > prec*ln2 + 16; the doubly exponential decay
-    of Phi makes the remaining tail irrelevant at prec bits.
+    Smallest u (on a quarter-unit grid from 1) with
+    pi*e^(2u)/q - slope*u > prec*ln2 + 16, where the integrand, bounded by
+    exp(slope*u - pi*e^(2u)/q), is below working epsilon; the doubly
+    exponential decay makes the remaining tail irrelevant at prec bits.
+    For Phi u^(2n), q = 1 and slope = 9/2 + 2n.
     """
     goal = prec * math.log(2) + 16
     u = 1.0
-    while math.pi * math.exp(2 * u) - (4.5 + 2 * n) * u <= goal:
+    while math.pi * math.exp(2 * u) / q - slope * u <= goal:
         u += 0.25
     return mpf(u)
 
@@ -133,13 +136,18 @@ _kernel_cache: dict = {}
 def _phi_kernel(u_max: mpf, prec: int) -> CachedKernelQuadrature:
     key = (prec, str(u_max))
     if key not in _kernel_cache:
-        _kernel_cache[key] = CachedKernelQuadrature(phi, 0, u_max, prec=prec)
+        _kernel_cache[key] = CachedKernelQuadrature(phi, 0, u_max)
     return _kernel_cache[key]
 
 
 @dataclass(frozen=True)
 class XiCoefficients:
-    """Computed a_0..a_N with per-coefficient quadrature error estimates."""
+    """Computed a_0..a_N with a per-coefficient quadrature difference.
+
+    ``quadrature_error[n]`` is the scaled difference of the last two
+    quadrature levels of a_n, not an error bound: it is exactly 0 when two
+    levels agree to every guard bit.
+    """
 
     a: Tuple[mpf, ...]
     quadrature_error: Tuple[mpf, ...]
@@ -159,7 +167,7 @@ def xi_coefficients(N: int) -> XiCoefficients:
     if N < 0:
         raise DomainError("N must be >= 0")
     prec = mp.prec
-    kernel = _phi_kernel(_u_max(prec, N), prec)
+    kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5 + 2 * N), prec)
     a: List[mpf] = []
     errs: List[mpf] = []
     for n in range(N + 1):
@@ -177,7 +185,7 @@ def xi_eval(s, target: Optional[mpf] = None) -> mpf:
     """
     s = to_mpf(s)
     prec = mp.prec
-    kernel = _phi_kernel(_u_max(prec, 0), prec)
+    kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5), prec)
     value, _ = kernel.integrate(lambda u: 2 * mpmath.cos(u * s), target)
     return require_finite(value, "Xi(s)")
 

@@ -143,15 +143,11 @@ def test_csv_grid_export(capsys):
     assert all(line.endswith("positive") for line in lines[1:])
 
 
-def test_env_var_sets_default_bits(capsys, monkeypatch):
-    monkeypatch.setenv("MOMENT_SIEVE_BITS", "96")
+def test_default_bits(capsys):
     code, out, _ = run(["synthetic", str(FIXTURES / "real_23.zeros"),
                         "--L", "1", "--nmax", "2", "--kmax", "2"], capsys)
     assert code == 0
-    assert json.loads(out)["bits"] == 96
-    monkeypatch.setenv("MOMENT_SIEVE_BITS", "not-a-number")
-    code, _, err = run(["synthetic", str(FIXTURES / "real_23.zeros")], capsys)
-    assert code == 1
+    assert json.loads(out)["bits"] == 256
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

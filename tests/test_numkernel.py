@@ -27,22 +27,26 @@ from conftest import close
 # --- quadrature battery -----------------------------------------------------
 
 def battery():
-    """Analytically known integrals, including endpoint-singular cases that
-    the double-exponential scheme must absorb.  Semi-infinite ones are cut
-    where the tail drops below 2^-256, as the kernels are at u_max."""
+    """Analytically known integrals that meet the trapezoidal precondition:
+    analytic in a strip, negligible at b, and negligible or even at a.
+    Infinite ranges are cut where the integrand drops below 2^-256, as the
+    kernels are at u_max."""
+    sqrt_pi = mpmath.sqrt(mpmath.pi)
     return [
-        (lambda x: mpmath.exp(-x), (0, 180), mpf(1)),
-        (lambda x: x ** 3 * mpmath.exp(-x), (0, 200), mpf(6)),
-        (lambda x: mpmath.exp(-x * x), (0, 14), mpmath.sqrt(mpmath.pi) / 2),
-        (lambda x: 1 / mpmath.sqrt(x), (0, 1), mpf(2)),
-        (lambda x: mpmath.log(1 / x), (0, 1), mpf(1)),
-        (lambda x: 4 / (1 + x * x), (0, 1), +mpmath.pi),
-        (lambda x: mpmath.sin(x), (0, mpmath.pi), mpf(2)),
+        (lambda x: mpmath.exp(-x * x), (0, 14), sqrt_pi / 2),
+        (lambda x: x * x * mpmath.exp(-x * x), (0, 14), sqrt_pi / 4),
+        (lambda x: mpmath.exp(-x * x) * mpmath.cos(3 * x), (0, 14),
+         sqrt_pi / 2 * mpmath.exp(-mpf(9) / 4)),
+        (lambda x: mpmath.exp(-x * x), (-14, 14), sqrt_pi),
+        (mpmath.sech, (-200, 200), +mpmath.pi),
+        (lambda x: mpmath.sech(x) ** 2, (-100, 100), mpf(2)),
+        (lambda x: mpmath.exp(-mpmath.cosh(x)), (-7, 7),
+         2 * mpmath.besselk(0, 1)),
     ]
 
 
 @pytest.mark.parametrize("case", range(7))
-def test_tanh_sinh_battery(case):
+def test_trapezoid_battery(case):
     f, (a, b), exact = battery()[case]
     value, err = CachedKernelQuadrature(f, a, b).integrate(lambda x: 1)
     target = numkernel.default_target(mp.prec)
@@ -53,10 +57,10 @@ def test_tanh_sinh_battery(case):
 def test_phi_kernel_integral_matches_xi_half():
     # independent targets: the completed zeta at the central point,
     # evaluated through library gamma/zeta, and mpmath's own quadrature
-    from momentsieve.riemann import _u_max, phi
+    from momentsieve.riemann import kernel_cutoff, phi
     xi_half = mpmath.pi ** (-mpf(1) / 4) * (mpf(1) / 2 - 1) \
         * mpmath.gamma(1 + mpf(1) / 4) * mpmath.zeta(mpf(1) / 2)
-    u_max = _u_max(mp.prec, 0)
+    u_max = kernel_cutoff(mp.prec, 1, 4.5)
     reference = mpmath.quad(phi, [0, u_max])
     assert close(reference, xi_half / 2, mpf(10) ** -15)
     assert close(reference, xi_half / 2, mpf(2) ** -(mp.prec - 24))
@@ -65,6 +69,15 @@ def test_phi_kernel_integral_matches_xi_half():
 
 
 def test_accuracy_failure_carries_best_estimate(monkeypatch):
+    # exp(-x) on [0, 1] is neither even at 0 nor negligible at 1, so the
+    # trapezoidal rule converges only like h^2 and must not return a value
+    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x), 0, 1)
+    with pytest.raises(AccuracyError) as info:
+        kernel.integrate(lambda x: 1)
+    assert info.value.best_estimate is not None
+    assert abs(info.value.best_estimate - (1 - mpmath.exp(-1))) < mpf(10) ** -8
+    assert info.value.error_estimate > 0
+
     monkeypatch.setattr(numkernel, "MAX_LEVELS", 3)
     kernel = CachedKernelQuadrature(lambda x: mpmath.cos(1000 * x), 0, 1)
     with pytest.raises(AccuracyError) as info:
@@ -81,9 +94,9 @@ def test_interval_validation():
 
 
 def test_cached_kernel_matches_direct():
-    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x), 0, 4)
+    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 0, 14)
     v1, e1 = kernel.integrate(lambda x: x * x)
-    exact = 2 - 26 * mpmath.exp(-4)
+    exact = mpmath.sqrt(mpmath.pi) / 4
     assert abs(v1 - exact) <= mpf(2) ** -(mp.prec - 24)
     assert e1 <= mpf(2) ** -(mp.prec - 16)
 

@@ -95,6 +95,22 @@ def test_coefficients_positive_and_decay(coeffs12):
     assert all(e >= 0 for e in coeffs12.quadrature_error)
 
 
+def test_coefficients_kernel_node_count(monkeypatch):
+    # Phi is the expensive part; a denser quadrature rule would show here
+    from momentsieve import riemann
+    calls = []
+
+    def counting_phi(u, phi=riemann.phi):
+        calls.append(u)
+        return phi(u)
+
+    monkeypatch.setattr(riemann, "_kernel_cache", {})
+    monkeypatch.setattr(riemann, "phi", counting_phi)
+    with workprec(256):
+        xi_coefficients(12)
+    assert len(calls) <= 257
+
+
 def test_series_vanishes_at_first_zero(coeffs12, brackets30):
     # alternating even series at s_1: the truncation error bounds the value
     s1 = brackets30[0].refined_root
