@@ -13,7 +13,6 @@ Run:  python demos/dirichlet_walkthrough.py   (about a minute)
 import mpmath
 from mpmath import mp, mpf
 
-from momentsieve import PrecisionPolicy
 from momentsieve.dirichlet import (
     char_coeffs,
     characters_mod,
@@ -64,8 +63,7 @@ print("sign change -> s_1(chi_3) =", show(s1, 12))
 print("\n=== the full pipeline, q = 3 and q = 4 ===")
 for q in (3, 4):
     chi = characters_mod(q)[1]
-    result = grh_moment_pipeline(chi, 6, "auto", 2, 2,
-                                 PrecisionPolicy(bits=128))
+    result = grh_moment_pipeline(chi, 6, "auto", 2, 2)
     print(f"q = {q}: ratio positivity {result.eq331_status}; "
           f"s_1 = {show(result.s1, 10)}; {result.verdict}")
     print(f"        m_0..m_2 = {[show(v, 6) for v in result.moments.m[:3]]}")

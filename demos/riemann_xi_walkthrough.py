@@ -15,7 +15,6 @@ Run:  python demos/riemann_xi_walkthrough.py   (about a minute)
 import mpmath
 from mpmath import mp, mpf
 
-from momentsieve import PrecisionPolicy
 from momentsieve.riemann import (
     bracket_zeros,
     phi,
@@ -46,7 +45,7 @@ for i, b in enumerate(brackets):
     print(f"  s_{i + 1} = {show(b.refined_root, 14)}")
 
 print("\n=== the moment pipeline ===")
-result = rh_moment_pipeline(10, "auto", 3, 3, PrecisionPolicy(bits=128))
+result = rh_moment_pipeline(10, "auto", 3, 3)
 print("s_1 =", show(result.s1, 14))
 print("L   =", show(result.L, 10), " (1.05 * s_1^-2; anything above s_1^-2 works)")
 print("coefficients a_0..a_3:", [show(a, 8) for a in result.coefficients.a[:4]])

@@ -15,7 +15,6 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from momentsieve import (
-    PrecisionPolicy,
     ZeroSet,
     admissibility,
     build_grid,
@@ -43,8 +42,7 @@ for k in range(5):
     print(f"  m_{k}: zero-sum {show(m_direct.m[k])}  recursion "
           f"{show(m_rec.m[k])}  determinant {show(det)}")
 
-grid = build_grid(moments_from_zeros(zs, 12), 1, 6, 6,
-                  PrecisionPolicy(bits=192))
+grid = build_grid(moments_from_zeros(zs, 12), 1, 6, 6)
 print("\n7x7 grid at L = 1:", grid.verdict)
 print("smallest cell:", grid.min_cell[:2], "value", show(grid.min_cell[2], 8))
 
@@ -68,7 +66,7 @@ print("zeros 3.9 e^(+-1.25i): gamma0 =", show(zs_bad.gamma0, 8),
 print("but the zeros are far from the real axis and the moments oscillate:")
 m_bad = moments_from_zeros(zs_bad, 10)
 print("  m_0..m_3 =", [show(v, 6) for v in m_bad.m[:4]])
-grid_bad = build_grid(m_bad, 1, 4, 6, PrecisionPolicy(bits=192))
+grid_bad = build_grid(m_bad, 1, 4, 6)
 rep = grid_report(grid_bad)
 print("verdict:", rep["verdict"], " first violation:", rep["first_violation"])
 print("(a certified negative cell is a proof that some zero is off the "

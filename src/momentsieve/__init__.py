@@ -14,8 +14,6 @@ from .numkernel import (
     CertifiedSign,
     ConsistencyError,
     DomainError,
-    PrecisionPolicy,
-    binomial,
     certify_sign,
     decimal_str,
 )

@@ -6,8 +6,9 @@ floats), dictionaries are serialized with sorted keys, so identical
 configurations produce byte-identical output.
 
 Exit codes: 0 = no violation on the checked grid, 1 = usage or domain
-error, 2 = a certified violation was found, 3 = inconclusive (uncertain
-cells, or the positivity hypothesis on the coefficient ratios failed).
+error, 2 = a certified violation was found, 3 = inconclusive: a cell or a
+coefficient ratio lies within its error radius of 0 (rerun with a larger
+``--bits``), or the positivity hypothesis on the ratios failed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numkernel import (
     AccuracyError,
     ConsistencyError,
     DomainError,
-    PrecisionPolicy,
     decimal_str,
 )
 
@@ -128,10 +128,6 @@ def _to_csv(report, grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _policy(bits: int) -> PrecisionPolicy:
-    return PrecisionPolicy(bits=bits, max_bits=max(4096, 2 * bits))
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each runs at the working precision and returns its report
 # and the grid it certified (None when it built none)
@@ -140,7 +136,7 @@ Report = Tuple[dict, Optional[moments.PositivityGrid]]
 
 
 def cmd_synthetic(args, bits: int) -> Report:
-    raw = args.zeros
+    raw = oracle.load_zeros(args.zeros_file)
     if not raw:
         raise DomainError(f"{args.zeros_file}: no zeros found")
     admiss = oracle.admissibility(raw)
@@ -158,7 +154,7 @@ def cmd_synthetic(args, bits: int) -> Report:
     max_abs = max(abs_res)
     max_rel = max(r / s if s > 0 else mpf(0)
                   for r, s in zip(abs_res, scale))
-    grid = moments.build_grid(m_zero, L, args.nmax, args.kmax, _policy(bits))
+    grid = moments.build_grid(m_zero, L, args.nmax, args.kmax)
     report = {
         "command": "synthetic",
         "bits": bits,
@@ -178,7 +174,7 @@ def cmd_synthetic(args, bits: int) -> Report:
 
 def cmd_xi(args, bits: int) -> Report:
     result = riemann.rh_moment_pipeline(
-        args.N, args.L, args.nmax, args.kmax, _policy(bits))
+        args.N, args.L, args.nmax, args.kmax)
     if args.zeros_out:
         riemann.export_brackets(result.brackets, args.zeros_out)
     report = {
@@ -218,7 +214,7 @@ def _pick_character(q: int, index: Optional[int]) -> dirichlet.DirichletCharacte
 def cmd_dirichlet(args, bits: int) -> Report:
     chi = _pick_character(args.q, args.index)
     result = dirichlet.grh_moment_pipeline(
-        chi, args.N, args.L, args.nmax, args.kmax, _policy(bits))
+        chi, args.N, args.L, args.nmax, args.kmax)
     tau = dirichlet.gauss_sum(chi)
     coeffs = result.coefficients
     report = {
@@ -288,9 +284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         bits = args.bits
         if bits <= 0:
             raise DomainError("--bits must be positive")
-        if args.command == "synthetic":
-            # the fixture is parsed at the caller's precision, not at bits
-            args.zeros = oracle.load_zeros(args.zeros_file)
         with workprec(bits):
             report, grid = COMMANDS[args.command](args, bits)
         _emit(report, args.format, args.out, grid)

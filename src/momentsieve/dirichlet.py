@@ -49,12 +49,13 @@ from .moments import (
     moments_by_recursion,  # unused here; perfbench/spans.py wraps it by this name
 )
 from .numkernel import (
+    POSITIVE,
     AccuracyError,
     CachedKernelQuadrature,
     ConsistencyError,
     DomainError,
-    PrecisionPolicy,
     bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
+    certify_sign,
     default_target,
     scan_target,
     sign_change_brackets,
@@ -406,12 +407,15 @@ class CharCoefficients:
     quadrature-error level.  ``quadrature_error[n]`` is the scaled
     difference of the last two quadrature levels of a_n(chi), not an error
     bound: it is exactly 0 when two levels agree to every guard bit.
+    ``b_radii[n]`` bounds the error of b[n]: the radius default_target/n!
+    of each a_n, plus rounding, carried through the convolution.
     """
 
     a: Tuple[mpc, ...]
     a_bar: Tuple[mpc, ...]
     mu: int
     b: Tuple[mpc, ...]
+    b_radii: Tuple[mpf, ...]
     eq_residuals: Tuple[mpf, ...]
     quadrature_error: Tuple[mpf, ...]
     bits: int
@@ -453,15 +457,25 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             f"all coefficients of {chi.label()} are below the zero floor "
             f"up to N = {N}; cannot locate mu")
 
+    u = mpf(2) ** -prec
+    # radius of a_n and of a_n(conj chi): the target over n!, plus rounding
+    rho = [default_target(prec) / mpf(mpmath.factorial(n))
+           + 4 * u * max(abs(v), abs(w))
+           for n, (v, w) in enumerate(zip(a, a_bar))]
     b: List[mpc] = []
+    b_radii: List[mpf] = []
     for n in range((N - mu) // 2 + 1):
-        b.append(mpc(mpmath.fsum(
-            (a[j + mu] * a_bar[2 * n - j + mu]).real for j in range(2 * n + 1)),
-            mpmath.fsum(
-            (a[j + mu] * a_bar[2 * n - j + mu]).imag for j in range(2 * n + 1))))
+        pairs = [(a[j + mu], rho[j + mu], a_bar[2 * n - j + mu],
+                  rho[2 * n - j + mu]) for j in range(2 * n + 1)]
+        b.append(mpc(mpmath.fsum((x * y).real for x, _, y, _ in pairs),
+                     mpmath.fsum((x * y).imag for x, _, y, _ in pairs)))
+        b_radii.append(mpmath.fsum(
+            abs(x) * ry + abs(y) * rx + rx * ry + 4 * u * abs(x * y)
+            for x, rx, y, ry in pairs))
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
-        eq_residuals=residuals, quadrature_error=tuple(errs), bits=prec)
+        b_radii=tuple(b_radii), eq_residuals=residuals,
+        quadrature_error=tuple(errs), bits=prec)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +575,7 @@ class GrhPipelineResult:
 
 
 def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
-                        n_max: int, k_max: int,
-                        policy: PrecisionPolicy = PrecisionPolicy()
-                        ) -> GrhPipelineResult:
+                        n_max: int, k_max: int) -> GrhPipelineResult:
     """Full grid check for the moments of f(s, chi).
 
     ``N`` counts the even-series coefficients: products b_0..b_N are formed
@@ -573,36 +585,41 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
     certifies the (n_max, k_max) grid.
 
     The positivity of b_n/b_0 is a hypothesis of the criterion, not a
-    consequence: if it fails on the computed range the pipeline halts with
-    verdict "hypothesis fails" instead of building a grid.
+    consequence: unless every ratio is certified positive against its
+    radius, the pipeline halts with verdict "hypothesis fails" instead of
+    building a grid.
     """
     if not chi.is_primitive:
         raise DomainError(
             f"{chi.label()} is not primitive: conductor {chi.conductor} "
             f"< modulus {chi.q}")
-    coeffs = ratios = None
+    coeffs = ratios = bad = None
 
     def source():
-        nonlocal coeffs, ratios
+        nonlocal coeffs, ratios, bad
         coeffs = char_coeffs(chi, 2 * N)
         if coeffs.mu > 0:  # deepen so that b_0..b_N stay available
             coeffs = char_coeffs(chi, 2 * N + coeffs.mu)
-        tol = mpf(2) ** (-(policy.bits - 24))
-        ratios = []
-        b0 = coeffs.b[0]
-        for n, bn in enumerate(coeffs.b[:N + 1]):
+        tol, u = mpf(2) ** (-(mp.prec - 24)), mpf(2) ** -mp.prec
+        ratios, radii = [], []
+        b0, rb0 = coeffs.b[0], coeffs.b_radii[0]
+        for n, (bn, rbn) in enumerate(zip(coeffs.b[:N + 1], coeffs.b_radii)):
             r = bn / b0
             if abs(r.imag) > tol * (1 + abs(r)):
                 raise ConsistencyError(
                     f"b_{n}/b_0 has imaginary residue {r.imag}")
             ratios.append(r.real if n else mpf(1))
-        if not all(r > 0 for r in ratios):
+            radii.append((rbn + abs(r) * rb0) / (abs(b0) - rb0)
+                         + 4 * u * abs(r) if n else mpf(0))
+        bad = next((n for n, (r, rad) in enumerate(zip(ratios, radii))
+                    if certify_sign(r, radius=rad).sign != POSITIVE), None)
+        if bad is not None:
             return None
-        return SeriesPrefix(tuple(ratios)), first_zero_height(chi)
+        series = SeriesPrefix(tuple(ratios), tuple(radii))
+        return series, first_zero_height(chi)
 
-    tail = moment_tail(N, L, n_max, k_max, policy, source)
+    tail = moment_tail(N, L, n_max, k_max, source)
     if tail is None:
-        bad = next(n for n, r in enumerate(ratios) if not r > 0)
         return GrhPipelineResult(
             character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
             eq331_status=f"fails at n = {bad}", s1=None, L=None,

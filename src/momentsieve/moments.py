@@ -14,18 +14,19 @@ or, as a cross-check, as (-1)^l times the determinant of the unit
 lower-triangular system solved by Cramer's rule.  The zeros are all positive
 reals exactly when the scaled alternating differences
 
-    cell(n, k) = sum_(j=0..k) (-1)^j C(k,j) m_(n+j) / L^(n+j)
+    cell(n, k) = (-1)^k Delta^k mu_n,   mu_n = m_n / L^n,
 
 are nonnegative for every n, k (complete monotonicity of the scaled
-sequence).  A finite tool can only certify a finite (n, k) rectangle for a
-given scale L; :func:`build_grid` does exactly that, with dual-precision
-sign certification per cell, and :func:`grid_report` says exactly what was
-checked.
+sequence; Hausdorff 1921).  A finite tool can only certify a finite (n, k)
+rectangle for a given scale L; :func:`build_grid` does exactly that, and
+:func:`grid_report` says exactly what was checked.
 
-Numerical notes: the alternating sums are the dominant cancellation hazard,
-so cells are accumulated j-ascending with compensated summation and exact
-integer binomials; the recursion is the production path for moments while
-the determinant is an O(l^3) cross-check only.
+Every :class:`SeriesPrefix` and :class:`MomentSequence` carries one
+absolute error radius per entry (0 when built by hand), stated by its
+producer and carried through :func:`normalize` and the recursion; a cell
+is certified only when its magnitude exceeds the radius it inherits.  The
+recursion is the production path for moments; the determinant is an
+O(l^3) cross-check only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import mpf
+import mpmath
+from mpmath import mp, mpf, workprec
 
 from .numkernel import (
     NEGATIVE,
@@ -41,8 +43,6 @@ from .numkernel import (
     UNCERTAIN,
     CertifiedSign,
     DomainError,
-    PrecisionPolicy,
-    binomial,
     certify_sign,
     comp_sum,
     decimal_str,
@@ -59,24 +59,36 @@ __all__ = [
     "moments_by_determinant",
     "moments_by_recursion",
     "normalize",
-    "scaled_sequence",
 ]
+
+
+def _radii(radii, values) -> Tuple[mpf, ...]:
+    """One absolute radius >= 0 per value; no radii means exact values."""
+    if not radii:
+        return (mpf(0),) * len(values)
+    radii = tuple(to_mpf(r) for r in radii)
+    if len(radii) != len(values) or not all(r >= 0 for r in radii):
+        raise DomainError("need one radius >= 0 per entry")
+    return radii
 
 
 @dataclass(frozen=True)
 class SeriesPrefix:
-    """Finite prefix a_0..a_N of Taylor coefficients.
+    """Finite prefix a_0..a_N of Taylor coefficients with their radii.
 
     After the leading coefficient, every entry must have the same sign
     as a_0; zeros are admitted only as a trailing run, so that polynomials
-    (finite zero sets) can be represented exactly.
+    (finite zero sets) can be represented exactly.  ``radii[n]`` bounds the
+    absolute error of a_n (default 0: exact).
     """
 
     coeffs: Tuple[mpf, ...]
+    radii: Tuple[mpf, ...] = ()
 
     def __post_init__(self):
         coeffs = tuple(to_mpf(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "radii", _radii(self.radii, coeffs))
         if not coeffs:
             raise DomainError("empty coefficient list")
         a0 = coeffs[0]
@@ -102,36 +114,46 @@ class SeriesPrefix:
         if n <= self.degree_bound:
             return self
         extra = (mpf(0),) * (n - self.degree_bound)
-        return SeriesPrefix(self.coeffs + extra)
+        return SeriesPrefix(self.coeffs + extra, self.radii + extra)
 
 
-def normalize(raw: Sequence) -> SeriesPrefix:
+def normalize(raw: Sequence, radii: Sequence = ()) -> SeriesPrefix:
     """Divide a raw coefficient list by a_0 (fixing an overall sign).
 
     Accepts any list with a_0 != 0 and a_0*a_n > 0 up to trailing zeros;
-    rejects everything else naming the offending index.
+    rejects everything else naming the offending index.  With radii rho_n
+    of the raw c_n (default 0), a_n gets (rho_n + |a_n| rho_0) /
+    (|c_0| - rho_0), which bounds any such change of c_n/c_0, plus rounding.
     """
     coeffs = [to_mpf(c) for c in raw]
     if not coeffs:
         raise DomainError("empty coefficient list")
+    rho = _radii(radii, coeffs)
     a0 = coeffs[0]
-    if a0 == 0:
-        raise DomainError("a_0 must be nonzero (index 0)")
+    if not abs(a0) > rho[0]:
+        raise DomainError("a_0 must be nonzero beyond its radius (index 0)")
     normalized = [c / a0 for c in coeffs]
-    return SeriesPrefix(tuple(normalized))
+    den = abs(a0) - rho[0]
+    u = mpf(2) ** -mp.prec
+    out = [(r + abs(a) * rho[0]) / den + u * abs(a)
+           for r, a in zip(rho[1:], normalized[1:])]
+    return SeriesPrefix(tuple(normalized), (mpf(0),) + tuple(out))
 
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Unscaled moments m_0..m_M with their provenance."""
+    """Unscaled moments m_0..m_M, their provenance, and radii bounding the
+    absolute error of each m_k (default 0: exact)."""
 
     m: Tuple[mpf, ...]
     source: str = "recursion"  # recursion | determinant | zero-sum
+    radii: Tuple[mpf, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(to_mpf(v) for v in self.m))
         for v in self.m:
             require_finite(v, "moment")
+        object.__setattr__(self, "radii", _radii(self.radii, self.m))
 
     @property
     def max_index(self) -> int:
@@ -142,7 +164,10 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
     """Moments m_0..m_M from a normalized prefix via the coefficient recursion.
 
     Consumes a_(l+2), so M <= N-2 for a prefix a_0..a_N (pad with trailing
-    zeros to represent a polynomial of lower degree).
+    zeros to represent a polynomial of lower degree).  The radius of m_l
+    carries the coefficient radii and those of the earlier moments through
+    each product x*y as |x| r_y + |y| r_x + r_x r_y, and adds (l + 4)
+    roundings of the summed magnitudes.
     """
     if not s.is_normalized:
         raise DomainError("series must be normalized (a_0 = 1)")
@@ -152,14 +177,22 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
         raise DomainError(
             f"M = {M} needs coefficients up to a_{M + 2}, prefix has "
             f"degree bound {s.degree_bound}")
-    a = s.coeffs
+    a, rho = s.coeffs, s.radii
+    u = mpf(2) ** -mp.prec
     m: List[mpf] = []
+    r: List[mpf] = []
     for l in range(M + 1):
         acc = a[1] * a[l + 1] - (l + 2) * a[l + 2]
         acc -= comp_sum(m[l - k] * (-1) ** (l - k) * a[k]
                         for k in range(1, l + 1))
         m.append((-1) ** l * acc)
-    return MomentSequence(tuple(m), source="recursion")
+        pairs = [(a[1], rho[1], a[l + 1], rho[l + 1])] + [
+            (m[l - k], r[l - k], a[k], rho[k]) for k in range(1, l + 1)]
+        size = (l + 2) * abs(a[l + 2]) + mpmath.fsum(
+            abs(x * y) for x, _, y, _ in pairs)
+        r.append((l + 2) * rho[l + 2] + (l + 4) * u * size + mpmath.fsum(
+            abs(x) * ry + abs(y) * rx + rx * ry for x, rx, y, ry in pairs))
+    return MomentSequence(tuple(m), source="recursion", radii=tuple(r))
 
 
 def _det_partial_pivot(rows: List[List[mpf]]) -> mpf:
@@ -212,23 +245,10 @@ def moments_by_determinant(s: SeriesPrefix, l: int) -> mpf:
     return (-1) ** l * _det_partial_pivot(rows)
 
 
-def scaled_sequence(m: MomentSequence, L) -> Tuple[mpf, ...]:
-    """The pre-scaled sequence mu_n = m_n / L^n (used by identity tests)."""
-    L = to_mpf(L)
-    if not L > 0:
-        raise DomainError("L must be > 0")
-    invL = 1 / L
-    out = []
-    p = mpf(1)
-    for v in m.m:
-        out.append(v * p)
-        p *= invL
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PositivityGrid:
-    """Certified signs of the scaled alternating differences on a rectangle."""
+    """Certified signs of the scaled alternating differences on a rectangle,
+    with the radius of each mu_n = m_n / L^n, n = 0..n_max + k_max."""
 
     n_max: int
     k_max: int
@@ -237,6 +257,7 @@ class PositivityGrid:
     cells: Dict[Tuple[int, int], CertifiedSign]
     first_violation: Optional[Tuple[int, int]]
     min_cell: Tuple[int, int, mpf]
+    radii: Tuple[mpf, ...]
 
     def counts(self) -> Dict[str, int]:
         c = {POSITIVE: 0, NEGATIVE: 0, UNCERTAIN: 0}
@@ -255,28 +276,19 @@ class PositivityGrid:
         return f"no violation up to ({self.n_max},{self.k_max})"
 
 
-def _cell_value(m: Tuple[mpf, ...], L: mpf, n: int, k: int) -> mpf:
-    """sum_(j=0..k) (-1)^j C(k,j) m_(n+j) / L^(n+j) at ambient precision."""
-    invL = 1 / L
-    scale = invL ** n
-
-    def terms():
-        p = scale
-        for j in range(k + 1):
-            yield (-1) ** j * binomial(k, j) * m[n + j] * p
-            p = p * invL
-
-    return comp_sum(terms())
-
-
-def build_grid(m: MomentSequence, L, n_max: int, k_max: int,
-               policy: PrecisionPolicy = PrecisionPolicy()) -> PositivityGrid:
+def build_grid(m: MomentSequence, L, n_max: int,
+               k_max: int) -> PositivityGrid:
     """Certify every cell of the (n, k) rectangle for the scale L.
 
-    Requires n_max + k_max <= M so the whole rectangle is defined.  Cells
-    are pure functions of (m, L, n, k); they are evaluated in lexicographic
-    order but the result is order-independent, so a parallel map would give
-    the identical grid.
+    Requires n_max + k_max <= M so the whole rectangle is defined.  The
+    mu_n = m_n L^-n are formed with 32 guard bits; they and their radii
+    (moment radius plus that rounding) become integers at one common
+    exponent, the radii rounded up and one unit more.  The tables
+
+        cell(n, k+1) = cell(n, k) - cell(n+1, k),
+        R(n, k+1) = R(n, k) + R(n+1, k)
+
+    are then exact, and :func:`certify_sign` rates each cell against R.
     """
     L = to_mpf(L)
     if not L > 0:
@@ -287,21 +299,42 @@ def build_grid(m: MomentSequence, L, n_max: int, k_max: int,
         raise DomainError(
             f"grid ({n_max},{k_max}) needs moments up to index "
             f"{n_max + k_max}, sequence has {m.max_index}")
+    bits = mp.prec
+    with workprec(bits + 32):
+        u = mpf(2) ** -mp.prec
+        invL = 1 / L
+        p = mpf(1)  # L^-n, with n roundings
+        mu, rad = [], []
+        for n in range(n_max + k_max + 1):
+            mu.append(m.m[n] * p)
+            rad.append((m.radii[n] + (n + 2) * u * abs(m.m[n])) * p)
+            p *= invL
+        # every |mu_n| / 2^exp < 2^prec, so nint and ceil are exact
+        exp = max((mpmath.mag(v) for v in mu if v), default=0) - mp.prec
+        row = [int(mpmath.nint(mpmath.ldexp(v, -exp))) for v in mu]
+        rrow = [int(mpmath.ceil(mpmath.ldexp(r, -exp))) + 1 for r in rad]
+    radii = tuple(mpmath.ldexp(r, exp) for r in rrow)
+    rows = []
+    for k in range(k_max + 1):
+        rows.append((row, rrow))
+        row = [x - y for x, y in zip(row, row[1:])]
+        rrow = [x + y for x, y in zip(rrow, rrow[1:])]
     cells: Dict[Tuple[int, int], CertifiedSign] = {}
-    first_violation = None
-    min_cell = None
+    first_violation = min_cell = None
     for n in range(n_max + 1):
-        for k in range(k_max + 1):
-            cert = certify_sign(
-                lambda n=n, k=k: _cell_value(m.m, L, n, k), policy)
-            cells[(n, k)] = cert
+        for k, (values, bounds) in enumerate(rows):
+            # one call per cell through this module's global, which the
+            # benchmark wraps, until ROADMAP item 5 retargets it
+            cert = certify_sign(values[n], radius=bounds[n])
+            value = mpmath.ldexp(values[n], exp)
+            cells[(n, k)] = CertifiedSign(value, cert.sign, cert.bits_used)
             if cert.sign == NEGATIVE and first_violation is None:
                 first_violation = (n, k)
-            if min_cell is None or cert.value < min_cell[2]:
-                min_cell = (n, k, cert.value)
-    return PositivityGrid(n_max=n_max, k_max=k_max, L=L, bits=policy.bits,
+            if min_cell is None or value < min_cell[2]:
+                min_cell = (n, k, value)
+    return PositivityGrid(n_max=n_max, k_max=k_max, L=L, bits=bits,
                           cells=cells, first_violation=first_violation,
-                          min_cell=min_cell)
+                          min_cell=min_cell, radii=radii)
 
 
 def grid_report(g: PositivityGrid) -> dict:
@@ -312,6 +345,7 @@ def grid_report(g: PositivityGrid) -> dict:
         {
           "n_max": int, "k_max": int,
           "L": str, "bits": int,
+          "radii": [str, ...],
           "counts": {"positive": int, "negative": int, "zero-uncertain": int},
           "cells_negative": [[n, k, value], ...],
           "first_violation": [n, k] | null,
@@ -328,6 +362,7 @@ def grid_report(g: PositivityGrid) -> dict:
         "k_max": g.k_max,
         "L": decimal_str(g.L, g.bits),
         "bits": g.bits,
+        "radii": [decimal_str(r, g.bits) for r in g.radii],
         "counts": {POSITIVE: counts[POSITIVE], NEGATIVE: counts[NEGATIVE],
                    UNCERTAIN: counts[UNCERTAIN]},
         "cells_negative": negatives,

@@ -1,13 +1,11 @@
 """Arbitrary-precision numeric core shared by every other module.
 
-Everything here runs on mpmath ``mpf``/``mpc`` values.  The working precision
-is the ambient ``mpmath.mp.prec`` (binary mantissa bits) unless an operation
-takes an explicit :class:`PrecisionPolicy`; callers that need a specific
+Everything here runs on mpmath ``mpf``/``mpc`` values at the ambient
+``mpmath.mp.prec`` (binary mantissa bits); callers that need a specific
 precision wrap calls in ``mpmath.workprec(bits)``.
 
 Provided here:
 
-* :class:`PrecisionPolicy` - the precision ladder for sign certification.
 * :class:`CachedKernelQuadrature` - trapezoidal-rule quadrature of many
   integrals ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``;
   the kernel values at the equispaced nodes are computed once, there are
@@ -18,20 +16,17 @@ Provided here:
 * :func:`sign_change_brackets` - zero location: a scan for sign changes
   at step :data:`SCAN_STEP`, each bracket bisected by
   :func:`bisect_sign_change` to width ``2^-(prec/2)``.
-* :func:`binomial` - exact integer binomial coefficients.
-* :func:`certify_sign` - sign certification by agreement at two consecutive
-  precision levels, escalating up to ``max_bits`` before giving up with
-  ``zero-uncertain``.  This is deliberately not interval arithmetic: two
-  matching signs whose magnitude dominates the cross-precision discrepancy
-  by a factor >= 8 are accepted as certified.
+* :func:`certify_sign` - the one sign rule: a value known to within a
+  stated radius has a certified sign only when its magnitude exceeds the
+  radius (midpoint-radius arithmetic in the style of Arb; Johansson,
+  IEEE TC 66, 2017); otherwise it is ``zero-uncertain``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
 import mpmath
@@ -44,10 +39,8 @@ __all__ = [
     "DomainError",
     "NEGATIVE",
     "POSITIVE",
-    "PrecisionPolicy",
     "UNCERTAIN",
     "ZeroBracket",
-    "binomial",
     "bisect_sign_change",
     "certify_sign",
     "comp_sum",
@@ -135,86 +128,39 @@ def comp_sum(terms) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Exact binomials
-
-def binomial(k: int, j: int) -> int:
-    """Exact binomial coefficient C(k, j) for 0 <= j <= k."""
-    if k < 0:
-        raise DomainError(f"binomial: k must be >= 0, got {k}")
-    if j < 0 or j > k:
-        raise DomainError(f"binomial: j must be in [0, {k}], got {j}")
-    return math.comb(k, j)
-
-
-# ---------------------------------------------------------------------------
 # Sign certification
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 UNCERTAIN = "zero-uncertain"
 
-#: |value| must exceed the cross-precision discrepancy by this factor.
-SIGN_MARGIN = 8
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Mantissa-bit budget for certified computations."""
-
-    bits: int = 256
-    max_bits: int = 4096
-
-    def __post_init__(self):
-        if self.bits <= 0:
-            raise DomainError("PrecisionPolicy.bits must be positive")
-        if self.bits > self.max_bits:
-            raise DomainError("PrecisionPolicy.bits must not exceed max_bits")
-
-    def stages(self):
-        """Yield (low, high) precision pairs, doubling up to max_bits."""
-        lo = self.bits
-        while lo < self.max_bits:
-            hi = min(2 * lo, self.max_bits)
-            yield lo, hi
-            lo = hi
-
 
 @dataclass(frozen=True)
 class CertifiedSign:
-    value: mpf
+    value: Number
     sign: str
+    # the working precision of the inputs; it stays only until ROADMAP
+    # item 5 retargets the benchmark's certify_sign note, which reads it
     bits_used: int
 
 
-def certify_sign(computation: Callable[[], Number],
-                 policy: PrecisionPolicy = PrecisionPolicy()) -> CertifiedSign:
-    """Certify the sign of a re-runnable computation.
+def certify_sign(value, *, radius) -> CertifiedSign:
+    """Certify the sign of ``value``, known to lie within ``radius`` of it.
 
-    ``computation`` is evaluated under two consecutive precision levels; the
-    sign is certified only if both runs agree and the magnitude dominates
-    their discrepancy by a factor >= 8.  Otherwise the precision ladder is
-    escalated; running out of budget returns ``zero-uncertain``, which is a
-    valid result, never an error.
+    Certified only when ``|value| > radius``; otherwise ``zero-uncertain``,
+    a valid answer that inputs at more precision may settle.
     """
-    value = None
-    bits_used = policy.bits
-    for lo, hi in policy.stages():
-        with workprec(lo):
-            v_lo = to_mpf(computation())
-        with workprec(hi):
-            v_hi = to_mpf(computation())
-            require_finite(v_hi, "certified computation")
-            disc = abs(v_hi - v_lo)
-            value, bits_used = v_hi, hi
-            if v_lo > 0 and v_hi > 0 and abs(v_hi) >= SIGN_MARGIN * disc:
-                return CertifiedSign(v_hi, POSITIVE, hi)
-            if v_lo < 0 and v_hi < 0 and abs(v_hi) >= SIGN_MARGIN * disc:
-                return CertifiedSign(v_hi, NEGATIVE, hi)
-    if value is None:  # bits == max_bits: no pair available, single run
-        with workprec(policy.bits):
-            value = to_mpf(computation())
-        bits_used = policy.bits
-    return CertifiedSign(value, UNCERTAIN, bits_used)
+    # the radius stays keyword-only until ROADMAP item 5 retargets the
+    # benchmark's certify_sign note, which reads a policy from args[1]
+    if not radius >= 0:
+        raise DomainError(f"radius must be >= 0, got {radius}")
+    if value > radius:
+        sign = POSITIVE
+    elif value < -radius:
+        sign = NEGATIVE
+    else:
+        sign = UNCERTAIN
+    return CertifiedSign(value, sign, mp.prec)
 
 
 # ---------------------------------------------------------------------------

@@ -191,39 +191,43 @@ def product_to_series(zs: ZeroSet) -> SeriesPrefix:
     Conjugate closure makes every coefficient analytically real; the
     imaginary residue is checked against 2^-(prec-16) relative to the
     coefficient and then discarded.  The result is normalized (a_0 = 1 by
-    construction).
+    construction).  The radius of a_i, 8 (Z+1) 2^-prec times a_i of the
+    product over the Z moduli |lambda|, bounds the convolution rounding.
     """
     coeffs: List[mpc] = [mpc(1)]
+    sizes: List[mpf] = [mpf(1)]
     for z in zs.zeros:
         r = 1 / z
-        nxt = coeffs + [mpc(0)]
-        for i in range(len(coeffs), 0, -1):
-            nxt[i] = nxt[i] + coeffs[i - 1] * r
-        coeffs = nxt
+        coeffs = [c + p * r for c, p in zip(coeffs + [0], [0] + coeffs)]
+        sizes = [c + p / abs(z) for c, p in zip(sizes + [0], [0] + sizes)]
     real = tuple(_real_part_checked(c, abs(c), f"coefficient a_{i}")
                  for i, c in enumerate(coeffs))
-    return SeriesPrefix(real)
+    u = 8 * (len(zs.zeros) + 1) * mpf(2) ** -mp.prec
+    return SeriesPrefix(real, tuple(u * c for c in sizes))
 
 
 def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:
-    """m_k = sum_n lambda_n^(-(k+2)) for k = 0..M, the defining zero sums."""
+    """m_k = sum_n lambda_n^(-(k+2)) for k = 0..M, the defining zero sums.
+
+    Radius: the rounding bound (k+4) sum_n |lambda_n|^-(k+2) 2^-(prec-4).
+    """
     if M < 0:
         raise DomainError("M must be >= 0")
     inv = [1 / z for z in zs.zeros]
     powers = [r * r for r in inv]
-    out = []
+    out, radii = [], []
     for k in range(M + 1):
         total = mpmath.fsum(powers)
         scale = mpmath.fsum(abs(p) for p in powers)
         out.append(_real_part_checked(mpc(total), scale, f"moment m_{k}"))
+        radii.append((k + 4) * scale * mpf(2) ** -(mp.prec - 4))
         powers = [p * r for p, r in zip(powers, inv)]
-    return MomentSequence(tuple(out), source="zero-sum")
+    return MomentSequence(tuple(out), source="zero-sum", radii=tuple(radii))
 
 
 def even_moments_from_zeros(zs: EvenZeroSet, M: int) -> MomentSequence:
     """m_k = sum_n z_n^(-(2k+4)), the even-function reduction of the sums."""
-    seq = moments_from_zeros(zs.squared_zero_set(), M)
-    return MomentSequence(seq.m, source="zero-sum")
+    return moments_from_zeros(zs.squared_zero_set(), M)
 
 
 # polynomial helpers over real mpf coefficient lists (ascending powers)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 import mpmath
 
 from .moments import (
@@ -49,10 +49,10 @@ from .numkernel import (
     CachedKernelQuadrature,
     ConsistencyError,
     DomainError,
-    PrecisionPolicy,
     ZeroBracket,
     bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
     decimal_str,
+    default_target,
     require_finite,
     scan_target,
     sign_change_brackets,
@@ -146,11 +146,13 @@ class XiCoefficients:
 
     ``quadrature_error[n]`` is the scaled difference of the last two
     quadrature levels of a_n, not an error bound: it is exactly 0 when two
-    levels agree to every guard bit.
+    levels agree to every guard bit.  ``radii[n]`` is 2/(2n)! times the
+    quadrature target (never below that difference) plus a_n's rounding.
     """
 
     a: Tuple[mpf, ...]
     quadrature_error: Tuple[mpf, ...]
+    radii: Tuple[mpf, ...]
 
     def __post_init__(self):
         for n, v in enumerate(self.a):
@@ -170,12 +172,15 @@ def xi_coefficients(N: int) -> XiCoefficients:
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5 + 2 * N), prec)
     a: List[mpf] = []
     errs: List[mpf] = []
+    radii: List[mpf] = []
+    target, u = default_target(prec), mpf(2) ** -prec
     for n in range(N + 1):
         fac = 2 / mpf(mpmath.factorial(2 * n))
         value, err = kernel.integrate(lambda u, n=n: u ** (2 * n))
         a.append(fac * value)
         errs.append(fac * err)
-    return XiCoefficients(tuple(a), tuple(errs))
+        radii.append(fac * target + 4 * u * abs(a[-1]))
+    return XiCoefficients(tuple(a), tuple(errs), tuple(radii))
 
 
 def xi_eval(s, target: Optional[mpf] = None) -> mpf:
@@ -247,15 +252,15 @@ class MomentTail(NamedTuple):
     grid: PositivityGrid
 
 
-def moment_tail(N: int, L, n_max: int, k_max: int, policy: PrecisionPolicy,
+def moment_tail(N: int, L, n_max: int, k_max: int,
                 source: Callable[[], Optional[Tuple[SeriesPrefix, mpf]]]
                 ) -> Optional[MomentTail]:
     """The criterion once the normalized coefficients and s_1 are known.
 
     Checks N >= n_max + k_max + 2 and parses an explicit ``L`` first, then
-    calls ``source()`` at ``policy.bits`` for the normalized series
-    a_0..a_N and s_1, or None when the positivity hypothesis fails (then
-    this returns None too).  ``L`` "auto" or None means :func:`auto_scale`;
+    calls ``source()`` for the normalized series a_0..a_N with its radii
+    and s_1, or None when the positivity hypothesis fails (then this
+    returns None too).  ``L`` "auto" or None means :func:`auto_scale`;
     an explicit L must exceed s_1^(-2).  The recursion runs to depth N-2,
     is cross-checked against the determinant path for l <= 8, and the
     (n_max, k_max) grid is certified at the scale L.
@@ -264,25 +269,24 @@ def moment_tail(N: int, L, n_max: int, k_max: int, policy: PrecisionPolicy,
         raise DomainError(
             f"N = {N} too small: grid ({n_max},{k_max}) needs N >= "
             f"{n_max + k_max + 2}")
-    with workprec(policy.bits):
-        auto = L is None or L == "auto"
-        if not auto:
-            L = to_mpf(L)
-        found = source()
-        if found is None:
-            return None
-        series, s1 = found
-        if auto:
-            L = auto_scale(s1)
-        elif not L > 1 / (s1 * s1):
-            raise DomainError(
-                f"L = {decimal_str(L)} violates the constraint "
-                f"L > s_1^-2 = {decimal_str(1 / (s1 * s1))}")
-        moments = moments_by_recursion(series, N - 2)
-        residuals = tuple(
-            abs(moments.m[l] - moments_by_determinant(series, l))
-            for l in range(min(8, N - 2) + 1))
-        grid = build_grid(moments, L, n_max, k_max, policy)
+    auto = L is None or L == "auto"
+    if not auto:
+        L = to_mpf(L)
+    found = source()
+    if found is None:
+        return None
+    series, s1 = found
+    if auto:
+        L = auto_scale(s1)
+    elif not L > 1 / (s1 * s1):
+        raise DomainError(
+            f"L = {decimal_str(L)} violates the constraint "
+            f"L > s_1^-2 = {decimal_str(1 / (s1 * s1))}")
+    moments = moments_by_recursion(series, N - 2)
+    residuals = tuple(
+        abs(moments.m[l] - moments_by_determinant(series, l))
+        for l in range(min(8, N - 2) + 1))
+    grid = build_grid(moments, L, n_max, k_max)
     return MomentTail(s1, L, moments, residuals, grid)
 
 
@@ -301,9 +305,7 @@ class XiPipelineResult:
     grid: PositivityGrid
 
 
-def rh_moment_pipeline(N: int, L, n_max: int, k_max: int,
-                       policy: PrecisionPolicy = PrecisionPolicy()
-                       ) -> XiPipelineResult:
+def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
     """Full grid check for the Xi moments.
 
     Brackets the Xi zeros below :data:`SCAN_MAX`, computes a_0..a_N and
@@ -318,9 +320,9 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int,
         if not brackets:
             raise DomainError(f"no Xi zero located below {SCAN_MAX}")
         coeffs = xi_coefficients(N)
-        return normalize(coeffs.a), brackets[0].refined_root
+        return normalize(coeffs.a, coeffs.radii), brackets[0].refined_root
 
-    tail = moment_tail(N, L, n_max, k_max, policy, source)
+    tail = moment_tail(N, L, n_max, k_max, source)
     return XiPipelineResult(coefficients=coeffs, brackets=brackets,
                             **tail._asdict())
 

@@ -35,7 +35,6 @@ from momentsieve.moments import (
     moments_by_recursion,
     normalize,
 )
-from momentsieve.numkernel import PrecisionPolicy
 from momentsieve.oracle import (
     ZeroSet,
     load_zeros,
@@ -110,12 +109,11 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_necessity_direction():
     """All-real admissible sets certify the full 25x25 grid nonnegative."""
     with workprec(256):
-        policy = PrecisionPolicy(bits=256)
         bad_sets = 0
         uncertain = 0
         for zs in shared_sets():
             m = moments_from_zeros(zs, 2 * K_MAX)
-            grid = build_grid(m, 1, K_MAX, K_MAX, policy)
+            grid = build_grid(m, 1, K_MAX, K_MAX)
             counts = grid.counts()
             uncertain += counts["zero-uncertain"]
             if counts["negative"] or counts["zero-uncertain"]:
@@ -134,7 +132,7 @@ def test_criterion_3_violation_detection():
             zs = ZeroSet.from_zeros(raw)
             assert zs.gamma0 > 1 and 0 < zs.beta0 < 1  # admissibility gates
             m = moments_from_zeros(zs, 80)
-            grid = build_grid(m, 1, 40, 40, PrecisionPolicy(bits=bits))
+            grid = build_grid(m, 1, 40, 40)
             found[bits] = grid.first_violation
     ok = (found[256] is not None and found[256] == found[512]
           and found[256] == (0, 0))
@@ -171,8 +169,7 @@ def test_criterion_5_xi_grid_512():
     """N = 14, grid 5x5, auto scale at 512 bits in under five minutes."""
     started = time.perf_counter()
     with workprec(512):
-        result = rh_moment_pipeline(14, "auto", 5, 5,
-                                    PrecisionPolicy(bits=512))
+        result = rh_moment_pipeline(14, "auto", 5, 5)
     elapsed = time.perf_counter() - started
     counts = result.grid.counts()
     ok = counts["negative"] == 0 and elapsed <= 300
@@ -251,8 +248,7 @@ def test_criterion_7_grh_grids():
     with workprec(256):
         for q in (3, 4):
             chi = characters_mod(q)[1]
-            results[q] = grh_moment_pipeline(chi, 10, "auto", 4, 4,
-                                             PrecisionPolicy(bits=256))
+            results[q] = grh_moment_pipeline(chi, 10, "auto", 4, 4)
     ok = True
     details = []
     for q, res in results.items():

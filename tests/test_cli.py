@@ -2,6 +2,8 @@ import json
 import os
 from pathlib import Path
 
+from mpmath import mpf, workprec
+
 from momentsieve.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -34,6 +36,33 @@ def test_synthetic_wide_pair_violates(capsys):
     report = json.loads(out)
     assert report["grid"]["first_violation"] == [0, 0]
     assert report["grid"]["verdict"] == "criterion fails at (0,0)"
+
+
+def test_synthetic_fixture_parsed_at_bits(capsys):
+    code, out, _ = run(["synthetic", str(FIXTURES / "wide_pair.zeros"),
+                        "--L", "1"], capsys)
+    assert code == 2
+    first = json.loads(out)["zeros"][0]
+    given = (FIXTURES / "wide_pair.zeros").read_text().splitlines()[3]
+    with workprec(256):
+        for got, want in zip(first, given.split()):
+            assert abs(mpf(got) - mpf(want)) < mpf(10) ** -70
+
+
+def test_synthetic_near_boundary_needs_bits(tmp_path, capsys):
+    # every cell is positive (cell (0,25) is +6.8e-73), but at 256 bits the
+    # rounding of the moments hides 52 of them: exit 3, never a violation
+    fixture = tmp_path / "near.zeros"
+    fixture.write_text("1.0006\n1.0009\n1.0013\n")
+    argv = ["synthetic", str(fixture), "--L", "1", "--nmax", "25",
+            "--kmax", "25"]
+    code, out, _ = run(argv + ["--bits", "256"], capsys)
+    counts = json.loads(out)["grid"]["counts"]
+    assert code == 3
+    assert counts["negative"] == 0 and counts["zero-uncertain"] > 0
+    code, out, _ = run(argv + ["--bits", "512"], capsys)
+    assert code == 0
+    assert json.loads(out)["grid"]["counts"]["positive"] == 26 * 26
 
 
 def test_synthetic_malformed_fixture(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
+from momentsieve import dirichlet
 from momentsieve.dirichlet import (
     _unit_group,
     char_coeffs,
@@ -20,7 +22,6 @@ from momentsieve.dirichlet import (
 )
 from momentsieve.numkernel import (
     DomainError,
-    PrecisionPolicy,
     scan_target,
     sign_change_brackets,
 )
@@ -379,9 +380,8 @@ def test_bracket_char_zeros(chi3):
 # --- pipeline ----------------------------------------------------------------------
 
 def test_grh_pipeline_q3(chi3):
-    policy = PrecisionPolicy(bits=160)
     with workprec(160):
-        result = grh_moment_pipeline(chi3, 6, "auto", 2, 2, policy)
+        result = grh_moment_pipeline(chi3, 6, "auto", 2, 2)
     assert result.eq331_status == "holds for n <= 6"
     assert result.verdict.startswith("no violation")
     counts = result.grid.counts()
@@ -397,27 +397,44 @@ def test_grh_pipeline_q3(chi3):
 
 
 def test_grh_pipeline_q5_complex(chi5):
-    policy = PrecisionPolicy(bits=128)
     with workprec(128):
-        result = grh_moment_pipeline(chi5, 5, "auto", 1, 1, policy)
+        result = grh_moment_pipeline(chi5, 5, "auto", 1, 1)
     assert result.eq331_status == "holds for n <= 5"
     assert result.verdict.startswith("no violation")
     assert close(result.s1, mpf("4.13290"), mpf(10) ** -3)
 
 
+def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
+    # a ratio b_n/b_0 that its radius cannot separate from 0 is no certified
+    # positive ratio: the pipeline stops before the grid
+    computed = dirichlet.char_coeffs
+
+    def blurred(chi, N):
+        coeffs = computed(chi, N)
+        radii = list(coeffs.b_radii)
+        radii[2] = 2 * abs(coeffs.b[2])
+        return dataclasses.replace(coeffs, b_radii=tuple(radii))
+
+    monkeypatch.setattr(dirichlet, "char_coeffs", blurred)
+    with workprec(96):
+        result = grh_moment_pipeline(chi3, 6, "auto", 2, 2)
+    assert result.grid is None
+    assert result.eq331_status == "fails at n = 2"
+    assert result.verdict == "hypothesis fails"
+
+
 def test_grh_pipeline_rejects_nonprimitive():
     chi6 = characters_mod(6)[1]
     with pytest.raises(DomainError, match="conductor 3 < modulus 6"):
-        grh_moment_pipeline(chi6, 6, "auto", 2, 2, PrecisionPolicy(bits=96))
+        grh_moment_pipeline(chi6, 6, "auto", 2, 2)
 
 
 def test_grh_pipeline_rejects_bad_scale(chi3):
     with workprec(96):
         with pytest.raises(DomainError, match="s_1"):
-            grh_moment_pipeline(chi3, 6, mpf("0.001"), 2, 2,
-                                PrecisionPolicy(bits=96))
+            grh_moment_pipeline(chi3, 6, mpf("0.001"), 2, 2)
 
 
 def test_grh_pipeline_rejects_small_N(chi3):
     with pytest.raises(DomainError, match="N >= 6"):
-        grh_moment_pipeline(chi3, 5, "auto", 2, 2, PrecisionPolicy(bits=96))
+        grh_moment_pipeline(chi3, 5, "auto", 2, 2)

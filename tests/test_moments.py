@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workprec
 
 from momentsieve.moments import (
     MomentSequence,
@@ -13,11 +13,9 @@ from momentsieve.moments import (
     moments_by_determinant,
     moments_by_recursion,
     normalize,
-    scaled_sequence,
 )
 from momentsieve.numkernel import (
     DomainError,
-    PrecisionPolicy,
     to_mpf,
 )
 from momentsieve.oracle import ZeroSet, moments_from_zeros, product_to_series
@@ -129,6 +127,12 @@ def test_zero_sum_oracle_random_real_sets():
 
 # --- grid -------------------------------------------------------------------------
 
+def scaled_sequence(m: MomentSequence, L):
+    """The pre-scaled sequence mu_n = m_n / L^n."""
+    L = to_mpf(L)
+    return tuple(v / L ** n for n, v in enumerate(m.m))
+
+
 def delta_table_cell(m, n, k):
     """Independent oracle: (-1)^k Delta^k m_n from an explicit difference
     table (forward differences, no binomials)."""
@@ -141,7 +145,7 @@ def delta_table_cell(m, n, k):
 def test_grid_two_zero_example():
     zs = ZeroSet.from_zeros([2, 3])
     m = moments_from_zeros(zs, 10)
-    grid = build_grid(m, 1, 4, 4, PrecisionPolicy())
+    grid = build_grid(m, 1, 4, 4)
     cell = grid.cells[(0, 1)]
     assert cell.sign == "positive"
     assert close(cell.value, frac(43, 216), mpf(2) ** -240)
@@ -155,7 +159,7 @@ def test_grid_two_zero_example():
 def test_grid_matches_delta_table_random():
     rng = random.Random(13)
     m = MomentSequence(tuple(mpf(rng.uniform(0.1, 2.0)) for _ in range(16)))
-    grid = build_grid(m, 1, 6, 6, PrecisionPolicy())
+    grid = build_grid(m, 1, 6, 6)
     for (n, k), cell in grid.cells.items():
         oracle = delta_table_cell(m.m, n, k)
         assert abs(cell.value - oracle) <= mpf(2) ** -(mp.prec - 20) \
@@ -166,7 +170,7 @@ def test_grid_scaling_consistency():
     rng = random.Random(14)
     m = MomentSequence(tuple(mpf(rng.uniform(0.1, 2.0)) for _ in range(14)))
     L = mpf("0.37")
-    grid = build_grid(m, L, 5, 5, PrecisionPolicy())
+    grid = build_grid(m, L, 5, 5)
     mu = scaled_sequence(m, L)
     for (n, k), cell in grid.cells.items():
         oracle = delta_table_cell(mu, n, k)
@@ -180,7 +184,7 @@ def test_positive_zero_soundness():
         zeros = random_real_zeros(rng, rng.randint(4, 12), 1.2, 40.0)
         zs = ZeroSet.from_zeros(zeros)
         m = moments_from_zeros(zs, 20)
-        grid = build_grid(m, 1, 10, 10, PrecisionPolicy())
+        grid = build_grid(m, 1, 10, 10)
         counts = grid.counts()
         assert counts["negative"] == 0
         assert counts["zero-uncertain"] == 0
@@ -191,7 +195,7 @@ def test_grid_detects_wide_angle_violation():
     zs = ZeroSet.from_zeros([lam])
     assert zs.gamma0 > 1 and 0 < zs.beta0 < 1
     m = moments_from_zeros(zs, 45)
-    grid = build_grid(m, 1, 5, 40, PrecisionPolicy())
+    grid = build_grid(m, 1, 5, 40)
     assert grid.first_violation == (0, 0)
     assert grid.cells[(0, 0)].sign == "negative"
     # m_0 = 2 Re(lambda^-2) = 2 cos(2.5)/3.9^2
@@ -202,14 +206,14 @@ def test_grid_detects_wide_angle_violation():
 def test_grid_argument_checks():
     m = MomentSequence((mpf(1), mpf(1), mpf(1)))
     with pytest.raises(DomainError, match="moments up to"):
-        build_grid(m, 1, 2, 2, PrecisionPolicy())
+        build_grid(m, 1, 2, 2)
     with pytest.raises(DomainError, match="L must be"):
-        build_grid(m, 0, 1, 1, PrecisionPolicy())
+        build_grid(m, 0, 1, 1)
 
 
 def test_grid_report_verdicts():
     zs = ZeroSet.from_zeros([2, 3])
-    good = build_grid(moments_from_zeros(zs, 6), 1, 3, 3, PrecisionPolicy())
+    good = build_grid(moments_from_zeros(zs, 6), 1, 3, 3)
     report = grid_report(good)
     assert report["verdict"].startswith("no violation")
     assert report["cells_negative"] == []
@@ -218,7 +222,7 @@ def test_grid_report_verdicts():
 
     lam = mpf("3.9") * mpmath.exp(mpmath.mpc(0, mpf("1.25")))
     bad = build_grid(moments_from_zeros(ZeroSet.from_zeros([lam]), 6),
-                     1, 3, 3, PrecisionPolicy())
+                     1, 3, 3)
     report = grid_report(bad)
     assert report["verdict"] == "criterion fails at (0,0)"
     assert report["first_violation"] == [0, 0]
@@ -227,7 +231,8 @@ def test_grid_report_verdicts():
     # a constant sequence has exactly-zero differences for k >= 1, which can
     # never be sign-certified: the report must say inconclusive
     flat = MomentSequence((mpf(1),) * 6)
-    uncertain = build_grid(flat, 1, 2, 2, PrecisionPolicy(bits=64, max_bits=256))
+    with workprec(64):
+        uncertain = build_grid(flat, 1, 2, 2)
     report = grid_report(uncertain)
     assert report["verdict"].startswith("inconclusive")
     assert report["counts"]["zero-uncertain"] > 0
@@ -241,3 +246,85 @@ def test_moment_sequence_validation():
 def test_scaled_sequence_values():
     m = MomentSequence((mpf(1), mpf(2), mpf(4)))
     assert scaled_sequence(m, 2) == (mpf(1), mpf(1), mpf(1))
+
+
+# --- radii -------------------------------------------------------------------------
+
+def test_grid_never_contradicts_exact_rational_cells():
+    """Moments rounded to 128 bits, with that rounding as their radius,
+    never certify a cell against the exact Fraction cell."""
+    rng = random.Random(20250809)
+    L = Fraction(3, 4)
+    y = 1 - Fraction(1, 10 ** 12)
+    certified = 0
+    for _ in range(20):
+        nodes = [Fraction(rng.randint(1, 999), 1000) for _ in range(4)]
+        weights = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                            rng.randint(1, 10 ** 4)) for _ in range(4)]
+        c = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+        raw = [sum(w * x ** n for w, x in zip(weights, nodes))
+               for n in range(13)]
+        cases = [
+            raw,
+            # constant: every cell with k >= 1 is exactly 0
+            [c] * 13,
+            # a tiny signed tail buried under the rounding of c
+            [c + Fraction(1, 2 ** 300) * nodes[0] ** n for n in range(13)],
+            # mu_n = w y^n with 1 - y = 1e-12: cells w y^n 1e-(12 k) sink
+            # below the rounding noise of the moments as k grows
+            [weights[0] * (L * y) ** n for n in range(13)],
+        ]
+        for exact in cases:
+            with workprec(128):
+                m = MomentSequence(tuple(to_mpf(v) for v in exact))
+                m = MomentSequence(m.m, radii=tuple(
+                    abs(v) * mpf(2) ** -127 for v in m.m))
+                grid = build_grid(m, to_mpf(L), 6, 6)
+            mu = [v / L ** n for n, v in enumerate(exact)]
+            for (n, k), cell in grid.cells.items():
+                truth = delta_table_cell(mu, n, k)
+                if truth <= 0:
+                    assert cell.sign != "positive", (n, k, truth)
+                if truth >= 0:
+                    assert cell.sign != "negative", (n, k, truth)
+                certified += cell.sign != "zero-uncertain"
+    assert certified > 0
+
+
+def test_moment_radius_beyond_cell_is_uncertain():
+    zs = ZeroSet.from_zeros([2, 3])
+    m = moments_from_zeros(zs, 10)
+    clean = build_grid(m, 1, 4, 4)
+    assert clean.counts()["positive"] == 25
+    # cell(0, k) = 2^-(k+2) + (2/3)^k / 9 decreases in k; a radius on m_0
+    # just above |cell(0, 3)| hides the sign of cell(0, k) for k >= 3 only
+    rho = abs(clean.cells[(0, 3)].value) * mpf("1.01")
+    bumped = MomentSequence(m.m, radii=(rho,) + m.radii[1:])
+    grid = build_grid(bumped, 1, 4, 4)
+    for (n, k), cell in grid.cells.items():
+        expect = "zero-uncertain" if n == 0 and k >= 3 else "positive"
+        assert cell.sign == expect, (n, k)
+    assert grid.radii[0] >= rho
+
+
+def test_recursion_radii_cover_perturbed_coefficients():
+    rng = random.Random(16)
+    for _ in range(10):
+        raw = [mpf(rng.uniform(0.5, 2.0))] + [
+            mpf(rng.uniform(0.01, 2.0)) / (n + 1) ** 2 for n in range(10)]
+        radii = [abs(c) * mpf(10) ** -rng.randint(10, 40) for c in raw]
+        ref = moments_by_recursion(normalize(raw, radii), 8)
+        for _ in range(3):
+            moved = [c + r * rng.choice((-1, 1)) * mpf(rng.random())
+                     for c, r in zip(raw, radii)]
+            got = moments_by_recursion(normalize(moved), 8)
+            for v, w, r in zip(got.m, ref.m, ref.radii):
+                assert abs(v - w) <= r
+
+
+def test_radius_validation():
+    with pytest.raises(DomainError, match="radius"):
+        MomentSequence((mpf(1), mpf(2)), radii=(mpf(0),))
+    with pytest.raises(DomainError, match="radius"):
+        SeriesPrefix((mpf(1), mpf(1)), radii=(mpf(0), mpf(-1)))
+    assert SeriesPrefix((mpf(1), mpf(1))).padded(3).radii == (mpf(0),) * 4

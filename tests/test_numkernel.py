@@ -10,9 +10,7 @@ from momentsieve.numkernel import (
     AccuracyError,
     CachedKernelQuadrature,
     DomainError,
-    PrecisionPolicy,
     SCAN_STEP,
-    binomial,
     bisect_sign_change,
     certify_sign,
     comp_sum,
@@ -101,100 +99,38 @@ def test_cached_kernel_matches_direct():
     assert e1 <= mpf(2) ** -(mp.prec - 16)
 
 
-# --- binomials ---------------------------------------------------------------
-
-def test_binomial_values():
-    assert binomial(0, 0) == 1
-    assert binomial(5, 2) == 10
-    # frozen from the Pascal recurrence below
-    assert binomial(40, 20) == 137846528820
-
-
-def test_binomial_pascal_recurrence():
-    # independent oracle: build Pascal's triangle by addition only
-    row = [1]
-    for k in range(1, 65):
-        row = [1] + [row[j - 1] + row[j] for j in range(1, k)] + [1]
-        for j in range(k + 1):
-            assert binomial(k, j) == row[j]
-        for j in range(1, k):
-            assert binomial(k, j) == binomial(k - 1, j - 1) + binomial(k - 1, j)
-
-
-def test_binomial_domain():
-    with pytest.raises(DomainError):
-        binomial(3, 4)
-    with pytest.raises(DomainError):
-        binomial(3, -1)
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
-
-
 # --- sign certification -------------------------------------------------------
 
 def test_certify_trivial_signs():
-    policy = PrecisionPolicy()
-    assert certify_sign(lambda: mpf(1), policy).sign == "positive"
-    assert certify_sign(lambda: mpf("-1e-50"), policy).sign == "negative"
-    assert certify_sign(lambda: mpf(0), policy).sign == "zero-uncertain"
+    assert certify_sign(mpf(1), radius=0).sign == "positive"
+    assert certify_sign(mpf("-1e-50"), radius=mpf("1e-60")).sign == "negative"
+    assert certify_sign(mpf(0), radius=0).sign == "zero-uncertain"
+    # a value that is only as large as its radius has no certified sign
+    assert certify_sign(mpf("1e-50"), radius=mpf("1e-50")).sign \
+        == "zero-uncertain"
+    assert certify_sign(-3, radius=3).sign == "zero-uncertain"
+    assert certify_sign(-4, radius=3).sign == "negative"
+    cert = certify_sign(7, radius=2)
+    assert (cert.value, cert.sign, cert.bits_used) == (7, "positive", mp.prec)
+    with pytest.raises(DomainError):
+        certify_sign(1, radius=-1)
+    with pytest.raises(TypeError):
+        certify_sign(1, 0)  # the radius is keyword-only
 
 
 def test_certify_two_zero_difference():
-    # m_0 - m_1 for zeros {2, 3}: sum lambda^-2 (1 - 1/lambda) = 43/216
+    # m_0 - m_1 for zeros {2, 3}: sum lambda^-2 (1 - 1/lambda) = 43/216,
+    # from four rounded terms, each off by at most 2^-prec of itself
     expect = Fraction(43, 216)
-
-    def computation():
-        m0 = to_mpf(Fraction(1, 4)) + to_mpf(Fraction(1, 9))
-        m1 = to_mpf(Fraction(1, 8)) + to_mpf(Fraction(1, 27))
-        return m0 - m1
-
-    cert = certify_sign(computation, PrecisionPolicy())
+    terms = [Fraction(1, 4), Fraction(1, 9), -Fraction(1, 8), -Fraction(1, 27)]
+    value = comp_sum(to_mpf(t) for t in terms)
+    radius = mpf(2) ** -(mp.prec - 3) * sum(abs(to_mpf(t)) for t in terms)
+    cert = certify_sign(value, radius=radius)
     assert cert.sign == "positive"
     assert close(cert.value, to_mpf(expect), mpf(2) ** -(mp.prec - 8))
-
-
-def test_certify_never_contradicts_exact_rational_sign():
-    """Exact-zero and tiny-signed rational computations must never be
-    certified with the wrong sign; exactness checked with Fractions."""
-    import random
-    rng = random.Random(20250809)
-    for _ in range(40):
-        parts = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                          rng.randint(1, 10 ** 4)) for _ in range(6)]
-        exact = sum(parts, Fraction(0))
-        cases = {
-            "raw": (parts, exact),
-            # force an exact zero through heavy cancellation
-            "zero": (parts + [-exact], Fraction(0)),
-            # bury a tiny signed value under the same cancellation
-            "tiny": (parts + [-exact, Fraction(1, 2 ** 300)],
-                     Fraction(1, 2 ** 300)),
-        }
-        for parts_i, exact_i in cases.values():
-            cert = certify_sign(
-                lambda parts_i=parts_i: comp_sum(to_mpf(p) for p in parts_i),
-                PrecisionPolicy(bits=128, max_bits=1024))
-            if exact_i <= 0:
-                assert cert.sign != "positive"
-            if exact_i >= 0:
-                assert cert.sign != "negative"
-
-
-def test_certify_escalates_precision():
-    # needs more than 128 bits to separate from the cancellation noise
-    parts = [Fraction(1, 3), Fraction(1, 7), Fraction(-1, 3), Fraction(-1, 7),
-             Fraction(1, 2 ** 200)]
-    cert = certify_sign(lambda: comp_sum(to_mpf(p) for p in parts),
-                        PrecisionPolicy(bits=64, max_bits=2048))
-    assert cert.sign == "positive"
-    assert cert.bits_used > 128
-
-
-def test_policy_validation():
-    with pytest.raises(DomainError):
-        PrecisionPolicy(bits=0)
-    with pytest.raises(DomainError):
-        PrecisionPolicy(bits=8192, max_bits=4096)
+    # the same difference buried under a radius larger than itself
+    assert certify_sign(value, radius=to_mpf(expect) * 2).sign \
+        == "zero-uncertain"
 
 
 # --- misc ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from momentsieve.moments import build_grid, moments_by_recursion
-from momentsieve.numkernel import DomainError, PrecisionPolicy, to_mpf
+from momentsieve.numkernel import DomainError, to_mpf
 from momentsieve.oracle import (
     EvenZeroSet,
     ZeroSet,
@@ -167,7 +167,7 @@ def test_real_sets_above_one_are_grid_nonnegative():
     rng = random.Random(24)
     zeros = random_real_zeros(rng, 8, 1.1, 20.0)
     zs = ZeroSet.from_zeros(zeros)
-    grid = build_grid(moments_from_zeros(zs, 16), 1, 8, 8, PrecisionPolicy())
+    grid = build_grid(moments_from_zeros(zs, 16), 1, 8, 8)
     counts = grid.counts()
     assert counts["negative"] == 0 and counts["zero-uncertain"] == 0
 

@@ -2,11 +2,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from momentsieve.moments import moments_by_recursion, normalize
+from momentsieve.moments import build_grid, moments_by_recursion, normalize
 from momentsieve.numkernel import (
     AccuracyError,
     DomainError,
-    PrecisionPolicy,
 )
 from momentsieve.oracle import EvenZeroSet, even_moments_from_zeros, load_zeros
 from momentsieve.riemann import (
@@ -191,9 +190,8 @@ def test_tail_bound_behaviour():
 # --- pipeline ----------------------------------------------------------------------
 
 def test_pipeline_small_grid():
-    policy = PrecisionPolicy(bits=160)
     with workprec(160):
-        result = rh_moment_pipeline(10, "auto", 3, 3, policy)
+        result = rh_moment_pipeline(10, "auto", 3, 3)
     assert close(result.s1, mpf("14.134725"), mpf(10) ** -5)
     assert close(result.L, auto_scale(result.s1), mpf(2) ** -140)
     counts = result.grid.counts()
@@ -205,19 +203,36 @@ def test_pipeline_small_grid():
 
 def test_pipeline_deeper_grid_with_explicit_scale():
     # L = 0.006 > s_1^-2 ~ 0.005005, all cells nonnegative on an 8x8 grid
-    policy = PrecisionPolicy(bits=192)
     with workprec(192):
-        result = rh_moment_pipeline(18, mpf("0.006"), 8, 8, policy)
+        result = rh_moment_pipeline(18, mpf("0.006"), 8, 8)
     counts = result.grid.counts()
     assert counts["negative"] == 0 and counts["zero-uncertain"] == 0
+
+
+def test_low_precision_grid_is_uncertain_not_wrong():
+    # 64-bit moments are too rough for the deep cells of this grid; those
+    # cells must come out zero-uncertain, and no certified sign may
+    # contradict the same grid from 512-bit moments at the same L
+    with workprec(64):
+        low = rh_moment_pipeline(22, "auto", 2, 18)
+    assert low.grid.counts()["zero-uncertain"] > 0
+    with workprec(512):
+        coeffs = xi_coefficients(22)
+        high = moments_by_recursion(normalize(coeffs.a, coeffs.radii), 20)
+        grid = build_grid(high, low.L, 2, 18)
+        for v, w, r in zip(low.moments.m, high.m, low.moments.radii):
+            assert abs(v - w) <= r
+    for key, cell in low.grid.cells.items():
+        if cell.sign != "zero-uncertain":
+            assert cell.sign == grid.cells[key].sign, key
 
 
 def test_pipeline_rejects_bad_scale():
     with workprec(96):
         with pytest.raises(DomainError, match="s_1"):
-            rh_moment_pipeline(8, mpf("0.001"), 2, 2, PrecisionPolicy(bits=96))
+            rh_moment_pipeline(8, mpf("0.001"), 2, 2)
 
 
 def test_pipeline_rejects_small_N():
     with pytest.raises(DomainError, match="N >= 12"):
-        rh_moment_pipeline(8, "auto", 5, 5, PrecisionPolicy(bits=96))
+        rh_moment_pipeline(8, "auto", 5, 5)
