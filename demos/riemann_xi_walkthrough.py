@@ -39,7 +39,7 @@ print("  Xi(14)   =", show(xi_eval(14), 6))
 print("  Xi(14.3) =", show(xi_eval(mpf("14.3")), 6))
 print("the sign change brackets the first zero.")
 
-print("\n=== bracketing zeros by scan + bisection ===")
+print("\n=== bracketing zeros by sign scan + safeguarded Newton ===")
 brackets = bracket_zeros(30)
 for i, b in enumerate(brackets):
     print(f"  s_{i + 1} = {show(b.refined_root, 14)}")

@@ -54,11 +54,12 @@ from .numkernel import (
     CachedKernelQuadrature,
     ConsistencyError,
     DomainError,
-    bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
+    bisect_sign_change,
     certify_sign,
     default_target,
     scan_target,
-    sign_change_brackets,
+    sign_changes,
+    sign_target,
     to_mpf,
 )
 from .riemann import kernel_cutoff, moment_tail
@@ -482,18 +483,26 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
 # Evaluation on the critical line and zero bracketing
 
 def xi_char_eval(s, chi: DirichletCharacter,
-                 target: Optional[mpf] = None) -> mpc:
+                 target: Optional[mpf] = None, derivative: bool = False):
     """xi(1/2 + is, chi) = int e^(isy) phi(y, chi) dy for real s.
 
     ``target`` is the absolute quadrature error goal (None: the default).
+    With ``derivative``, returns the value and its s-derivative
+    i int y e^(isy) phi(y, chi) dy from the same kernel values and one
+    e^(isy) per node.
     """
     _require_analytic(chi)
     s = to_mpf(s)
     prec = mp.prec
     kernel = _char_kernel(
         chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
-    value, _ = kernel.integrate(lambda y: mpmath.expj(s * y), target)
-    return mpc(value)
+
+    def g(y):
+        e = mpmath.expj(s * y)
+        return (e, mpc(0, y) * e) if derivative else e
+
+    value, _ = kernel.integrate(g, target)
+    return tuple(map(mpc, value)) if derivative else mpc(value)
 
 
 def f_char_eval(s, chi: DirichletCharacter) -> mpc:
@@ -509,23 +518,29 @@ def f_char_eval(s, chi: DirichletCharacter) -> mpc:
 
 
 def z_char_eval(s, chi: DirichletCharacter,
-                target: Optional[mpf] = None) -> mpf:
+                target: Optional[mpf] = None, derivative: bool = False):
     """Phase-corrected real factor epsilon(chi)^(-1/2) xi(1/2+is, chi).
 
     Analytically real for real s; its sign changes are the zero heights of
     the chi factor of f.  The imaginary residue must stay at the level of
     the quadrature target (None: the default) or a ConsistencyError is
-    raised.
+    raised.  With ``derivative``, returns (Z(s), Z'(s)); Z' only steers the
+    safeguarded Newton steps of zero location, so its real part is taken
+    unchecked.
     """
     prec = mp.prec
     if target is None:
         target = default_target(prec)
-    value = xi_char_eval(s, chi, target) / mpmath.sqrt(epsilon_factor(chi))
+    phase = mpmath.sqrt(epsilon_factor(chi))
+    if derivative:
+        value, slope = (v / phase for v in xi_char_eval(s, chi, target, True))
+    else:
+        value = xi_char_eval(s, chi, target) / phase
     tol = 64 * target + mpf(2) ** (-(prec - 24)) * abs(value)
     if abs(value.imag) > tol:
         raise ConsistencyError(
             f"Z(s, {chi.label()}) has imaginary residue {value.imag}")
-    return value.real
+    return (value.real, slope.real) if derivative else value.real
 
 
 #: the zero scan of :func:`first_zero_height` covers [0, SCAN_MAX]
@@ -537,19 +552,31 @@ def first_zero_height(chi: DirichletCharacter) -> mpf:
 
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
-    Each scan stops at its first sign change of Z.
+    Each scan of the signs of Z stops at its first sign change, and the
+    second scan ends where the first one's step ends.  Only the lowest step
+    is refined, by safeguarded Newton steps on Z and Z' (both factors when
+    their first sign changes share the step).
     """
-    target = scan_target(mp.prec)
-    candidates = []
+    fine, rough = scan_target(mp.prec), sign_target(mp.prec)
+    found = []  # (factor, (lo, hi, Z(lo), Z(hi))) per first sign change
+    top = SCAN_MAX
     for c in [chi] if chi.is_real else [chi, chi.conjugate()]:
-        first = next(sign_change_brackets(
-            lambda s: z_char_eval(s, c, target), 0, SCAN_MAX), None)
-        if first is not None:
-            candidates.append(first.refined_root)
-    if not candidates:
+        cell = next(sign_changes(
+            lambda s: z_char_eval(s, c, fine), 0, top,
+            rough=lambda s: z_char_eval(s, c, rough)), None)
+        if cell is not None:
+            found.append((c, cell))
+            top = cell[1]
+    if not found:
         raise DomainError(
             f"no zero of f(s, {chi.label()}) found below {SCAN_MAX}")
-    return min(candidates)
+    lowest = found[-1][1][0]
+    return min(
+        bisect_sign_change(
+            lambda s: z_char_eval(s, c, fine), *cell,
+            fdf=lambda s: z_char_eval(s, c, fine, derivative=True)
+        ).refined_root
+        for c, cell in found if cell[0] == lowest)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Provided here:
   passes one.  The rule needs K*g analytic in a strip around [a, b],
   negligible at b, and negligible or even at a.
 * :func:`sign_change_brackets` - zero location: a scan for sign changes
-  at step :data:`SCAN_STEP`, each bracket bisected by
-  :func:`bisect_sign_change` to width ``2^-(prec/2)``.
+  at step :data:`SCAN_STEP` (:func:`sign_changes`), which needs only
+  certified signs, then :func:`bisect_sign_change` on each: Newton steps
+  safeguarded by bisection when a derivative is given, plain bisection
+  otherwise, to a bracket of width ``2^-(prec/2)``.
 * :func:`certify_sign` - the one sign rule: a value known to within a
   stated radius has a certified sign only when its magnitude exceeds the
   radius (midpoint-radius arithmetic in the style of Arb; Johansson,
@@ -49,6 +51,8 @@ __all__ = [
     "require_finite",
     "scan_target",
     "sign_change_brackets",
+    "sign_changes",
+    "sign_target",
     "to_mpc",
     "to_mpf",
 ]
@@ -233,6 +237,9 @@ class CachedKernelQuadrature:
         """Return (value, err) for ``int K(x) g(x) dx`` at the cached nodes.
 
         ``target`` is the absolute error goal, :func:`default_target` if None.
+        ``g`` may return a tuple instead of a number: its components share
+        the nodes and kernel values, the value is the tuple of their
+        integrals, and ``err`` is the largest of their level differences.
         """
         result = None
         with workprec(self.prec + _QUAD_GUARD):
@@ -245,21 +252,29 @@ class CachedKernelQuadrature:
             for level in range(MAX_LEVELS + 1):
                 self._ensure_level(level)
                 h = self._step(level)
-                new = mpmath.fsum(kw * g(x) for x, kw in self._levels[level])
-                s = new * h if best is None else best / 2 + new * h
-                if best is not None:
-                    err = abs(s - best)
+                nodes = self._levels[level]
+                rows = [g(x) for x, _ in nodes]
+                if level == 0:
+                    vector = isinstance(rows[0], tuple)
+                new = [mpmath.fsum(kw * v for (_, kw), v in zip(nodes, column))
+                       for column in (zip(*rows) if vector else [rows])]
+                if best is None:
+                    s = [v * h for v in new]
+                else:
+                    s = [b / 2 + v * h for b, v in zip(best, new)]
+                    err = max(abs(a - b) for a, b in zip(s, best))
                     if err <= target and level >= 2:
                         result = (s, err)
                         break
                 best = s
+        unpack = tuple if vector else (lambda parts: parts[0])
         if result is None:
             raise AccuracyError(
                 "cached-kernel quadrature did not converge "
                 f"(last difference {mpmath.nstr(err, 5)})",
-                best_estimate=best, error_estimate=err)
+                best_estimate=unpack(best), error_estimate=err)
         with workprec(self.prec):
-            return +result[0], +result[1]
+            return unpack([+v for v in result[0]]), +result[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +287,22 @@ SCAN_STEP = mpf("0.5")
 
 
 def scan_target(prec: int) -> mpf:
-    """Quadrature target 2^-(3 prec/4) for the evaluations of a sign scan."""
-    # sign resolution near a simple zero needs error << |f'| * final width
-    # ~ 2^-(prec/2); a 3*prec/4 target leaves ample margin and saves levels
+    """Quadrature target 2^-(3 prec/4) for the evaluations that refine a zero."""
+    # the probes at x +- 2^-(prec/2)/2 must get the sign of f right, which
+    # needs the error far below |f'| 2^-(prec/2), and a Newton iterate is
+    # off by about error/|f'|; 3*prec/4 leaves a margin of 2^-(prec/4) for
+    # |f'| near 1, and the trapezoidal rule, converging geometrically,
+    # usually lands far below its target
     return mpf(2) ** (-(3 * prec // 4))
+
+
+def sign_target(prec: int) -> mpf:
+    """Quadrature target 2^-(prec/2) for a scan value whose sign alone is used.
+
+    :func:`sign_changes` takes the sign only when :func:`certify_sign`
+    certifies it against this radius.
+    """
+    return mpf(2) ** (-(prec // 2))
 
 
 @dataclass(frozen=True)
@@ -291,12 +318,22 @@ class ZeroBracket:
             raise DomainError("refined root must lie inside the bracket")
 
 
-def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None,
-                       width=None) -> ZeroBracket:
-    """Shrink a sign-change bracket [lo, hi] of ``f`` to ``width`` by bisection.
+def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None, width=None,
+                       fdf=None) -> ZeroBracket:
+    """Shrink a sign-change bracket [lo, hi] of ``f`` to ``width``.
 
-    The returned bracket holds either a sign change of ``f`` or, when a
-    midpoint evaluates to exactly zero, that zero at its centre.  ``width``
+    ``fdf(x)``, when given, returns ``(f(x), f'(x))`` and makes each step a
+    Newton step safeguarded by bisection ("rtsafe", Numerical Recipes
+    9.4): a step that leaves the bracket or fails to halve the previous
+    step bisects instead.  Without ``fdf`` every step bisects.  Each
+    evaluation replaces the end of the bracket whose sign it shares, so
+    f(lo) f(hi) < 0 holds throughout.  A Newton step below width/4 puts the
+    root that close to the new iterate x, so ``f`` is probed at
+    x +- width/2: a sign change there is the returned bracket, centred on
+    x; otherwise the probes shrink the bracket and the next step bisects.
+
+    The returned bracket holds either a sign change of ``f`` or, when an
+    evaluation is exactly zero, that zero at its centre.  ``width``
     defaults to 2^-(prec/2).
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
@@ -306,34 +343,79 @@ def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None,
     f_hi = f(hi) if f_hi is None else f_hi
     if not f_lo * f_hi < 0:
         raise DomainError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        f_mid = f(mid)
-        if f_mid == 0:
-            lo, hi = mid - width / 2, mid + width / 2
-            break
-        if f_lo * f_mid < 0:
-            hi = mid
+    rising = f_hi > 0
+
+    def keep(x, fx):
+        nonlocal lo, hi
+        if (fx > 0) == rising:
+            hi = x
         else:
-            lo, f_lo = mid, f_mid
+            lo = x
+
+    x, last = (lo + hi) / 2, hi - lo
+    while hi - lo > width:
+        fx, dfx = (f(x), 0) if fdf is None else fdf(x)
+        if fx == 0:
+            return ZeroBracket(x - width / 2, x + width / 2, x)
+        keep(x, fx)
+        step = fx / dfx if dfx else mpmath.inf  # inf: always bisect
+        if abs(step) < width / 4:
+            x -= step
+            probes = [(p, f(p)) for p in (x - width / 2, x + width / 2)]
+            for p, fp in probes:
+                if fp == 0:
+                    return ZeroBracket(p - width / 2, p + width / 2, p)
+            if probes[0][1] * probes[1][1] < 0:
+                return ZeroBracket(probes[0][0], probes[1][0], x)
+            for p, fp in probes:  # the root is not near x after all
+                if lo < p < hi:
+                    keep(p, fp)
+            x, last = (lo + hi) / 2, (hi - lo) / 2
+        elif abs(step) <= last / 2 and lo < x - step < hi:
+            x, last = x - step, abs(step)
+        else:
+            x, last = (lo + hi) / 2, (hi - lo) / 2
     return ZeroBracket(lo, hi, (lo + hi) / 2)
 
 
-def sign_change_brackets(f, lo, hi) -> Iterator[ZeroBracket]:
-    """Yield a bisected :class:`ZeroBracket` per sign change of ``f`` on [lo, hi].
+def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
+    """Yield ``(a, b, f(a), f(b))`` per scan step [a, b] with a sign change.
 
-    ``f`` is evaluated once at each of lo, lo + SCAN_STEP, ..., hi, lazily:
-    a caller that stops after one bracket evaluates no scan point beyond it.
-    Brackets are refined to the default width of :func:`bisect_sign_change`
-    at the precision current when the generator resumes.  An even number of
-    zeros within one step, or a zero exactly on a scan point, produce no
-    bracket.
+    The scan visits lo, lo + SCAN_STEP, ..., hi lazily: a caller that stops
+    after one sign change evaluates no scan point beyond it.  It needs only
+    signs.  ``rough(x)``, when given, is a cheaper evaluation of ``f``
+    within :func:`sign_target` of it; a scan point takes the value
+    ``rough(x)`` when :func:`certify_sign` certifies its sign against that
+    radius and is re-evaluated by ``f`` otherwise.  An even number of zeros
+    within one step, or a zero exactly on a scan point, yield nothing.
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
-    s_prev, v_prev = lo, f(lo)
+
+    def scan(x):
+        if rough is not None:
+            value = rough(x)
+            radius = sign_target(mp.prec)
+            if certify_sign(value, radius=radius).sign != UNCERTAIN:
+                return value
+        return f(x)
+
+    s_prev, v_prev = lo, scan(lo)
     while s_prev < hi:
         s = min(s_prev + SCAN_STEP, hi)
-        v = f(s)
+        v = scan(s)
         if v_prev * v < 0:
-            yield bisect_sign_change(f, s_prev, s, v_prev, v)
+            yield s_prev, s, v_prev, v
         s_prev, v_prev = s, v
+
+
+def sign_change_brackets(f, lo, hi, fdf=None,
+                         rough=None) -> Iterator[ZeroBracket]:
+    """Yield a refined :class:`ZeroBracket` per sign change of ``f`` on [lo, hi].
+
+    The sign changes come lazily from :func:`sign_changes`, with ``rough``
+    for the scan.  Each is refined by :func:`bisect_sign_change`, with
+    Newton steps when ``fdf`` is given, to its default width at the
+    precision current when the generator resumes.
+    """
+    for cell in sign_changes(f, lo, hi, rough):
+        yield bisect_sign_change(f, *cell, fdf=fdf)

@@ -22,7 +22,8 @@ the general moment machinery applies with
 computed from the coefficients by the recursion and checked against the
 determinant path and against truncated sums over bracketed zeros.  The
 scaled grid criterion then needs L > s_1^(-2), with s_1 ~= 14.1347 the
-lowest zero, located here by scanning Xi for sign changes and bisecting.
+lowest zero, located here by scanning Xi for sign changes and refining each
+by Newton steps on Xi and Xi', safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .numkernel import (
     require_finite,
     scan_target,
     sign_change_brackets,
+    sign_target,
     to_mpf,
 )
 from .oracle import save_zeros
@@ -183,35 +185,43 @@ def xi_coefficients(N: int) -> XiCoefficients:
     return XiCoefficients(tuple(a), tuple(errs), tuple(radii))
 
 
-def xi_eval(s, target: Optional[mpf] = None) -> mpf:
+def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
     """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s.
 
     ``target`` is the absolute quadrature error goal (None: the default).
+    With ``derivative``, returns (Xi(s), Xi'(s)) with
+    Xi'(s) = -2 int_0^umax u Phi(u) sin(us) du, integrated together on the
+    same Phi values from one cos_sin per node.
     """
     s = to_mpf(s)
     prec = mp.prec
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5), prec)
-    value, _ = kernel.integrate(lambda u: 2 * mpmath.cos(u * s), target)
+
+    def g(u):
+        c, sn = mpmath.cos_sin(u * s)
+        return (2 * c, -2 * u * sn) if derivative else 2 * c
+
+    value, _ = kernel.integrate(g, target)
+    if derivative:
+        return tuple(require_finite(v, "Xi(s) or Xi'(s)") for v in value)
     return require_finite(value, "Xi(s)")
 
 
-_bracket_cache: dict = {}
-
-
 def bracket_zeros(s_max) -> List[ZeroBracket]:
-    """Sign-change brackets of Xi on [0, s_max], bisected to width 2^-(prec/2).
+    """Sign-change brackets of Xi on [0, s_max], refined to width 2^-(prec/2).
 
-    The scan is :func:`numkernel.sign_change_brackets`; its step is safe up
-    to heights of a few hundred.  An empty list is a valid result.
+    The scan is :func:`numkernel.sign_change_brackets` on signs of Xi at
+    the loose :func:`numkernel.sign_target`; each bracket is refined by
+    safeguarded Newton steps on Xi and Xi' at the
+    :func:`numkernel.scan_target`.  The scan step is safe up to heights of a
+    few hundred.  An empty list is a valid result.
     """
-    s_max = to_mpf(s_max)
     prec = mp.prec
-    key = (prec, str(s_max))
-    if key not in _bracket_cache:
-        target = scan_target(prec)
-        _bracket_cache[key] = list(sign_change_brackets(
-            lambda s: xi_eval(s, target), 0, s_max))
-    return _bracket_cache[key]
+    fine, rough = scan_target(prec), sign_target(prec)
+    return list(sign_change_brackets(
+        lambda s: xi_eval(s, fine), 0, s_max,
+        fdf=lambda s: xi_eval(s, fine, derivative=True),
+        rough=lambda s: xi_eval(s, rough)))
 
 
 def zero_sum_tail_bound(T, k: int) -> mpf:

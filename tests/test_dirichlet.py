@@ -361,6 +361,16 @@ def test_z_sign_change_on_8_9(chi3):
         assert z_char_eval(8, chi3) * z_char_eval(9, chi3) < 0
 
 
+def test_z_derivative_matches_central_difference(chi5):
+    with workprec(128):
+        s, h = mpf(3), mpf(2) ** -40
+        value, slope = z_char_eval(s, chi5, derivative=True)
+        assert value == z_char_eval(s, chi5)
+        central = (z_char_eval(s + h, chi5) - z_char_eval(s - h, chi5)) / (2 * h)
+        assert close(slope, central, mpf(10) ** -20)
+        assert abs(slope) > mpf("0.1")
+
+
 def test_first_zero_heights(chi3, chi4):
     with workprec(96):
         s1 = first_zero_height(chi3)

@@ -201,3 +201,57 @@ def test_sign_change_brackets_on_cos():
     # bisection midpoints fall strictly between two scan points
     scan = [x for x in points if 2 * x == int(2 * x)]
     assert scan == [k * SCAN_STEP for k in range(21)]
+
+
+def test_newton_safeguard_keeps_evaluations_in_bracket():
+    # from the midpoint 3/2 the raw Newton step of atan(5(x - 11/10)) lands
+    # near 0.39, outside [1, 2]; the safeguard must bisect instead
+    root = mpf(11) / 10
+    f = lambda x: mpmath.atan(5 * (x - root))
+    df = lambda x: 5 / (1 + 25 * (x - root) ** 2)
+    x0 = mpf(3) / 2
+    assert not 1 < x0 - f(x0) / df(x0) < 2
+    points = []
+
+    def fdf(x):
+        points.append(x)
+        return f(x), df(x)
+
+    b = bisect_sign_change(f, 1, 2, fdf=fdf)
+    assert all(1 < x < 2 for x in points)
+    assert b.hi - b.lo <= mpf(2) ** -(mp.prec // 2)
+    assert f(b.lo) * f(b.hi) < 0
+    assert b.lo < root < b.hi
+
+
+def test_newton_on_cos_needs_few_derivatives():
+    calls = []
+
+    def fdf(x):
+        calls.append(x)
+        return mpmath.cos(x), -mpmath.sin(x)
+
+    b = bisect_sign_change(mpmath.cos, 1, 2, fdf=fdf)
+    assert len(calls) <= 10
+    assert b.hi - b.lo <= mpf(2) ** -(mp.prec // 2)
+    assert mpmath.cos(b.lo) * mpmath.cos(b.hi) < 0
+    # the bracket closes around the last Newton iterate, which is exact
+    # far below the bracket width
+    assert abs(b.refined_root - mpmath.pi / 2) <= mpf(2) ** -(mp.prec - 4)
+
+
+def test_scan_reevaluates_uncertain_rough_signs():
+    # the rough value at 1.5 is 0, below the radius: only there does the
+    # scan call f, whose sign then exposes the change on [1.5, 2]
+    fine = []
+
+    def f(x):
+        fine.append(x)
+        return mpmath.cos(x)
+
+    rough = lambda x: mpf(0) if x == mpf(3) / 2 else mpmath.cos(x)
+    cell = next(numkernel.sign_changes(f, 0, 10, rough=rough))
+    assert fine == [mpf(3) / 2]
+    assert cell[:2] == (mpf(3) / 2, 2)
+    b = next(sign_change_brackets(f, 0, 10, rough=rough))
+    assert b.lo < mpmath.pi / 2 < b.hi

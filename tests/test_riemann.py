@@ -134,6 +134,20 @@ def test_xi_eval_even_and_sign_change():
     assert xi_eval(14) * xi_eval(mpf("14.3")) < 0
 
 
+def test_xi_derivative_matches_completed_zeta():
+    # Xi(s) = xi(1/2 + is) with xi(w) = w(w-1)/2 pi^(-w/2) Gamma(w/2) zeta(w)
+    def closed(s):
+        w = mpf(1) / 2 + mpc(0, 1) * s
+        return w * (w - 1) / 2 * mpmath.pi ** (-w / 2) * mpmath.gamma(w / 2) \
+            * mpmath.zeta(w)
+
+    reference = mpmath.diff(closed, 14)
+    assert abs(reference.imag) < mpf(2) ** -200
+    value, slope = xi_eval(14, derivative=True)
+    assert close(value, closed(14).real, mpf(2) ** -(mp.prec - 32))
+    assert close(slope, reference.real, mpf(2) ** -(mp.prec - 32))
+
+
 # --- brackets -------------------------------------------------------------------
 
 def test_bracket_first_zero():
@@ -144,6 +158,41 @@ def test_bracket_first_zero():
     assert b.lo < mpf("14.1347") < b.hi or close(b.refined_root, "14.1347", 1e-3)
     assert b.hi - b.lo <= mpf(2) ** -64
     assert close(b.refined_root, mpf("14.134725"), mpf(10) ** -5)
+
+
+def test_bracket_zeros_evaluation_count(monkeypatch):
+    # the sign scan takes 33 points on [0, 16]; Newton and its two probes
+    # add a handful, where bisection to 2^-128 added 127 (160 in all)
+    from momentsieve import numkernel, riemann
+    quadratures, kernel_values = [], []
+    integrate = numkernel.CachedKernelQuadrature.integrate
+    phi = riemann.phi
+
+    def counting_integrate(self, g, target=None):
+        quadratures.append(target)
+        return integrate(self, g, target)
+
+    def counting_phi(u, phi=phi):
+        kernel_values.append(u)
+        return phi(u)
+
+    monkeypatch.setattr(riemann, "_kernel_cache", {})
+    monkeypatch.setattr(numkernel.CachedKernelQuadrature, "integrate",
+                        counting_integrate)
+    monkeypatch.setattr(riemann, "phi", counting_phi)
+    with workprec(256):
+        brackets = bracket_zeros(16)
+    assert len(brackets) == 1
+    assert len(quadratures) <= 50
+    assert len(kernel_values) <= 257
+
+
+def test_pipeline_first_zero_to_full_precision():
+    with workprec(256):
+        result = rh_moment_pipeline(12, "auto", 4, 4)
+        assert abs(result.s1 - mpmath.zetazero(1).imag) <= mpf(10) ** -70
+        assert result.brackets[0].hi - result.brackets[0].lo \
+            <= mpf(2) ** -128
 
 
 def test_bracket_three_zeros_below_thirty(brackets30):
