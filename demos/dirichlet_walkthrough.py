@@ -57,7 +57,7 @@ print("so mu =", coeffs.mu, "and b_n/b_0 are the even-series ratios.")
 print("\n=== locating the lowest zero ===")
 print("Z(8, chi_3) =", show(z_char_eval(8, chi3), 6))
 print("Z(9, chi_3) =", show(z_char_eval(9, chi3), 6))
-s1 = first_zero_height(chi3)
+s1 = first_zero_height(chi3).refined_root
 print("sign change -> s_1(chi_3) =", show(s1, 12))
 
 print("\n=== the full pipeline, q = 3 and q = 4 ===")

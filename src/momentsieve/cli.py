@@ -182,6 +182,7 @@ def cmd_xi(args, bits: int) -> Report:
         "bits": bits,
         "N": args.N,
         "s1": decimal_str(result.s1, bits),
+        "s1_radius": decimal_str(result.s1_radius, bits),
         "L": decimal_str(result.L, bits),
         "brackets": [[decimal_str(b.lo, bits), decimal_str(b.hi, bits),
                       decimal_str(b.refined_root, bits)]
@@ -233,6 +234,8 @@ def cmd_dirichlet(args, bits: int) -> Report:
         "eq331_status": result.eq331_status,
         "eq324_max_residual": decimal_str(max(coeffs.eq_residuals), bits),
         "s1": decimal_str(result.s1, bits) if result.s1 is not None else None,
+        "s1_radius": (decimal_str(result.s1_radius, bits)
+                      if result.s1 is not None else None),
         "L": decimal_str(result.L, bits) if result.L is not None else None,
         "moments": ([decimal_str(v, bits) for v in result.moments.m]
                     if result.moments is not None else None),

@@ -54,6 +54,7 @@ from .numkernel import (
     CachedKernelQuadrature,
     ConsistencyError,
     DomainError,
+    ZeroBracket,
     bisect_sign_change,
     certify_sign,
     default_target,
@@ -547,8 +548,10 @@ def z_char_eval(s, chi: DirichletCharacter,
 SCAN_MAX = mpf(40)
 
 
-def first_zero_height(chi: DirichletCharacter) -> mpf:
-    """Smallest positive zero height s_1(chi) of f(s, chi), below SCAN_MAX.
+def first_zero_height(chi: DirichletCharacter) -> ZeroBracket:
+    """Bracket of the smallest positive zero height s_1(chi) of f(s, chi).
+
+    The zero lies below SCAN_MAX; s_1 is the bracket's refined root.
 
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
@@ -572,11 +575,11 @@ def first_zero_height(chi: DirichletCharacter) -> mpf:
             f"no zero of f(s, {chi.label()}) found below {SCAN_MAX}")
     lowest = found[-1][1][0]
     return min(
-        bisect_sign_change(
+        (bisect_sign_change(
             lambda s: z_char_eval(s, c, fine), *cell,
-            fdf=lambda s: z_char_eval(s, c, fine, derivative=True)
-        ).refined_root
-        for c, cell in found if cell[0] == lowest)
+            fdf=lambda s: z_char_eval(s, c, fine, derivative=True))
+         for c, cell in found if cell[0] == lowest),
+        key=lambda b: b.refined_root)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +592,7 @@ class GrhPipelineResult:
     b_ratios: Tuple[mpf, ...]
     eq331_status: str
     s1: Optional[mpf]
+    s1_radius: Optional[mpf]
     L: Optional[mpf]
     moments: Optional[MomentSequence]
     grid: Optional[PositivityGrid]
@@ -649,8 +653,8 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
     if tail is None:
         return GrhPipelineResult(
             character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
-            eq331_status=f"fails at n = {bad}", s1=None, L=None,
-            moments=None, det_residuals=(), grid=None)
+            eq331_status=f"fails at n = {bad}", s1=None, s1_radius=None,
+            L=None, moments=None, det_residuals=(), grid=None)
     return GrhPipelineResult(
         character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
         eq331_status=f"holds for n <= {N}", **tail._asdict())

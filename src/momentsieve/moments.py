@@ -25,8 +25,11 @@ Every :class:`SeriesPrefix` and :class:`MomentSequence` carries one
 absolute error radius per entry (0 when built by hand), stated by its
 producer and carried through :func:`normalize` and the recursion; a cell
 is certified only when its magnitude exceeds the radius it inherits.  The
-recursion is the production path for moments; the determinant is an
-O(l^3) cross-check only.
+recursion is the production path for moments: each m_l is one dot product
+with exact products and a single rounding (as in Ogita, Rump & Oishi,
+SIAM J. Sci. Comput. 26, 2005), over the coefficients up to the last
+nonzero one, so M moments of a degree-d polynomial cost O(M d).  The
+determinant is an O(l^3) cross-check only.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .numkernel import (
     CertifiedSign,
     DomainError,
     certify_sign,
-    comp_sum,
     decimal_str,
     require_finite,
     to_mpf,
@@ -164,10 +166,13 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
     """Moments m_0..m_M from a normalized prefix via the coefficient recursion.
 
     Consumes a_(l+2), so M <= N-2 for a prefix a_0..a_N (pad with trailing
-    zeros to represent a polynomial of lower degree).  The radius of m_l
-    carries the coefficient radii and those of the earlier moments through
-    each product x*y as |x| r_y + |y| r_x + r_x r_y, and adds (l + 4)
-    roundings of the summed magnitudes.
+    zeros to represent a polynomial of lower degree).  Each m_l is one
+    ``mpmath.fdot``: the products are exact and the sum is rounded once.
+    The sum over k stops at d, the last index with a_k or its radius
+    nonzero, so trailing zeros cost nothing and change no value.  The
+    radius of m_l carries the coefficient radii and those of the earlier
+    moments through each product x*y as |x| r_y + |y| r_x + r_x r_y, and
+    adds (l + 4) roundings of the summed magnitudes.
     """
     if not s.is_normalized:
         raise DomainError("series must be normalized (a_0 = 1)")
@@ -178,20 +183,25 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
             f"M = {M} needs coefficients up to a_{M + 2}, prefix has "
             f"degree bound {s.degree_bound}")
     a, rho = s.coeffs, s.radii
+    d = max(k for k in range(len(a)) if a[k] or rho[k])
+    minus_a = [-c for c in a[:d + 1]]
     u = mpf(2) ** -mp.prec
-    m: List[mpf] = []
+    t: List[mpf] = []  # t_l = (-1)^l m_l, so the sums need no signs
+    at: List[mpf] = []  # |t_l|; the a_k are >= 0 already
     r: List[mpf] = []
     for l in range(M + 1):
-        acc = a[1] * a[l + 1] - (l + 2) * a[l + 2]
-        acc -= comp_sum(m[l - k] * (-1) ** (l - k) * a[k]
-                        for k in range(1, l + 1))
-        m.append((-1) ** l * acc)
-        pairs = [(a[1], rho[1], a[l + 1], rho[l + 1])] + [
-            (m[l - k], r[l - k], a[k], rho[k]) for k in range(1, l + 1)]
-        size = (l + 2) * abs(a[l + 2]) + mpmath.fsum(
-            abs(x * y) for x, _, y, _ in pairs)
-        r.append((l + 2) * rho[l + 2] + (l + 4) * u * size + mpmath.fsum(
-            abs(x) * ry + abs(y) * rx + rx * ry for x, rx, y, ry in pairs))
+        ks = range(1, min(l, d) + 1)
+        t.append(mpmath.fdot([(a[1], a[l + 1]), (-(l + 2), a[l + 2])] + [
+            (t[l - k], minus_a[k]) for k in ks]))
+        at.append(abs(t[l]))
+        pairs = [(a[1], rho[1], a[l + 1], rho[l + 1]),
+                 (l + 2, 0, a[l + 2], rho[l + 2])] + [
+            (at[l - k], r[l - k], a[k], rho[k]) for k in ks]
+        size = mpmath.fdot((x, y) for x, _, y, _ in pairs)
+        r.append(mpmath.fdot([(l + 4, u * size)] + [
+            p for x, rx, y, ry in pairs
+            for p in ((x, ry), (y, rx), (rx, ry))]))
+    m = [-v if l % 2 else v for l, v in enumerate(t)]
     return MomentSequence(tuple(m), source="recursion", radii=tuple(r))
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "ZeroBracket",
     "bisect_sign_change",
     "certify_sign",
-    "comp_sum",
     "decimal_str",
     "default_target",
     "require_finite",
@@ -115,20 +114,6 @@ def decimal_str(x, bits: Optional[int] = None) -> str:
         bits = mp.prec
     digits = int(bits / 3.3219280948873626) + 3
     return mpmath.nstr(mpf(x), digits)
-
-
-def comp_sum(terms) -> mpf:
-    """Neumaier-compensated sum, in iteration order."""
-    s = mpf(0)
-    c = mpf(0)
-    for t in terms:
-        tot = s + t
-        if abs(s) >= abs(t):
-            c += (s - tot) + t
-        else:
-            c += (t - tot) + s
-        s = tot
-    return s + c
 
 
 # ---------------------------------------------------------------------------

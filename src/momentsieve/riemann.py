@@ -256,24 +256,27 @@ class MomentTail(NamedTuple):
     """What the Xi and Dirichlet pipelines compute from a series and s_1."""
 
     s1: mpf
+    s1_radius: mpf  # width of the certified bracket around s1
     L: mpf
     moments: MomentSequence
     det_residuals: Tuple[mpf, ...]  # |recursion - determinant| for small l
     grid: PositivityGrid
 
 
-def moment_tail(N: int, L, n_max: int, k_max: int,
-                source: Callable[[], Optional[Tuple[SeriesPrefix, mpf]]]
-                ) -> Optional[MomentTail]:
+def moment_tail(
+        N: int, L, n_max: int, k_max: int,
+        source: Callable[[], Optional[Tuple[SeriesPrefix, ZeroBracket]]]
+) -> Optional[MomentTail]:
     """The criterion once the normalized coefficients and s_1 are known.
 
     Checks N >= n_max + k_max + 2 and parses an explicit ``L`` first, then
     calls ``source()`` for the normalized series a_0..a_N with its radii
-    and s_1, or None when the positivity hypothesis fails (then this
-    returns None too).  ``L`` "auto" or None means :func:`auto_scale`;
-    an explicit L must exceed s_1^(-2).  The recursion runs to depth N-2,
-    is cross-checked against the determinant path for l <= 8, and the
-    (n_max, k_max) grid is certified at the scale L.
+    and the bracket of s_1, or None when the positivity hypothesis fails
+    (then this returns None too).  s_1 is the bracket's refined root and
+    ``s1_radius`` its width.  ``L`` "auto" or None means
+    :func:`auto_scale`; an explicit L must exceed s_1^(-2).  The recursion
+    runs to depth N-2, is cross-checked against the determinant path for
+    l <= 8, and the (n_max, k_max) grid is certified at the scale L.
     """
     if N < n_max + k_max + 2:
         raise DomainError(
@@ -285,7 +288,8 @@ def moment_tail(N: int, L, n_max: int, k_max: int,
     found = source()
     if found is None:
         return None
-    series, s1 = found
+    series, bracket = found
+    s1 = bracket.refined_root
     if auto:
         L = auto_scale(s1)
     elif not L > 1 / (s1 * s1):
@@ -297,7 +301,8 @@ def moment_tail(N: int, L, n_max: int, k_max: int,
         abs(moments.m[l] - moments_by_determinant(series, l))
         for l in range(min(8, N - 2) + 1))
     grid = build_grid(moments, L, n_max, k_max)
-    return MomentTail(s1, L, moments, residuals, grid)
+    return MomentTail(s1, bracket.hi - bracket.lo, L, moments, residuals,
+                      grid)
 
 
 #: the Xi zero scan covers [0, SCAN_MAX]; s_1 ~= 14.13 lies inside
@@ -309,6 +314,7 @@ class XiPipelineResult:
     coefficients: XiCoefficients
     brackets: Tuple[ZeroBracket, ...]
     s1: mpf
+    s1_radius: mpf
     L: mpf
     moments: MomentSequence
     det_residuals: Tuple[mpf, ...]
@@ -319,8 +325,9 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
     """Full grid check for the Xi moments.
 
     Brackets the Xi zeros below :data:`SCAN_MAX`, computes a_0..a_N and
-    hands the normalized series and s_1 to :func:`moment_tail`, which
-    resolves ``L`` and certifies the (n_max, k_max) grid.
+    hands the normalized series and the bracket of s_1 to
+    :func:`moment_tail`, which resolves ``L`` and certifies the
+    (n_max, k_max) grid.
     """
     coeffs = brackets = None
 
@@ -330,7 +337,7 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
         if not brackets:
             raise DomainError(f"no Xi zero located below {SCAN_MAX}")
         coeffs = xi_coefficients(N)
-        return normalize(coeffs.a, coeffs.radii), brackets[0].refined_root
+        return normalize(coeffs.a, coeffs.radii), brackets[0]
 
     tail = moment_tail(N, L, n_max, k_max, source)
     return XiPipelineResult(coefficients=coeffs, brackets=brackets,

@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import mpmath
 from mpmath import mpf, workprec
 
 from momentsieve.cli import main
@@ -89,6 +90,17 @@ def test_xi_pipeline_auto(capsys):
     assert len(report["brackets"]) >= 1
 
 
+def test_xi_s1_radius_covers_first_zero(capsys):
+    code, out, _ = run(["xi", "--N", "10", "--nmax", "3", "--kmax", "3",
+                        "--bits", "256"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    with workprec(288):
+        radius = mpf(report["s1_radius"])
+        assert 0 < radius <= mpf(2) ** -127
+        assert abs(mpf(report["s1"]) - mpmath.zetazero(1).imag) <= radius
+
+
 def test_xi_rejects_scale_below_constraint(capsys):
     code, _, err = run(["xi", "--N", "10", "--nmax", "3", "--kmax", "3",
                         "--L", "0.001", "--bits", "96"], capsys)
@@ -125,6 +137,7 @@ def test_dirichlet_q3(capsys):
     assert report["grid"]["counts"]["negative"] == 0
     assert report["mu"] == 0
     assert abs(float(report["s1"]) - 8.039737) < 1e-3
+    assert 0 < float(report["s1_radius"]) <= 2.0 ** -64
 
 
 def test_dirichlet_q4_runs_clean(capsys):

@@ -373,10 +373,10 @@ def test_z_derivative_matches_central_difference(chi5):
 
 def test_first_zero_heights(chi3, chi4):
     with workprec(96):
-        s1 = first_zero_height(chi3)
-        assert close(s1, mpf("8.039737"), mpf(10) ** -4)
-        s1 = first_zero_height(chi4)
-        assert close(s1, mpf("6.020949"), mpf(10) ** -4)
+        for chi, height in ((chi3, "8.039737"), (chi4, "6.020949")):
+            b = first_zero_height(chi)
+            assert close(b.refined_root, mpf(height), mpf(10) ** -4)
+            assert b.lo < b.refined_root < b.hi <= b.lo + mpf(2) ** -48
 
 
 def test_bracket_char_zeros(chi3):
@@ -431,6 +431,7 @@ def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
     assert result.grid is None
     assert result.eq331_status == "fails at n = 2"
     assert result.verdict == "hypothesis fails"
+    assert result.s1 is None and result.s1_radius is None
 
 
 def test_grh_pipeline_rejects_nonprimitive():

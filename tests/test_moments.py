@@ -83,6 +83,28 @@ def test_recursion_requires_normalized_and_depth():
         moments_by_recursion(ok, 1)
 
 
+def test_recursion_products_are_exact():
+    # m_0 = a_1^2 - 2 a_2 = (2^50 + 1)^2 - (2^100 + 2^51) = 1: at 64 bits a
+    # rounded a_1^2 loses the 1 and the 2^100-sized terms cancel to 0
+    with workprec(64):
+        a1 = mpf(2) ** 50 + 1
+        s = SeriesPrefix((mpf(1), a1, mpf(2) ** 99 + mpf(2) ** 50, mpf(0)))
+        assert moments_by_recursion(s, 0).m[0] == 1
+
+
+def test_recursion_padding_changes_nothing():
+    zeros = [2, 3, Fraction(7, 2), 5]
+    series = product_to_series(ZeroSet.from_zeros(zeros))
+    runs = [moments_by_recursion(series.padded(P), 30)
+            for P in (32, 33, 40, 64)]
+    for seq in runs[1:]:
+        assert (seq.m, seq.radii) == (runs[0].m, runs[0].radii)
+    for k, (v, r) in enumerate(zip(runs[0].m, runs[0].radii)):
+        exact = sum(Fraction(1) / Fraction(z) ** (k + 2) for z in zeros)
+        assert abs(Fraction(v.man) * Fraction(2) ** v.exp - exact) <= \
+            Fraction(r.man) * Fraction(2) ** r.exp
+
+
 # --- determinant -----------------------------------------------------------------
 
 def test_determinant_examples():
