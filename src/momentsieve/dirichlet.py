@@ -341,16 +341,14 @@ def _chi_split_table(q: int, exponents: Tuple[int, ...], prec: int):
     return tuple(None if v == 0 else (v.real, v.imag) for v in table)
 
 
-def phi_char(y, chi: DirichletCharacter) -> mpc:
-    """Truncated theta kernel phi(y, chi) for a primitive chi, q >= 3.
+def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
+    """The direct series for phi(y, chi); at y < 0 only to term roundoff.
 
     The term magnitude n^kappa exp(-n^2 pi e^(2y)/q + (kappa+1/2) y) decays
     like a Gaussian in n; summation stops when it falls below 2^-(prec+8)
     of the largest magnitude seen (after at least one full period of chi).
     """
-    _require_analytic(chi)
     n_terms = 1000000  # give up after this many terms
-    y = to_mpf(y)
     q = chi.q
     kappa = chi.parity
     values = _chi_split_table(q, chi.exponents, mp.prec)
@@ -381,17 +379,49 @@ def phi_char(y, chi: DirichletCharacter) -> mpc:
         f"phi(y, chi) did not converge within {n_terms} terms at y = {y}")
 
 
+def phi_char(y, chi: DirichletCharacter) -> mpc:
+    """Theta kernel phi(y, chi) for a primitive chi, q >= 3.
+
+    The direct series at y >= 0.  At y < 0 that series cancels O(e^(-y))
+    terms down to a doubly exponentially small value, slowly and only to
+    their roundoff, so there the theta functional equation (Davenport,
+    Multiplicative Number Theory, ch. 9) gives full relative accuracy:
+    phi(y, chi) = i^kappa sqrt(q) / tau(conj chi) * phi(-y, conj chi).
+    """
+    _require_analytic(chi)
+    y = to_mpf(y)
+    if y < 0:
+        chi_bar = chi.conjugate()
+        return _theta_series(-y, chi_bar) / epsilon_factor(chi_bar)
+    return _theta_series(y, chi)
+
+
 _char_kernel_cache: dict = {}
 
 
 def _char_kernel(chi: DirichletCharacter, prec: int,
                  y_max: mpf) -> CachedKernelQuadrature:
-    """Cached phi(., chi) kernel on [-y_max', y_max'] with y_max' >= y_max."""
+    """Cached phi(., chi) kernel on [-y_max', y_max'] with y_max' >= y_max.
+
+    A node at y < 0 is phi(-y, conj chi) / epsilon(conj chi), as in
+    :func:`phi_char`, with epsilon computed once, at the nodes' precision.
+    """
     base_key = (chi.q, chi.exponents, prec)
     found = _char_kernel_cache.get(base_key)
     if found is not None and found.b >= y_max:
         return found
-    kernel = CachedKernelQuadrature(lambda y: phi_char(y, chi), -y_max, y_max)
+    chi_bar = chi.conjugate()
+    eps_bar = None
+
+    def node(y):
+        nonlocal eps_bar
+        if y >= 0:
+            return phi_char(y, chi)
+        if eps_bar is None:
+            eps_bar = epsilon_factor(chi_bar)
+        return phi_char(-y, chi_bar) / eps_bar
+
+    kernel = CachedKernelQuadrature(node, -y_max, y_max)
     _char_kernel_cache[base_key] = kernel
     return kernel
 
@@ -405,8 +435,9 @@ class CharCoefficients:
     at roundoff level far below genuine coefficients).  ``b[n]`` is
     sum_(j=0..2n) a_(j+mu)(chi) a_(2n-j+mu)(conj chi), defined while
     2n + mu <= N.  ``eq_residuals`` stores
-    |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|, which should sit at
-    quadrature-error level.  ``quadrature_error[n]`` is the scaled
+    |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|; both kernels take
+    their y < 0 half from the functional equation, so it sits at rounding
+    level by construction.  ``quadrature_error[n]`` is the scaled
     difference of the last two quadrature levels of a_n(chi), not an error
     bound: it is exactly 0 when two levels agree to every guard bit.
     ``b_radii[n]`` bounds the error of b[n]: the radius default_target/n!

@@ -209,16 +209,18 @@ def product_to_series(zs: ZeroSet) -> SeriesPrefix:
 def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:
     """m_k = sum_n lambda_n^(-(k+2)) for k = 0..M, the defining zero sums.
 
+    Real zeros are summed in real arithmetic, conjugate pairs in complex.
     Radius: the rounding bound (k+4) sum_n |lambda_n|^-(k+2) 2^-(prec-4).
     """
     if M < 0:
         raise DomainError("M must be >= 0")
-    inv = [1 / z for z in zs.zeros]
+    inv = [1 / z if z.imag else 1 / z.real for z in zs.zeros]
+    pairs = any(z.imag for z in zs.zeros)  # else every power is positive
     powers = [r * r for r in inv]
     out, radii = [], []
     for k in range(M + 1):
         total = mpmath.fsum(powers)
-        scale = mpmath.fsum(abs(p) for p in powers)
+        scale = mpmath.fsum(abs(p) for p in powers) if pairs else total
         out.append(_real_part_checked(mpc(total), scale, f"moment m_{k}"))
         radii.append((k + 4) * scale * mpf(2) ** -(mp.prec - 4))
         powers = [p * r for p, r in zip(powers, inv)]

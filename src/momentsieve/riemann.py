@@ -87,10 +87,16 @@ def phi(u, n_terms: int = 100000) -> mpf:
     2^-(prec+8) of the partial sum.  Exhausting ``n_terms`` first raises
     :class:`AccuracyError`; a nonpositive result (impossible analytically)
     raises :class:`ConsistencyError`.
+
+    Domain: |u| <= 32, far past every kernel cutoff.  Beyond it
+    Phi(u) < 2^-(10^28), and exp(-pi e^(2u)) would need an argument
+    reduction of about 2.9 |u| bits (2.9 s at u = 1e5): DomainError instead.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     u = abs(to_mpf(u))
+    if u > 32:
+        raise DomainError("Phi(u) is evaluated for |u| <= 32 only")
     g9 = mpmath.exp(mpf(9) * u / 2)
     g5 = mpmath.exp(mpf(5) * u / 2)
     pi = mpmath.pi
@@ -274,7 +280,8 @@ def moment_tail(
     and the bracket of s_1, or None when the positivity hypothesis fails
     (then this returns None too).  s_1 is the bracket's refined root and
     ``s1_radius`` its width.  ``L`` "auto" or None means
-    :func:`auto_scale`; an explicit L must exceed s_1^(-2).  The recursion
+    :func:`auto_scale`; an explicit L must exceed s_1^(-2) over the whole
+    bracket, that is lo^(-2).  The recursion
     runs to depth N-2, is cross-checked against the determinant path for
     l <= 8, and the (n_max, k_max) grid is certified at the scale L.
     """
@@ -292,10 +299,10 @@ def moment_tail(
     s1 = bracket.refined_root
     if auto:
         L = auto_scale(s1)
-    elif not L > 1 / (s1 * s1):
+    elif not L > 1 / bracket.lo ** 2:
         raise DomainError(
-            f"L = {decimal_str(L)} violates the constraint "
-            f"L > s_1^-2 = {decimal_str(1 / (s1 * s1))}")
+            f"L = {decimal_str(L)} violates the constraint L > s_1^-2 = "
+            f"{decimal_str(1 / bracket.lo ** 2)} (at the bracket's low end)")
     moments = moments_by_recursion(series, N - 2)
     residuals = tuple(
         abs(moments.m[l] - moments_by_determinant(series, l))

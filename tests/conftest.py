@@ -3,8 +3,13 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
+
+from momentsieve import dirichlet
+from momentsieve.numkernel import CachedKernelQuadrature
+from momentsieve.riemann import kernel_cutoff
 
 DEFAULT_TEST_BITS = 256
 
@@ -54,3 +59,18 @@ def random_conjugate_zeros(rng: random.Random, pairs, reals,
 def random_fraction(rng: random.Random, max_num=1000, max_den=1000):
     return Fraction(rng.randint(-max_num, max_num),
                     rng.randint(1, max_den))
+
+
+def direct_char_coeffs(chi, N):
+    """a_0..a_N(chi) from the direct theta series over the whole interval.
+
+    Unlike ``char_coeffs``, which takes the y < 0 half of the kernel from
+    the functional equation, every node here sums the series itself, so the
+    two paths agree only if the reflection factor is right.
+    """
+    prec = mp.prec
+    y_max = kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N)
+    kernel = CachedKernelQuadrature(
+        lambda y: dirichlet._theta_series(y, chi), -y_max, y_max)
+    return [mpc(kernel.integrate(lambda y, n=n: y ** n)[0])
+            / mpmath.factorial(n) for n in range(N + 1)]

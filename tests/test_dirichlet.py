@@ -26,7 +26,7 @@ from momentsieve.numkernel import (
     sign_change_brackets,
 )
 
-from conftest import close
+from conftest import close, direct_char_coeffs
 
 
 def z_brackets(chi, s_max):
@@ -231,17 +231,34 @@ def test_phi_char_functional_equation():
                 / gauss_sum(chi_bar)
             # moderate |y|: both sides are of the order of their terms, so a
             # relative check is meaningful
+            # the right side sums the direct series at -y < 0, not the
+            # reflection that phi_char uses there
             for y in (mpf("0.25"), mpf("0.5"), mpf(1)):
                 lhs = phi_char(y, chi)
-                rhs = factor * phi_char(-y, chi_bar)
+                rhs = factor * dirichlet._theta_series(-y, chi_bar)
                 assert abs(lhs - rhs) <= mpf(2) ** -(mp.prec - 24) * abs(lhs)
             # deeper y: phi(y) is doubly-exponentially small while the
             # negative-side sum cancels O(1) terms down to it, so the honest
             # bound is roundoff relative to the term scale, not to |phi|
             for y in (mpf("1.7"), mpf("2.2")):
                 lhs = phi_char(y, chi)
-                rhs = factor * phi_char(-y, chi_bar)
+                rhs = factor * dirichlet._theta_series(-y, chi_bar)
                 assert abs(lhs - rhs) <= mpf(2) ** -(mp.prec - 28) * (1 + abs(lhs))
+
+
+def test_phi_char_negative_y_has_full_relative_accuracy():
+    # at 256 bits the direct series at y = -3.2 cancels terms of order 0.1
+    # down to |phi| ~ 1e-115 and keeps only roundoff (2e-77); summed with
+    # 1024 bits it is exact far beyond 256 bits, relative to phi itself
+    y = mpf(-16) / 5
+    for chi in characters_mod(7):
+        if not chi.is_primitive:
+            continue
+        with workprec(256):
+            value = phi_char(y, chi)
+        with workprec(1024):
+            reference = dirichlet._theta_series(y, chi)
+        assert abs(value - reference) <= mpf(2) ** -(256 - 24) * abs(reference)
 
 
 def test_phi_char_rejects_nonprimitive():
@@ -278,12 +295,29 @@ def test_q4_coefficients(coeffs4, chi4):
                  mpf(10) ** -40)
 
 
-def test_eq_324_residuals(coeffs3, coeffs4, coeffs5):
-    for coeffs in (coeffs3, coeffs4, coeffs5):
+def assert_matches_direct_series(coeffs, chi):
+    """a_n(chi) and a_n(conj chi) against kernels on the direct series.
+
+    The eq-3.24 residuals hold by construction once the y < 0 half of each
+    kernel comes from the functional equation; this comparison does not.
+    Exact symmetry zeros (below the floor) are compared absolutely.
+    """
+    bits = coeffs.bits
+    for values, c in ((coeffs.a, chi), (coeffs.a_bar, chi.conjugate())):
+        direct = direct_char_coeffs(c, len(values) - 1)
+        floor = mpf(2) ** -(bits // 2) * max(abs(v) for v in direct)
+        for n, (v, d) in enumerate(zip(values, direct)):
+            tol = mpf(2) ** -(bits - 24) * abs(d) if abs(d) > floor else floor
+            assert abs(v - d) <= tol, (c.label(), n)
+
+
+def test_eq_324_residuals(coeffs3, coeffs4, coeffs5, chi3, chi4, chi5):
+    for coeffs, chi in ((coeffs3, chi3), (coeffs4, chi4), (coeffs5, chi5)):
         floor = mpf(2) ** -(coeffs.bits // 2) * max(abs(v) for v in coeffs.a)
         for n, res in enumerate(coeffs.eq_residuals):
             if abs(coeffs.a[n]) > floor:
                 assert res <= mpf(2) ** -(coeffs.bits - 24) * abs(coeffs.a[n])
+        assert_matches_direct_series(coeffs, chi)
 
 
 def test_eq_324_residuals_larger_moduli():
@@ -299,6 +333,7 @@ def test_eq_324_residuals_larger_moduli():
             for n, res in enumerate(coeffs.eq_residuals):
                 if abs(coeffs.a[n]) > floor:
                     assert res <= mpf(2) ** -(192 - 24) * abs(coeffs.a[n])
+            assert_matches_direct_series(coeffs, chi)
 
 
 def test_b0_identity(coeffs3, coeffs4, coeffs5, chi3, chi4, chi5):

@@ -94,6 +94,20 @@ def test_moments_from_zeros_examples():
     assert close(seq.m[0], frac(6, 25), mpf(2) ** -250)
 
 
+def test_moments_from_zeros_real_and_complex_sums_agree():
+    # real zeros are summed in real arithmetic; the same zeros entered with
+    # a partner pair summed in complex arithmetic give the same moments
+    rng = random.Random(9)
+    reals = random_real_zeros(rng, 12)
+    pair = [mpc(3, 1), mpc(3, -1)]
+    only_real = moments_from_zeros(ZeroSet.from_zeros(reals), 20)
+    mixed = moments_from_zeros(ZeroSet.from_zeros(reals + pair), 20)
+    for k, (a, b, r) in enumerate(zip(only_real.m, mixed.m, mixed.radii)):
+        extra = 2 * (mpc(3, 1) ** -(k + 2)).real
+        assert isinstance(a, mpf)
+        assert abs(a + extra - b) <= r + only_real.radii[k]
+
+
 def test_even_moments_examples():
     seq = even_moments_from_zeros(EvenZeroSet.from_zeros([2]), 1)
     assert close(seq.m[0], frac(1, 16), mpf(2) ** -250)

@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
@@ -6,12 +8,14 @@ from momentsieve.moments import build_grid, moments_by_recursion, normalize
 from momentsieve.numkernel import (
     AccuracyError,
     DomainError,
+    ZeroBracket,
 )
 from momentsieve.oracle import EvenZeroSet, even_moments_from_zeros, load_zeros
 from momentsieve.riemann import (
     auto_scale,
     bracket_zeros,
     export_brackets,
+    moment_tail,
     phi,
     rh_moment_pipeline,
     xi_coefficients,
@@ -59,6 +63,15 @@ def test_phi_far_tail_positive_and_tiny():
     value = phi(3)
     assert value > 0
     assert value < mpf(10) ** -500
+
+
+def test_phi_library_edge_is_immediate():
+    # exp(-pi e^(2u)) at u = 1e5 needs a 290k-bit argument reduction
+    assert phi(32) > 0
+    start = time.monotonic()
+    with pytest.raises(DomainError, match="32"):
+        phi(mpf(10) ** 5)
+    assert time.monotonic() - start < 1
 
 
 def test_phi_even():
@@ -280,6 +293,24 @@ def test_pipeline_rejects_bad_scale():
     with workprec(96):
         with pytest.raises(DomainError, match="s_1"):
             rh_moment_pipeline(8, mpf("0.001"), 2, 2)
+
+
+def test_moment_tail_checks_L_over_the_whole_bracket(coeffs12):
+    # s_1 is only known to lie in [14, 14.2]: L must exceed 1/14^2, not
+    # just 1/14.1^2 from the refined root
+    series = normalize(coeffs12.a, coeffs12.radii)
+
+    def source():
+        return series, ZeroBracket(mpf(14), mpf("14.2"), mpf("14.1"))
+
+    L = mpf("0.00507")
+    assert 1 / mpf("14.1") ** 2 < L < 1 / mpf(14) ** 2
+    with pytest.raises(DomainError, match="s_1"):
+        moment_tail(12, L, 2, 2, source)
+    tail = moment_tail(12, mpf("0.0052"), 2, 2, source)
+    assert tail.L == mpf("0.0052")
+    assert tail.s1 == mpf("14.1") and tail.s1_radius == mpf("14.2") - 14
+    assert moment_tail(12, "auto", 2, 2, source).L == auto_scale(mpf("14.1"))
 
 
 def test_pipeline_rejects_small_N():
