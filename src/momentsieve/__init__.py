@@ -33,7 +33,6 @@ from .oracle import (
     admissibility,
     even_moments_from_zeros,
     load_zeros,
-    logderiv_identity_check,
     moments_from_zeros,
     product_to_series,
 )

@@ -13,7 +13,12 @@ For a primitive character the completed function has the kernel form
     phi(y, chi) = 2 sum_(n>=1) n^kappa chi(n)
                   exp(-n^2 pi e^(2y) / q + (kappa + 1/2) y),
 
-with kappa the parity of chi.  Moment data comes from the coefficients
+with kappa the parity of chi.  The series is summed only at y >= 0; at
+y < 0 the theta functional equation gives phi from the series of conj chi.
+Every integral is folded onto [0, y_max]: the node y carries the parts
+phi(y) + phi(-y) and i (phi(y) - phi(-y)), each integrand one real
+multiplier per part, and the kernels of chi and conj chi share the series
+at each node (see _char_kernel).  Moment data comes from the coefficients
 a_n(chi) = int y^n phi(y, chi) dy: the product
 f(s, chi) = s^(-2 mu) xi(1/2+is, chi) xi(1/2+is, conj chi) is even with real
 coefficients b_n built by convolution, and when the ratios b_n/b_0 are
@@ -71,7 +76,6 @@ __all__ = [
     "GrhPipelineResult",
     "char_coeffs",
     "characters_mod",
-    "f_char_eval",
     "first_zero_height",
     "gauss_sum",
     "grh_moment_pipeline",
@@ -274,7 +278,11 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+#: entries kept by each precision-keyed table cache below
+TABLE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _root_of_unity_cached(num: int, den: int, prec: int) -> mpc:
     with workprec(prec):
         return mpmath.expjpi(mpf(2 * num) / den)
@@ -332,7 +340,7 @@ def _require_analytic(chi: DirichletCharacter):
             f"< modulus {chi.q}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _chi_split_table(q: int, exponents: Tuple[int, ...], prec: int):
     """Per-residue (re, im) mpf pairs, None on non-units; for hot loops."""
     chi = DirichletCharacter(q, exponents)
@@ -401,29 +409,52 @@ _char_kernel_cache: dict = {}
 
 def _char_kernel(chi: DirichletCharacter, prec: int,
                  y_max: mpf) -> CachedKernelQuadrature:
-    """Cached phi(., chi) kernel on [-y_max', y_max'] with y_max' >= y_max.
+    """Cached phi(., chi) kernel folded onto [0, y_max'] with y_max' >= y_max.
 
-    A node at y < 0 is phi(-y, conj chi) / epsilon(conj chi), as in
-    :func:`phi_char`, with epsilon computed once, at the nodes' precision.
+    The node y carries the parts E = K(y) + K(-y) and F = i (K(y) - K(-y))
+    of K = phi(., chi) (see :class:`CachedKernelQuadrature`).  One cache
+    entry holds the kernels of chi and conj chi, which share their series:
+    with t = phi(y, chi), t' = phi(y, conj chi) and e' = epsilon(conj chi),
+    the functional equation of :func:`phi_char` and epsilon(chi) e' = 1
+    give K(-y) = t' / e' for chi and t e' for conj chi.  So each node
+    y >= 0 sums each character's series once for the pair, and e' is
+    computed once, at the nodes' precision.  The pair is ordered by index,
+    so a kernel does not depend on which character asked first.
     """
-    base_key = (chi.q, chi.exponents, prec)
-    found = _char_kernel_cache.get(base_key)
-    if found is not None and found.b >= y_max:
-        return found
-    chi_bar = chi.conjugate()
+    pair = sorted({chi, chi.conjugate()}, key=lambda c: c.index)
+    key = (chi.q, pair[0].exponents, prec)
+    found = _char_kernel_cache.get(key)
+    if found is None or found[chi].b < y_max:
+        found = _char_kernel_cache[key] = _folded_kernels(pair, y_max)
+    return found[chi]
+
+
+def _folded_kernels(pair, y_max: mpf) -> dict:
+    """The folded kernels of :func:`_char_kernel`, keyed by character."""
     eps_bar = None
+    pending = {}  # y -> series the other kernel of the pair has not used yet
 
-    def node(y):
-        nonlocal eps_bar
-        if y >= 0:
-            return phi_char(y, chi)
-        if eps_bar is None:
-            eps_bar = epsilon_factor(chi_bar)
-        return phi_char(-y, chi_bar) / eps_bar
+    def node(side):
+        def parts(y):
+            nonlocal eps_bar
+            if eps_bar is None:
+                eps_bar = epsilon_factor(pair[-1])
+            thetas = pending.pop(y, None)
+            if thetas is None:
+                thetas = tuple(phi_char(y, c) for c in pair)
+                if len(pair) > 1:
+                    pending[y] = thetas
+            t, t_bar = thetas[0], thetas[-1]
+            plus, minus = (t, t_bar / eps_bar) if side == 0 \
+                else (t_bar, t * eps_bar)
+            if y == 0:  # E = 2 K(0), F = 0, as phi_char(0, chi) has it
+                minus = plus
+            diff = plus - minus
+            return plus + minus, mpc(-diff.imag, diff.real)
+        return parts
 
-    kernel = CachedKernelQuadrature(node, -y_max, y_max)
-    _char_kernel_cache[base_key] = kernel
-    return kernel
+    return {c: CachedKernelQuadrature(node(side), 0, y_max)
+            for side, c in enumerate(pair)}
 
 
 @dataclass(frozen=True)
@@ -461,23 +492,29 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
         raise DomainError("N must be >= 2")
     prec = mp.prec
     y_max = kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N)
-    kernel = _char_kernel(chi, prec, y_max)
     chi_bar = chi.conjugate()
-    kernel_bar = kernel if chi_bar == chi else _char_kernel(chi_bar, prec, y_max)
+    zero = mpf(0)
 
-    def monomials(kern):
+    def powers(y):
+        # on the folded kernel y^n has the multipliers (y^n, 0) for even n
+        # and (0, -y^n) for odd n, whose integral is then times i
+        columns, p = [], mpf(1)
+        for n in range(N + 1):
+            columns.append((zero, -p) if n % 2 else (p, zero))
+            p *= y
+        return tuple(columns)
+
+    def monomials(c):
         # coefficient of s^n in the e^(isy) expansion is i^n/n! int y^n phi,
         # so the moment integral carries the 1/n! factor
-        vals, errs = [], []
-        for n in range(N + 1):
-            v, e = kern.integrate(lambda y, n=n: y ** n)
-            fac = mpf(mpmath.factorial(n))
-            vals.append(mpc(v) / fac)
-            errs.append(e / fac)
-        return vals, errs
+        vals, errs = _char_kernel(c, prec, y_max).integrate(powers)
+        facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
+        return ([mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
+                 for n, (v, fac) in enumerate(zip(vals, facs))],
+                [e / fac for e, fac in zip(errs, facs)])
 
-    a, errs = monomials(kernel)
-    a_bar, _ = (a, errs) if kernel_bar is kernel else monomials(kernel_bar)
+    a, errs = monomials(chi)
+    a_bar, _ = (a, errs) if chi_bar == chi else monomials(chi_bar)
 
     eps_bar = epsilon_factor(chi_bar)
     residuals = tuple(abs(a_bar[n] - (-1) ** n * eps_bar * a[n])
@@ -520,8 +557,9 @@ def xi_char_eval(s, chi: DirichletCharacter,
 
     ``target`` is the absolute quadrature error goal (None: the default).
     With ``derivative``, returns the value and its s-derivative
-    i int y e^(isy) phi(y, chi) dy from the same kernel values and one
-    e^(isy) per node.
+    i int y e^(isy) phi(y, chi) dy from the same kernel values.  On the
+    folded kernel both are integrated with real multipliers from one
+    cos_sin per node pair +-y.
     """
     _require_analytic(chi)
     s = to_mpf(s)
@@ -530,23 +568,11 @@ def xi_char_eval(s, chi: DirichletCharacter,
         chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
 
     def g(y):
-        e = mpmath.expj(s * y)
-        return (e, mpc(0, y) * e) if derivative else e
+        c, sn = mpmath.cos_sin(s * y)
+        return ((c, sn), (-y * sn, y * c)) if derivative else (c, sn)
 
     value, _ = kernel.integrate(g, target)
     return tuple(map(mpc, value)) if derivative else mpc(value)
-
-
-def f_char_eval(s, chi: DirichletCharacter) -> mpc:
-    """f(s, chi) = xi(1/2+is, chi) xi(1/2+is, conj chi), the mu = 0 product.
-
-    Real and even in s up to quadrature error.
-    """
-    s = to_mpf(s)
-    left = xi_char_eval(s, chi)
-    chi_bar = chi.conjugate()
-    right = left if chi_bar == chi else xi_char_eval(s, chi_bar)
-    return left * right
 
 
 def z_char_eval(s, chi: DirichletCharacter,

@@ -11,8 +11,10 @@ Provided here:
   the kernel values at the equispaced nodes are computed once, there are
   no node tables, and the error is estimated from inter-level
   differences; :func:`default_target` is the error target unless a caller
-  passes one.  The rule needs K*g analytic in a strip around [a, b],
-  negligible at b, and negligible or even at a.
+  passes one.  A kernel value may be a tuple of parts with one real
+  multiplier each, which folds a kernel on [-b, b] onto [0, b].  The rule
+  needs K*g analytic in a strip around [a, b], negligible at b, and
+  negligible or even at a.
 * :func:`sign_change_brackets` - zero location: a scan for sign changes
   at step :data:`SCAN_STEP` (:func:`sign_changes`), which needs only
   certified signs, then :func:`bisect_sign_change` on each: Newton steps
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
@@ -179,8 +182,21 @@ class CachedKernelQuadrature:
     geometrically only if K*g is analytic in a strip around [a, b], is
     negligible at b, and at a is negligible or even about a; otherwise it
     converges like h^2 and ends in :class:`AccuracyError`.  Phi(u) u^(2n)
-    and Phi(u) cos(us) are even at u = 0 and phi(y, chi) is negligible at
+    and Phi(u) cos(us) are even at u = 0, a kernel folded onto [0, b] (below)
+    gives even integrands by construction, and phi(y, chi) is negligible at
     +-y_max, so the theta kernels of this package qualify.
+
+    A kernel value may be a tuple of parts ``(K_1, ..., K_p)``; a number
+    is the one-part case.  Then the integrand ``g`` returns one real
+    multiplier per part, ``(g_1, ..., g_p)``, and the integral is
+    ``int sum_j K_j(x) g_j(x) dx``.  A kernel on [-b, b] folded onto
+    [0, b] has the parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), so
+    K(x) g(x) + K(-x) g(-x) = E g_even(x) - i F g_odd(x): e^(isx) has the
+    multipliers (cos sx, sin sx), i x e^(isx) has (-x sin sx, x cos sx),
+    and x^n has (x^n, 0) for even n and i times (0, -x^n) for odd n.  At
+    x = 0, E = 2 K(0) and F = 0, so the half weight there restores the
+    node's full weight on [-b, b], and folded level l is level l + 1 of
+    the rule on [-b, b], node for node.
 
     Kernel values at the nodes are computed lazily, once per level, at the
     precision current at construction, and reused for every ``g``.  This
@@ -196,7 +212,9 @@ class CachedKernelQuadrature:
             raise DomainError("CachedKernelQuadrature needs a < b")
         self.prec = mp.prec
         self._kernel = kernel
-        self._levels = []  # level -> list of (x, weight * K(x)), step omitted
+        self._multipart = None  # whether kernel values are tuples of parts
+        # level -> (nodes, weight * kernel parts, node by node); step omitted
+        self._levels = []
 
     def _step(self, level: int) -> mpf:
         return (self.b - self.a) / (BASE_INTERVALS << level)
@@ -207,24 +225,31 @@ class CachedKernelQuadrature:
                 lv = len(self._levels)
                 n = BASE_INTERVALS << lv
                 h = self._step(lv)
-                if lv == 0:  # half weights at the ends
-                    entries = [(x, self._kernel(x) / 2)
-                               for x in (self.a, self.b)]
+                if lv == 0:  # the ends, with half weights
+                    nodes = [self.a, self.b]
                     js = range(1, n)
                 else:  # the midpoints of the previous level
-                    entries = []
+                    nodes = []
                     js = range(1, n, 2)
-                entries += [(x, self._kernel(x))
-                            for x in (self.a + j * h for j in js)]
-                self._levels.append(entries)
+                nodes += [self.a + j * h for j in js]
+                values = [self._kernel(x) for x in nodes]
+                if lv == 0:
+                    multi = self._multipart = isinstance(values[0], tuple)
+                    values[:2] = [tuple(p / 2 for p in v) if multi else v / 2
+                                  for v in values[:2]]
+                if self._multipart:
+                    values = [p for v in values for p in v]
+                self._levels.append((nodes, values))
 
     def integrate(self, g, target=None):
         """Return (value, err) for ``int K(x) g(x) dx`` at the cached nodes.
 
         ``target`` is the absolute error goal, :func:`default_target` if None.
-        ``g`` may return a tuple instead of a number: its components share
-        the nodes and kernel values, the value is the tuple of their
-        integrals, and ``err`` is the largest of their level differences.
+        ``g`` may return a tuple of multipliers instead of one: its
+        components share the nodes and kernel values, and the value and
+        ``err`` are the tuples of their integrals and of their last level
+        differences; the rule stops when the largest difference meets the
+        target.  Each level's sum is one exactly rounded dot product.
         """
         result = None
         with workprec(self.prec + _QUAD_GUARD):
@@ -237,19 +262,22 @@ class CachedKernelQuadrature:
             for level in range(MAX_LEVELS + 1):
                 self._ensure_level(level)
                 h = self._step(level)
-                nodes = self._levels[level]
-                rows = [g(x) for x, _ in nodes]
+                nodes, weights = self._levels[level]
+                rows = [g(x) for x in nodes]
                 if level == 0:
-                    vector = isinstance(rows[0], tuple)
-                new = [mpmath.fsum(kw * v for (_, kw), v in zip(nodes, column))
+                    first = rows[0][0] if self._multipart else rows[0]
+                    vector = isinstance(first, tuple)
+                    flat = chain.from_iterable if self._multipart else iter
+                new = [mpmath.fdot(weights, flat(column))
                        for column in (zip(*rows) if vector else [rows])]
                 if best is None:
                     s = [v * h for v in new]
                 else:
                     s = [b / 2 + v * h for b, v in zip(best, new)]
-                    err = max(abs(a - b) for a, b in zip(s, best))
+                    errs = [abs(a - b) for a, b in zip(s, best)]
+                    err = max(errs)
                     if err <= target and level >= 2:
-                        result = (s, err)
+                        result = (s, errs)
                         break
                 best = s
         unpack = tuple if vector else (lambda parts: parts[0])
@@ -259,7 +287,7 @@ class CachedKernelQuadrature:
                 f"(last difference {mpmath.nstr(err, 5)})",
                 best_estimate=unpack(best), error_estimate=err)
         with workprec(self.prec):
-            return unpack([+v for v in result[0]]), +result[1]
+            return tuple(unpack([+v for v in part]) for part in result)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,6 @@ is term-wise, so finite truncations exercise the full code paths:
 * :func:`moments_from_zeros` sums lambda^(-(k+2)) directly,
 * :func:`even_moments_from_zeros` is the even-function reduction
   (g(z) with zeros +-z_n maps to f with lambda_n = z_n^2),
-* :func:`logderiv_identity_check` evaluates (-1)^k (f'/f)^(k)(x) once by
-  symbolic polynomial differentiation and once as the partial-fraction sum
-  k!/(x+lambda)^(k+1), for use as a consistency oracle,
 * :func:`admissibility` computes the real-part domination ratio beta_0 and
   the threshold gamma_0 = min Re(lambda), accepting only gamma_0 > 1 and
   suggesting the rescale f(z/L), L > 1/gamma_0, otherwise.
@@ -49,7 +46,6 @@ __all__ = [
     "admissibility",
     "even_moments_from_zeros",
     "load_zeros",
-    "logderiv_identity_check",
     "moments_from_zeros",
     "parse_zeros",
     "product_to_series",
@@ -230,64 +226,6 @@ def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:
 def even_moments_from_zeros(zs: EvenZeroSet, M: int) -> MomentSequence:
     """m_k = sum_n z_n^(-(2k+4)), the even-function reduction of the sums."""
     return moments_from_zeros(zs.squared_zero_set(), M)
-
-
-# polynomial helpers over real mpf coefficient lists (ascending powers)
-
-def _poly_mul(p, q):
-    out = [mpf(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_diff(p):
-    return [i * c for i, c in enumerate(p)][1:] or [mpf(0)]
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = p + [mpf(0)] * (n - len(p))
-    q = q + [mpf(0)] * (n - len(q))
-    return [a - b for a, b in zip(p, q)]
-
-
-def _poly_eval(p, x):
-    acc = mpf(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def logderiv_identity_check(zs: ZeroSet, x, k: int) -> Tuple[mpf, mpf]:
-    """Both sides of the log-derivative identity at x >= 0.
-
-    Returns ``(lhs, rhs)`` where lhs is (-1)^k (f'/f)^(k)(x) obtained by
-    symbolic quotient-rule differentiation of the expanded polynomial f, and
-    rhs is the direct partial-fraction sum k! / (x+lambda)^(k+1).  The two
-    are analytically equal; callers assert how close.
-    """
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    x = to_mpf(x)
-    f = list(product_to_series(zs).coeffs)
-    df = _poly_diff(f)
-    # track (f'/f)^(j) = N_j / f^(j+1)
-    num = df
-    for j in range(k):
-        num = _poly_sub(_poly_mul(_poly_diff(num), f),
-                        [(j + 1) * c for c in _poly_mul(num, df)])
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-    lhs = (-1) ** k * _poly_eval(num, x) / _poly_eval(f, x) ** (k + 1)
-    fact = mpf(mpmath.factorial(k))
-    rhs_c = mpmath.fsum(fact / (x + z) ** (k + 1) for z in zs.zeros)
-    scale = mpmath.fsum(fact / abs(x + z) ** (k + 1) for z in zs.zeros)
-    rhs = _real_part_checked(mpc(rhs_c), scale, "log-derivative sum")
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

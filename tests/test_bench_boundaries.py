@@ -6,12 +6,15 @@ that leaves its module aborts every traced benchmark run.
 ``perfbench/worker.py`` records each ``synthetic`` grid by replacing
 ``moments.build_grid``, so the command must look it up there at call time.
 A traced run must also get through the span notes, which read the call
-shape of ``certify_sign`` and its result.
+shape of ``certify_sign`` and its result, and the Dirichlet kernel nodes
+must sum their series through ``dirichlet.phi_char``, or its count reads 0.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from mpmath import workprec
 
 from momentsieve import cli, moments
 
@@ -75,3 +78,23 @@ def test_traced_run_notes_every_certified_cell(monkeypatch, capsys):
              if span[0] == "numkernel.certify_sign"]
     assert len(notes) == 9
     assert all(bits_used == 256 for _, bits_used, _ in notes)
+
+
+def test_traced_char_coeffs_counts_phi_char(monkeypatch):
+    spans = load_spans()
+    modules = {name: importlib.import_module(f"momentsieve.{name}")
+               for name in spans.BOUNDARIES}
+    for name, attrs in spans.BOUNDARIES.items():  # restored at teardown
+        for attr in attrs:
+            monkeypatch.setattr(modules[name], attr,
+                                getattr(modules[name], attr))
+    dirichlet = modules["dirichlet"]
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    with workprec(64):
+        dirichlet.char_coeffs(dirichlet.characters_mod(5)[1], 4)
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "dirichlet.char_coeffs"
+    kernel = [span for span in tracer.spans if span[0] == "dirichlet.phi_char"]
+    assert kernel and all(span[3] == 0 for span in kernel)

@@ -12,7 +12,6 @@ from momentsieve.dirichlet import (
     char_coeffs,
     characters_mod,
     epsilon_factor,
-    f_char_eval,
     first_zero_height,
     gauss_sum,
     grh_moment_pipeline,
@@ -34,6 +33,18 @@ def z_brackets(chi, s_max):
     target = scan_target(mp.prec)
     return list(sign_change_brackets(
         lambda s: z_char_eval(s, chi, target), 0, s_max))
+
+
+def f_char_eval(s, chi):
+    """f(s, chi) = xi(1/2+is, chi) xi(1/2+is, conj chi), the mu = 0 product.
+
+    Real and even in s up to quadrature error.
+    """
+    s = mpf(s)
+    left = xi_char_eval(s, chi)
+    chi_bar = chi.conjugate()
+    right = left if chi_bar == chi else xi_char_eval(s, chi_bar)
+    return left * right
 
 
 def chi_by_values(q, index):
@@ -365,6 +376,30 @@ def test_b_ratios_real_for_complex_character(coeffs5):
         assert abs(r.imag) <= mpf(2) ** -200 * (1 + abs(r))
 
 
+def test_pair_sums_each_series_once_per_node(monkeypatch):
+    # chi and conj chi share one folded kernel entry: each node y >= 0 sums
+    # the series of both characters once, and the conjugate's coefficients
+    # reuse them
+    chi, chi_bar = characters_mod(5)[1], characters_mod(5)[3]
+    assert chi.conjugate() == chi_bar
+    calls = []
+    phi = dirichlet.phi_char
+
+    def counting(y, c):
+        calls.append((y, c))
+        return phi(y, c)
+
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    monkeypatch.setattr(dirichlet, "phi_char", counting)
+    with workprec(128):
+        char_coeffs(chi, 12)
+        char_coeffs(chi_bar, 12)
+    nodes = {y for y, _ in calls}
+    assert calls and all(y >= 0 for y in nodes)
+    assert len(calls) <= 2 * len(nodes)
+    assert len(set(calls)) == len(calls)
+
+
 def test_char_coeffs_preconditions(chi3):
     with pytest.raises(DomainError):
         char_coeffs(chi3, 1)
@@ -375,12 +410,15 @@ def test_char_coeffs_preconditions(chi3):
 
 # --- critical-line evaluation -----------------------------------------------------
 
-def test_xi_char_eval_matches_hurwitz(chi3):
-    for s in (mpf(0), mpf(1)):
-        direct = hurwitz_xi(mpf(1) / 2 + mpc(0, 1) * s, chi3)
-        value = xi_char_eval(s, chi3)
-        assert abs(value - direct) <= mpf(2) ** -(mp.prec - 40) \
-            * max(1, abs(direct))
+def test_xi_char_eval_matches_hurwitz(chi3, chi5):
+    # chi_5 is complex, so its kernel is not even: a folded kernel with
+    # K(y) and K(-y) swapped still matches at s = 0 but not at s = 1
+    for chi in (chi3, chi5):
+        for s in (mpf(0), mpf(1)):
+            direct = hurwitz_xi(mpf(1) / 2 + mpc(0, 1) * s, chi)
+            value = xi_char_eval(s, chi)
+            assert abs(value - direct) <= mpf(2) ** -(mp.prec - 40) \
+                * max(1, abs(direct))
 
 
 def test_f_char_even_and_real(chi5):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf, mpc, workprec
 
 from momentsieve import numkernel
 from momentsieve.numkernel import (
@@ -96,6 +96,48 @@ def test_cached_kernel_matches_direct():
     exact = mpmath.sqrt(mpmath.pi) / 4
     assert abs(v1 - exact) <= mpf(2) ** -(mp.prec - 24)
     assert e1 <= mpf(2) ** -(mp.prec - 16)
+
+
+def test_folded_kernel_matches_the_full_interval():
+    # K is complex and neither even nor odd; folded onto [0, 16] with the
+    # parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), each integrand takes
+    # one real multiplier per part, and x^n for odd n is i times its integral
+    kernel = lambda x: mpmath.exp(-(x - mpf(3) / 10) ** 2) * mpc(1, x)
+
+    def folded(x):
+        plus, minus = kernel(x), kernel(-x)
+        return plus + minus, mpc(0, 1) * (plus - minus)
+
+    s, degrees = mpf("1.7"), range(6)
+
+    def full_g(x):
+        e = mpmath.expj(s * x)
+        return (e, mpc(0, x) * e) + tuple(x ** n for n in degrees)
+
+    def folded_g(x):
+        c, sn = mpmath.cos_sin(s * x)
+        return ((c, sn), (-x * sn, x * c)) + tuple(
+            (0, -x ** n) if n % 2 else (x ** n, 0) for n in degrees)
+
+    want, _ = CachedKernelQuadrature(kernel, -16, 16).integrate(full_g)
+    got, errs = CachedKernelQuadrature(folded, 0, 16).integrate(folded_g)
+    factors = (1, 1) + tuple(mpc(0, 1) if n % 2 else 1 for n in degrees)
+    target = numkernel.default_target(mp.prec)
+    assert len(errs) == len(got) == len(want)
+    for w, v, f, e in zip(want, got, factors, errs):
+        assert abs(w - f * v) <= target
+        assert e <= target
+
+
+def test_tuple_integrand_reports_each_column_difference():
+    # the second column is exactly twice the first, so its last level
+    # difference is too; a loose target stops while the differences are > 0
+    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 0, 14)
+    (v1, v2), (e1, e2) = kernel.integrate(lambda x: (x * x, 2 * x * x),
+                                          mpf(2) ** -40)
+    assert v2 == 2 * v1
+    assert 0 < e1 <= mpf(2) ** -40
+    assert e2 == 2 * e1
 
 
 # --- sign certification -------------------------------------------------------

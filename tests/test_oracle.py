@@ -10,10 +10,10 @@ from momentsieve.numkernel import DomainError, to_mpf
 from momentsieve.oracle import (
     EvenZeroSet,
     ZeroSet,
+    _real_part_checked,
     admissibility,
     even_moments_from_zeros,
     load_zeros,
-    logderiv_identity_check,
     moments_from_zeros,
     parse_zeros,
     product_to_series,
@@ -135,6 +135,64 @@ def test_even_reduction_matches_squared_zero_set():
 
 
 # --- log-derivative identity ----------------------------------------------------
+
+# polynomial helpers over real mpf coefficient lists (ascending powers)
+
+def poly_mul(p, q):
+    out = [mpf(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_diff(p):
+    return [i * c for i, c in enumerate(p)][1:] or [mpf(0)]
+
+
+def poly_sub(p, q):
+    n = max(len(p), len(q))
+    p = p + [mpf(0)] * (n - len(p))
+    q = q + [mpf(0)] * (n - len(q))
+    return [a - b for a, b in zip(p, q)]
+
+
+def poly_eval(p, x):
+    acc = mpf(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def logderiv_identity_check(zs, x, k):
+    """Both sides of the log-derivative identity at x >= 0.
+
+    Returns ``(lhs, rhs)`` where lhs is (-1)^k (f'/f)^(k)(x) obtained by
+    symbolic quotient-rule differentiation of the expanded polynomial f, and
+    rhs is the direct partial-fraction sum k! / (x+lambda)^(k+1).  The two
+    are analytically equal; callers assert how close.
+    """
+    if k < 0:
+        raise DomainError("k must be >= 0")
+    x = to_mpf(x)
+    f = list(product_to_series(zs).coeffs)
+    df = poly_diff(f)
+    # track (f'/f)^(j) = N_j / f^(j+1)
+    num = df
+    for j in range(k):
+        num = poly_sub(poly_mul(poly_diff(num), f),
+                       [(j + 1) * c for c in poly_mul(num, df)])
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+    lhs = (-1) ** k * poly_eval(num, x) / poly_eval(f, x) ** (k + 1)
+    fact = mpf(mpmath.factorial(k))
+    rhs_c = mpmath.fsum(fact / (x + z) ** (k + 1) for z in zs.zeros)
+    scale = mpmath.fsum(fact / abs(x + z) ** (k + 1) for z in zs.zeros)
+    rhs = _real_part_checked(mpc(rhs_c), scale, "log-derivative sum")
+    return lhs, rhs
+
 
 def test_logderiv_examples():
     lhs, rhs = logderiv_identity_check(ZeroSet.from_zeros([2, 3]), 0, 0)
