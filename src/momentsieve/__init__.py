@@ -28,10 +28,8 @@ from .moments import (
     normalize,
 )
 from .oracle import (
-    EvenZeroSet,
     ZeroSet,
     admissibility,
-    even_moments_from_zeros,
     load_zeros,
     moments_from_zeros,
     product_to_series,

@@ -14,6 +14,7 @@ coefficient ratio lies within its error radius of 0 (rerun with a larger
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="moment-sieve",
                      description="finite moment-positivity checks for entire "
                                  "functions, the Riemann Xi function, and "
@@ -148,9 +151,9 @@ def cmd_synthetic(args, bits: int) -> Report:
     M = args.nmax + args.kmax
     m_zero = oracle.moments_from_zeros(zs, M)
     series = oracle.product_to_series(zs).padded(M + 2)
-    m_rec = moments.moments_by_recursion(series, M)
-    abs_res = [abs(a - b) for a, b in zip(m_zero.m, m_rec.m)]
-    scale = [abs(a) + abs(b) for a, b in zip(m_zero.m, m_rec.m)]
+    m_rec = moments.recursion_values(series, M)  # the report reads no radii
+    abs_res = [abs(a - b) for a, b in zip(m_zero.m, m_rec)]
+    scale = [abs(a) + abs(b) for a, b in zip(m_zero.m, m_rec)]
     max_abs = max(abs_res)
     max_rel = max(r / s if s > 0 else mpf(0)
                   for r, s in zip(abs_res, scale))

@@ -25,11 +25,15 @@ Every :class:`SeriesPrefix` and :class:`MomentSequence` carries one
 absolute error radius per entry (0 when built by hand), stated by its
 producer and carried through :func:`normalize` and the recursion; a cell
 is certified only when its magnitude exceeds the radius it inherits.  The
-recursion is the production path for moments: each m_l is one dot product
+recursion is the production path for moments.  It runs in two passes:
+the value pass :func:`recursion_values` forms each m_l as one dot product
 with exact products and a single rounding (as in Ogita, Rump & Oishi,
 SIAM J. Sci. Comput. 26, 2005), over the coefficients up to the last
-nonzero one, so M moments of a degree-d polynomial cost O(M d).  The
-determinant is an O(l^3) cross-check only.
+nonzero one, so M moments of a degree-d polynomial cost O(M d); the
+radius pass then needs only the values' magnitudes and the earlier radii.
+:func:`moments_by_recursion` runs both; a caller that reads only values
+runs the value pass alone.  The determinant is an O(l^3) cross-check
+only.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from .numkernel import (
     NEGATIVE,
@@ -61,6 +66,7 @@ __all__ = [
     "moments_by_determinant",
     "moments_by_recursion",
     "normalize",
+    "recursion_values",
 ]
 
 
@@ -162,17 +168,15 @@ class MomentSequence:
         return len(self.m) - 1
 
 
-def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
-    """Moments m_0..m_M from a normalized prefix via the coefficient recursion.
+def recursion_values(s: SeriesPrefix, M: int) -> Tuple[mpf, ...]:
+    """The value pass: m_0..m_M from a normalized prefix, without radii.
 
     Consumes a_(l+2), so M <= N-2 for a prefix a_0..a_N (pad with trailing
     zeros to represent a polynomial of lower degree).  Each m_l is one
-    ``mpmath.fdot``: the products are exact and the sum is rounded once.
-    The sum over k stops at d, the last index with a_k or its radius
-    nonzero, so trailing zeros cost nothing and change no value.  The
-    radius of m_l carries the coefficient radii and those of the earlier
-    moments through each product x*y as |x| r_y + |y| r_x + r_x r_y, and
-    adds (l + 4) roundings of the summed magnitudes.
+    ``mpmath.fdot`` of t_l = (-1)^l m_l: the products are exact and the
+    sum is rounded once.  The sum over k stops at d, the last index with
+    a_k or its radius nonzero, so trailing zeros cost nothing and change
+    no value.
     """
     if not s.is_normalized:
         raise DomainError("series must be normalized (a_0 = 1)")
@@ -185,24 +189,47 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
     a, rho = s.coeffs, s.radii
     d = max(k for k in range(len(a)) if a[k] or rho[k])
     minus_a = [-c for c in a[:d + 1]]
-    u = mpf(2) ** -mp.prec
     t: List[mpf] = []  # t_l = (-1)^l m_l, so the sums need no signs
-    at: List[mpf] = []  # |t_l|; the a_k are >= 0 already
-    r: List[mpf] = []
     for l in range(M + 1):
-        ks = range(1, min(l, d) + 1)
         t.append(mpmath.fdot([(a[1], a[l + 1]), (-(l + 2), a[l + 2])] + [
-            (t[l - k], minus_a[k]) for k in ks]))
-        at.append(abs(t[l]))
+            (t[l - k], minus_a[k]) for k in range(1, min(l, d) + 1)]))
+    return tuple(-v if l % 2 else v for l, v in enumerate(t))
+
+
+def _recursion_radii(s: SeriesPrefix, m: Sequence[mpf]) -> Tuple[mpf, ...]:
+    """The radius pass: one radius per value of :func:`recursion_values`.
+
+    Step l needs only |t_l| = |m_l| and the earlier radii.  Each product
+    x*y carries the radii through as |x| r_y + |y| r_x + r_x r_y, and
+    (l + 4) roundings of the summed magnitudes are added.
+    """
+    a, rho = s.coeffs, s.radii
+    d = max(k for k in range(len(a)) if a[k] or rho[k])
+    at = [abs(v) for v in m]  # the a_k are >= 0 already
+    u = mpf(2) ** -mp.prec
+    r: List[mpf] = []
+    for l in range(len(m)):
         pairs = [(a[1], rho[1], a[l + 1], rho[l + 1]),
                  (l + 2, 0, a[l + 2], rho[l + 2])] + [
-            (at[l - k], r[l - k], a[k], rho[k]) for k in ks]
+            (at[l - k], r[l - k], a[k], rho[k])
+            for k in range(1, min(l, d) + 1)]
         size = mpmath.fdot((x, y) for x, _, y, _ in pairs)
         r.append(mpmath.fdot([(l + 4, u * size)] + [
             p for x, rx, y, ry in pairs
             for p in ((x, ry), (y, rx), (rx, ry))]))
-    m = [-v if l % 2 else v for l, v in enumerate(t)]
-    return MomentSequence(tuple(m), source="recursion", radii=tuple(r))
+    return tuple(r)
+
+
+def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
+    """Moments m_0..m_M and their radii via the coefficient recursion.
+
+    Runs the value pass :func:`recursion_values` and then the radius pass
+    over its values; the radius of m_l bounds the effect of the
+    coefficient radii, of the earlier moments' radii and of the rounding.
+    Callers that read only the values call the value pass alone.
+    """
+    m = recursion_values(s, M)
+    return MomentSequence(m, source="recursion", radii=_recursion_radii(s, m))
 
 
 def _det_partial_pivot(rows: List[List[mpf]]) -> mpf:
@@ -323,25 +350,29 @@ def build_grid(m: MomentSequence, L, n_max: int,
         exp = max((mpmath.mag(v) for v in mu if v), default=0) - mp.prec
         row = [int(mpmath.nint(mpmath.ldexp(v, -exp))) for v in mu]
         rrow = [int(mpmath.ceil(mpmath.ldexp(r, -exp))) + 1 for r in rad]
-    radii = tuple(mpmath.ldexp(r, exp) for r in rrow)
+    radii = tuple(mp.make_mpf(from_man_exp(r, exp)) for r in rrow)
     rows = []
     for k in range(k_max + 1):
         rows.append((row, rrow))
         row = [x - y for x, y in zip(row, row[1:])]
         rrow = [x + y for x, y in zip(rrow, rrow[1:])]
     cells: Dict[Tuple[int, int], CertifiedSign] = {}
-    first_violation = min_cell = None
+    first_violation = least = None
     for n in range(n_max + 1):
         for k, (values, bounds) in enumerate(rows):
+            v = values[n]
             # one call per cell through this module's global, which the
             # benchmark wraps, until ROADMAP item 5 retargets it
-            cert = certify_sign(values[n], radius=bounds[n])
-            value = mpmath.ldexp(values[n], exp)
-            cells[(n, k)] = CertifiedSign(value, cert.sign, cert.bits_used)
+            cert = certify_sign(v, radius=bounds[n])
+            # v 2^exp exactly, as mpmath.ldexp(v, exp) gives it
+            cells[(n, k)] = CertifiedSign(mp.make_mpf(from_man_exp(v, exp)),
+                                          cert.sign, cert.bits_used)
             if cert.sign == NEGATIVE and first_violation is None:
                 first_violation = (n, k)
-            if min_cell is None or value < min_cell[2]:
-                min_cell = (n, k, value)
+            if least is None or v < least[2]:  # the scale 2^exp is > 0
+                least = (n, k, v)
+    n, k, _ = least
+    min_cell = (n, k, cells[(n, k)].value)
     return PositivityGrid(n_max=n_max, k_max=k_max, L=L, bits=bits,
                           cells=cells, first_violation=first_violation,
                           min_cell=min_cell, radii=radii)

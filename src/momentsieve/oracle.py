@@ -11,8 +11,6 @@ is term-wise, so finite truncations exercise the full code paths:
 
 * :func:`product_to_series` expands the product by convolution,
 * :func:`moments_from_zeros` sums lambda^(-(k+2)) directly,
-* :func:`even_moments_from_zeros` is the even-function reduction
-  (g(z) with zeros +-z_n maps to f with lambda_n = z_n^2),
 * :func:`admissibility` computes the real-part domination ratio beta_0 and
   the threshold gamma_0 = min Re(lambda), accepting only gamma_0 > 1 and
   suggesting the rescale f(z/L), L > 1/gamma_0, otherwise.
@@ -41,10 +39,8 @@ from .numkernel import (
 
 __all__ = [
     "AdmissibilityReport",
-    "EvenZeroSet",
     "ZeroSet",
     "admissibility",
-    "even_moments_from_zeros",
     "load_zeros",
     "moments_from_zeros",
     "parse_zeros",
@@ -135,39 +131,6 @@ class ZeroSet:
         return len(self.zeros)
 
 
-@dataclass(frozen=True)
-class EvenZeroSet:
-    """Zeros +-z_n of an even function, one representative per sign pair.
-
-    Requires Re(z) > 0, Re(z^2) > 1 and bounded imaginary parts; under
-    lambda = z^2 this is exactly the admissible situation of the general
-    criterion.
-    """
-
-    zeros: Tuple[mpc, ...]
-    bound_M: mpf
-
-    @classmethod
-    def from_zeros(cls, raw: Sequence, complete: bool = True) -> "EvenZeroSet":
-        zeros = _pair_conjugates(raw, complete)
-        bound = mpf(0)
-        for i, z in enumerate(zeros):
-            if not z.real > 0:
-                raise DomainError(
-                    f"even zero at index {i} has Re(z) <= 0 ({z})")
-            if not (z * z).real > 1:
-                raise DomainError(
-                    f"even zero at index {i} has Re(z^2) <= 1 ({z})")
-            bound = max(bound, abs(z.imag))
-        return cls(zeros=zeros, bound_M=bound)
-
-    def squared_zero_set(self) -> ZeroSet:
-        return ZeroSet.from_zeros([z * z for z in self.zeros])
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 
@@ -205,27 +168,28 @@ def product_to_series(zs: ZeroSet) -> SeriesPrefix:
 def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:
     """m_k = sum_n lambda_n^(-(k+2)) for k = 0..M, the defining zero sums.
 
-    Real zeros are summed in real arithmetic, conjugate pairs in complex.
-    Radius: the rounding bound (k+4) sum_n |lambda_n|^-(k+2) 2^-(prec-4).
+    Real zeros are summed in real arithmetic, conjugate pairs in complex;
+    only a set with a pair has an imaginary residue to check.  Radius:
+    the rounding bound (k+4) sum_n |lambda_n|^-(k+2) 2^-(prec-4).
     """
     if M < 0:
         raise DomainError("M must be >= 0")
     inv = [1 / z if z.imag else 1 / z.real for z in zs.zeros]
     pairs = any(z.imag for z in zs.zeros)  # else every power is positive
     powers = [r * r for r in inv]
+    u = mpf(2) ** -(mp.prec - 4)
     out, radii = [], []
     for k in range(M + 1):
         total = mpmath.fsum(powers)
-        scale = mpmath.fsum(abs(p) for p in powers) if pairs else total
-        out.append(_real_part_checked(mpc(total), scale, f"moment m_{k}"))
-        radii.append((k + 4) * scale * mpf(2) ** -(mp.prec - 4))
+        if pairs:
+            scale = mpmath.fsum(abs(p) for p in powers)
+            total = _real_part_checked(mpc(total), scale, f"moment m_{k}")
+        else:  # a real sum by construction
+            scale = total
+        out.append(total)
+        radii.append((k + 4) * scale * u)
         powers = [p * r for p, r in zip(powers, inv)]
     return MomentSequence(tuple(out), source="zero-sum", radii=tuple(radii))
-
-
-def even_moments_from_zeros(zs: EvenZeroSet, M: int) -> MomentSequence:
-    """m_k = sum_n z_n^(-(2k+4)), the even-function reduction of the sums."""
-    return moments_from_zeros(zs.squared_zero_set(), M)
 
 
 # ---------------------------------------------------------------------------

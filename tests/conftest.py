@@ -1,14 +1,18 @@
 """Shared helpers: precision discipline and seeded random generators."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence, Tuple
 
 import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
 from momentsieve import dirichlet
-from momentsieve.numkernel import CachedKernelQuadrature
+from momentsieve.moments import MomentSequence
+from momentsieve.numkernel import CachedKernelQuadrature, DomainError
+from momentsieve.oracle import ZeroSet, _pair_conjugates, moments_from_zeros
 from momentsieve.riemann import kernel_cutoff
 
 DEFAULT_TEST_BITS = 256
@@ -74,3 +78,42 @@ def direct_char_coeffs(chi, N):
         lambda y: dirichlet._theta_series(y, chi), -y_max, y_max)
     return [mpc(kernel.integrate(lambda y, n=n: y ** n)[0])
             / mpmath.factorial(n) for n in range(N + 1)]
+
+
+@dataclass(frozen=True)
+class EvenZeroSet:
+    """Zeros +-z_n of an even function, one representative per sign pair.
+
+    Requires Re(z) > 0, Re(z^2) > 1 and bounded imaginary parts; under
+    lambda = z^2 this is exactly the admissible situation of the general
+    criterion.
+    """
+
+    zeros: Tuple[mpc, ...]
+    bound_M: mpf
+
+    @classmethod
+    def from_zeros(cls, raw: Sequence, complete: bool = True) -> "EvenZeroSet":
+        zeros = _pair_conjugates(raw, complete)
+        bound = mpf(0)
+        for i, z in enumerate(zeros):
+            if not z.real > 0:
+                raise DomainError(
+                    f"even zero at index {i} has Re(z) <= 0 ({z})")
+            if not (z * z).real > 1:
+                raise DomainError(
+                    f"even zero at index {i} has Re(z^2) <= 1 ({z})")
+            bound = max(bound, abs(z.imag))
+        return cls(zeros=zeros, bound_M=bound)
+
+    def squared_zero_set(self) -> ZeroSet:
+        return ZeroSet.from_zeros([z * z for z in self.zeros])
+
+    def __len__(self) -> int:
+        return len(self.zeros)
+
+
+def even_moments_from_zeros(zs: EvenZeroSet, M: int) -> MomentSequence:
+    """m_k = sum_n z_n^(-(2k+4)), the even-function reduction of the sums
+    (g(z) with zeros +-z_n maps to f with lambda_n = z_n^2)."""
+    return moments_from_zeros(zs.squared_zero_set(), M)

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 from mpmath import mpf, workprec
 
-from momentsieve.cli import main
+from momentsieve.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -207,3 +207,26 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _, _ = run([], capsys)
     assert code == 1
+
+
+def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
+    # the parser is built once per process; no option of one call may
+    # reach the next, so the last run matches a run on a fresh parser
+    synthetic = ["synthetic", str(FIXTURES / "real_23.zeros"), "--L", "1",
+                 "--nmax", "3", "--kmax", "3"]
+    build_parser.cache_clear()
+    fresh = run(synthetic, capsys)
+    assert fresh[0] == 0 and json.loads(fresh[1])["bits"] == 256
+    csv_out, zeros_out = tmp_path / "grid.csv", tmp_path / "xi.zeros"
+    code, out, _ = run(synthetic + ["--bits", "96", "--format", "csv",
+                                    "--out", str(csv_out)], capsys)
+    assert (code, out) == (0, "")
+    code, _, _ = run(["xi", "--N", "10", "--nmax", "3", "--kmax", "3",
+                      "--bits", "128", "--zeros-out", str(zeros_out)],
+                     capsys)
+    assert code == 0 and zeros_out.exists()
+    written = csv_out.read_bytes(), zeros_out.read_bytes()
+    assert run(synthetic, capsys) == fresh
+    assert (csv_out.read_bytes(), zeros_out.read_bytes()) == written
+    assert build_parser.cache_info().currsize == 1
+    assert build_parser() is build_parser()

@@ -13,12 +13,15 @@ from momentsieve.moments import (
     moments_by_determinant,
     moments_by_recursion,
     normalize,
+    recursion_values,
 )
 from momentsieve.numkernel import (
+    NEGATIVE,
     DomainError,
     to_mpf,
 )
 from momentsieve.oracle import ZeroSet, moments_from_zeros, product_to_series
+from momentsieve.riemann import xi_coefficients
 
 from conftest import close, random_real_zeros
 
@@ -103,6 +106,23 @@ def test_recursion_padding_changes_nothing():
         exact = sum(Fraction(1) / Fraction(z) ** (k + 2) for z in zeros)
         assert abs(Fraction(v.man) * Fraction(2) ** v.exp - exact) <= \
             Fraction(r.man) * Fraction(2) ** r.exp
+
+
+def test_value_pass_equals_recursion_values():
+    # a padded polynomial of degree d = 4 < M, the Xi series with nonzero
+    # radii, and M = 0: the value pass alone gives the same mpf values
+    poly = product_to_series(ZeroSet.from_zeros([2, 3, Fraction(7, 2), 5]))
+    with workprec(128):
+        coeffs = xi_coefficients(12)
+        xi = normalize(coeffs.a, coeffs.radii)
+        assert all(r > 0 for r in xi.radii[1:])
+        cases = [(poly.padded(22), 20), (xi, 10), (xi, 0), (poly, 0)]
+        for series, M in cases:
+            values = recursion_values(series, M)
+            assert len(values) == M + 1
+            assert values == moments_by_recursion(series, M).m
+    with pytest.raises(DomainError, match="needs coefficients"):
+        recursion_values(poly, 3)
 
 
 # --- determinant -----------------------------------------------------------------
@@ -223,6 +243,38 @@ def test_grid_detects_wide_angle_violation():
     # m_0 = 2 Re(lambda^-2) = 2 cos(2.5)/3.9^2
     expect = 2 * mpmath.cos(mpf(5) / 2) / mpf("15.21")
     assert close(grid.cells[(0, 0)].value, expect, mpf(10) ** -60)
+
+
+def _scan_summary(grid):
+    """(first_violation, min_cell) by a plain scan of the cells in (n, k)
+    order; the first of equal values is the least."""
+    first = least = None
+    for key in sorted(grid.cells):
+        cell = grid.cells[key]
+        if first is None and cell.sign == NEGATIVE:
+            first = key
+        if least is None or cell.value < least[2]:
+            least = key + (cell.value,)
+    return first, least
+
+
+def test_grid_summary_matches_cell_scan():
+    tie = build_grid(MomentSequence((mpf(1),) * 9), 1, 4, 4)
+    halves = build_grid(
+        MomentSequence(tuple(mpf(2) ** -(n + 2) for n in range(13))), 1, 6, 6)
+    pair = build_grid(moments_from_zeros(
+        ZeroSet.from_zeros([mpmath.mpc(3, 1.5), 5, 7, 9]), 20), 1, 10, 10)
+    for grid in (tie, halves, pair):
+        assert (grid.first_violation, grid.min_cell) == _scan_summary(grid)
+    # every cell with k >= 1 of the constant sequence is exactly 0
+    assert all(tie.cells[(n, k)].value == 0
+               for n in range(5) for k in range(1, 5))
+    assert tie.min_cell == (0, 1, 0) and tie.first_violation is None
+    # cell(n, k) of m_n = 2^-(n+2) is 2^-(n+k+2), with no rounding
+    assert all(cell.value == mpf(2) ** -(n + k + 2)
+               for (n, k), cell in halves.cells.items())
+    assert halves.min_cell == (6, 6, mpf(2) ** -14)
+    assert pair.first_violation == (2, 0) and pair.min_cell[:2] == (3, 0)
 
 
 def test_grid_argument_checks():

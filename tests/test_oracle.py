@@ -8,11 +8,9 @@ from mpmath import mp, mpf, mpc
 from momentsieve.moments import build_grid, moments_by_recursion
 from momentsieve.numkernel import DomainError, to_mpf
 from momentsieve.oracle import (
-    EvenZeroSet,
     ZeroSet,
     _real_part_checked,
     admissibility,
-    even_moments_from_zeros,
     load_zeros,
     moments_from_zeros,
     parse_zeros,
@@ -20,7 +18,13 @@ from momentsieve.oracle import (
     save_zeros,
 )
 
-from conftest import close, random_conjugate_zeros, random_real_zeros
+from conftest import (
+    EvenZeroSet,
+    close,
+    even_moments_from_zeros,
+    random_conjugate_zeros,
+    random_real_zeros,
+)
 
 
 def frac(p, q=1):

@@ -10,7 +10,7 @@ from momentsieve.numkernel import (
     DomainError,
     ZeroBracket,
 )
-from momentsieve.oracle import EvenZeroSet, even_moments_from_zeros, load_zeros
+from momentsieve.oracle import load_zeros
 from momentsieve.riemann import (
     auto_scale,
     bracket_zeros,
@@ -24,7 +24,7 @@ from momentsieve.riemann import (
     zero_sum_tail_bound,
 )
 
-from conftest import close
+from conftest import EvenZeroSet, close, even_moments_from_zeros
 
 
 def xi_completed(w):
