@@ -144,7 +144,7 @@ def cmd_synthetic(args, bits: int) -> Report:
         raise DomainError(f"{args.zeros_file}: no zeros found")
     admiss = oracle.admissibility(raw)
     if admiss.zero_set is None:
-        zs = oracle.ZeroSet.from_zeros(raw, complete=True)
+        zs = oracle.ZeroSet.from_zeros(raw)
     else:
         zs = admiss.zero_set
     L = mpf(1) if args.L == "auto" else mpf(args.L)

@@ -1,11 +1,12 @@
 """Dirichlet characters and the L-function instantiation of the criterion.
 
-Characters modulo q are represented exactly: the unit group (Z/qZ)* is
-decomposed into cyclic components (primitive roots for odd prime powers,
-{-1} x <5> for 2^k with k >= 3), and a character is the vector of exponents
-of its values on the generators.  Values are roots of unity carried as
-rational angles, so Gauss sums and orthogonality relations suffer no
-premature rounding; the complex embedding happens at evaluation time only.
+Characters modulo q are represented exactly: q is factored by trial
+division, the unit group (Z/qZ)* is decomposed into cyclic components (the
+smallest primitive root for each odd prime power, {-1} x <5> for 2^k with
+k >= 3), and a character is the vector of exponents of its values on the
+generators.  Values are roots of unity carried as rational angles, so Gauss
+sums and orthogonality relations suffer no premature rounding; the complex
+embedding happens at evaluation time only.
 
 For a primitive character the completed function has the kernel form
 
@@ -43,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf, mpc, workprec
 import mpmath
-import sympy
 
 from .moments import (
     MomentSequence,
@@ -88,43 +88,59 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Unit group structure
 
+def _factor(n: int) -> Dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division, p increasing."""
+    out: Dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _components(q: int) -> List[Tuple[int, int, int, int]]:
+    """(p, p^e, generator mod p^e, order) per cyclic component of (Z/qZ)*.
+
+    An odd prime power contributes its smallest primitive root g: a unit
+    with g^(phi/r) != 1 mod p^e for every prime r dividing phi = phi(p^e).
+    The 2-part contributes 3 for 4 || q and [-1, 5] for 2^k, k >= 3.
+    """
+    comps = []
+    for p, e in _factor(q).items():
+        pe = p ** e
+        if p > 2:
+            order = pe - pe // p
+            rs = _factor(order)
+            g = next(g for g in itertools.count(2) if g % p and all(
+                pow(g, order // r, pe) != 1 for r in rs))
+            comps.append((p, pe, g, order))
+        elif e == 2:
+            comps.append((2, 4, 3, 2))
+        elif e >= 3:
+            comps += [(2, pe, pe - 1, 2), (2, pe, 5, pe // 4)]
+    return comps
+
+
 @lru_cache(maxsize=None)
 def _unit_group(q: int):
     """Cyclic decomposition of (Z/qZ)*: generators, orders, discrete logs.
 
     Returns (gens, orders, dlog) where dlog maps each unit to its exponent
-    vector.  The 2-part contributes [-1, 5] for 2^k, k >= 3.
+    vector.  q is factored by trial division; each odd prime power
+    contributes its smallest primitive root and the 2-part 3 or [-1, 5]
+    (see _components), lifted to the unit mod q that is 1 in the other
+    components.
     """
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    comps: List[Tuple[int, int]] = []  # (generator mod its prime power, order)
-    moduli: List[int] = []
-    for p, e in sorted(sympy.factorint(q).items()):
-        pe = p ** e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                comps.append((3, 2))
-                moduli.append(4)
-            else:
-                comps.append((pe - 1, 2))
-                moduli.append(pe)
-                comps.append((5, 2 ** (e - 2)))
-                moduli.append(pe)
-        else:
-            comps.append((int(sympy.primitive_root(pe)), pe - pe // p))
-            moduli.append(pe)
-    # lift each generator to mod q via CRT (1 in the other components)
-    gens = []
-    for (g, order), pe in zip(comps, moduli):
-        if pe == q:
-            gens.append(g % q)
-        else:
-            rest = q // pe
-            lifted = int(sympy.ntheory.modular.crt([pe, rest], [g, 1])[0])
-            gens.append(lifted % q)
-    orders = [order for _, order in comps]
+    comps = _components(q)
+    gens = [1 + q // pe * ((g - 1) * pow(q // pe, -1, pe) % pe)
+            for _, pe, g, _ in comps]
+    orders = [order for *_, order in comps]
     dlog: Dict[int, Tuple[int, ...]] = {}
     for idx in itertools.product(*(range(d) for d in orders)):
         v = 1 % q
@@ -132,21 +148,6 @@ def _unit_group(q: int):
             v = v * pow(g, c, q) % q
         dlog[v] = idx
     return tuple(gens), tuple(orders), dlog
-
-
-def _component_primes(q: int) -> List[int]:
-    """Prime owning each cyclic component, aligned with _unit_group order."""
-    out = []
-    for p, e in sorted(sympy.factorint(q).items()):
-        if p == 2:
-            if e == 1:
-                continue
-            out.append(2)
-            if e >= 3:
-                out.append(2)
-        else:
-            out.append(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ class DirichletCharacter:
         """Smallest modulus inducing chi."""
         if self.q == 1:
             return 1
-        primes = _component_primes(self.q)
+        primes = [p for p, *_ in _components(self.q)]
         orders = self.orders
         two_part: List[Tuple[int, int]] = []
         cond = 1
@@ -250,7 +251,7 @@ class DirichletCharacter:
                 two_part.append((o, d))
                 continue
             if o > 1:
-                cond *= p ** (1 + _valuation(o, p))
+                cond *= p ** (1 + _factor(o).get(p, 0))
         if two_part:
             if len(two_part) == 1:  # q has 4 || q: single order-2 component
                 cond *= 4 if two_part[0][0] > 1 else 1
@@ -268,14 +269,6 @@ class DirichletCharacter:
 
     def label(self) -> str:
         return f"chi_{self.q}.{self.index}"
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 #: entries kept by each precision-keyed table cache below

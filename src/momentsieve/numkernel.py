@@ -15,9 +15,9 @@ Provided here:
   multiplier each, which folds a kernel on [-b, b] onto [0, b].  The rule
   needs K*g analytic in a strip around [a, b], negligible at b, and
   negligible or even at a.
-* :func:`sign_change_brackets` - zero location: a scan for sign changes
-  at step :data:`SCAN_STEP` (:func:`sign_changes`), which needs only
-  certified signs, then :func:`bisect_sign_change` on each: Newton steps
+* zero location: :func:`sign_changes` scans for sign changes at step
+  :data:`SCAN_STEP` and needs only certified signs, then
+  :func:`bisect_sign_change` refines each: Newton steps
   safeguarded by bisection when a derivative is given, plain bisection
   otherwise, to a bracket of width ``2^-(prec/2)``.
 * :func:`certify_sign` - the one sign rule: a value known to within a
@@ -52,7 +52,6 @@ __all__ = [
     "default_target",
     "require_finite",
     "scan_target",
-    "sign_change_brackets",
     "sign_changes",
     "sign_target",
     "to_mpc",
@@ -419,16 +418,3 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
         if v_prev * v < 0:
             yield s_prev, s, v_prev, v
         s_prev, v_prev = s, v
-
-
-def sign_change_brackets(f, lo, hi, fdf=None,
-                         rough=None) -> Iterator[ZeroBracket]:
-    """Yield a refined :class:`ZeroBracket` per sign change of ``f`` on [lo, hi].
-
-    The sign changes come lazily from :func:`sign_changes`, with ``rough``
-    for the scan.  Each is refined by :func:`bisect_sign_change`, with
-    Newton steps when ``fdf`` is given, to its default width at the
-    precision current when the generator resumes.
-    """
-    for cell in sign_changes(f, lo, hi, rough):
-        yield bisect_sign_change(f, *cell, fdf=fdf)

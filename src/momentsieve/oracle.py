@@ -55,13 +55,13 @@ def _imag_threshold(bits: Optional[int] = None) -> mpf:
     return mpf(2) ** (-(bits - 16))
 
 
-def _pair_conjugates(raw: Sequence, complete: bool) -> Tuple[mpc, ...]:
+def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:
     """Canonicalize a zero list into exact conjugate pairs plus reals.
 
     Non-real entries are matched to a conjugate partner within a relative
-    tolerance of 2^-(prec-16); with ``complete=True`` missing partners are
-    added, otherwise they are an error.  Each matched pair is stored as
-    (z, conj(z)) exactly, so downstream imaginary parts cancel analytically.
+    tolerance of 2^-(prec-16); missing partners are added.  Each pair is
+    stored as (z, conj(z)) exactly, so downstream imaginary parts cancel
+    analytically.
     """
     tol = _imag_threshold()
     reals: List[mpf] = []
@@ -86,13 +86,8 @@ def _pair_conjugates(raw: Sequence, complete: bool) -> Tuple[mpc, ...]:
                 break
         if match is not None:
             lower.pop(match)
-        elif not complete:
-            raise DomainError(f"zero {z} lacks a conjugate partner")
         pairs.append(z)
-    for w in lower:
-        if not complete:
-            raise DomainError(f"zero {w} lacks a conjugate partner")
-        pairs.append(mpmath.conj(w))
+    pairs.extend(mpmath.conj(w) for w in lower)
     zeros: List[mpc] = [mpc(r) for r in reals]
     for z in pairs:
         zeros.append(z)
@@ -115,8 +110,8 @@ class ZeroSet:
     gamma0: mpf
 
     @classmethod
-    def from_zeros(cls, raw: Sequence, complete: bool = True) -> "ZeroSet":
-        zeros = _pair_conjugates(raw, complete)
+    def from_zeros(cls, raw: Sequence) -> "ZeroSet":
+        zeros = _pair_conjugates(raw)
         beta0 = mpf(1)
         gamma0 = mpf("inf")
         for i, z in enumerate(zeros):
@@ -240,7 +235,7 @@ def admissibility(raw: Sequence) -> AdmissibilityReport:
                 accepted=False, beta0=None, gamma0=None, zero_set=None,
                 reason=f"nonpositive real part at index {i}",
                 rejected_index=i)
-    zs = ZeroSet.from_zeros(zeros, complete=True)
+    zs = ZeroSet.from_zeros(zeros)
     if not zs.gamma0 > 1:
         return AdmissibilityReport(
             accepted=False, beta0=zs.beta0, gamma0=zs.gamma0, zero_set=None,

@@ -51,12 +51,12 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     ZeroBracket,
-    bisect_sign_change,  # unused here; perfbench/spans.py wraps it by this name
+    bisect_sign_change,
     decimal_str,
     default_target,
     require_finite,
     scan_target,
-    sign_change_brackets,
+    sign_changes,
     sign_target,
     to_mpf,
 )
@@ -216,18 +216,20 @@ def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
 def bracket_zeros(s_max) -> List[ZeroBracket]:
     """Sign-change brackets of Xi on [0, s_max], refined to width 2^-(prec/2).
 
-    The scan is :func:`numkernel.sign_change_brackets` on signs of Xi at
-    the loose :func:`numkernel.sign_target`; each bracket is refined by
-    safeguarded Newton steps on Xi and Xi' at the
-    :func:`numkernel.scan_target`.  The scan step is safe up to heights of a
-    few hundred.  An empty list is a valid result.
+    The scan is :func:`numkernel.sign_changes` on signs of Xi at the loose
+    :func:`numkernel.sign_target`; each sign change is refined by
+    :func:`numkernel.bisect_sign_change`, with safeguarded Newton steps on
+    Xi and Xi' at the :func:`numkernel.scan_target`, before the scan goes
+    on.  The scan step is safe up to heights of a few hundred.  An empty
+    list is a valid result.
     """
     prec = mp.prec
     fine, rough = scan_target(prec), sign_target(prec)
-    return list(sign_change_brackets(
-        lambda s: xi_eval(s, fine), 0, s_max,
-        fdf=lambda s: xi_eval(s, fine, derivative=True),
-        rough=lambda s: xi_eval(s, rough)))
+    xi = lambda s: xi_eval(s, fine)
+    xi_dxi = lambda s: xi_eval(s, fine, derivative=True)
+    return [bisect_sign_change(xi, *cell, fdf=xi_dxi)
+            for cell in sign_changes(xi, 0, s_max,
+                                     rough=lambda s: xi_eval(s, rough))]
 
 
 def zero_sum_tail_bound(T, k: int) -> mpf:

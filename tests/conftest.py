@@ -93,8 +93,8 @@ class EvenZeroSet:
     bound_M: mpf
 
     @classmethod
-    def from_zeros(cls, raw: Sequence, complete: bool = True) -> "EvenZeroSet":
-        zeros = _pair_conjugates(raw, complete)
+    def from_zeros(cls, raw: Sequence) -> "EvenZeroSet":
+        zeros = _pair_conjugates(raw)
         bound = mpf(0)
         for i, z in enumerate(zeros):
             if not z.real > 0:

@@ -21,8 +21,9 @@ from momentsieve.dirichlet import (
 )
 from momentsieve.numkernel import (
     DomainError,
+    bisect_sign_change,
     scan_target,
-    sign_change_brackets,
+    sign_changes,
 )
 
 from conftest import close, direct_char_coeffs
@@ -31,8 +32,8 @@ from conftest import close, direct_char_coeffs
 def z_brackets(chi, s_max):
     """Sign-change brackets of Z(s, chi) on [0, s_max]."""
     target = scan_target(mp.prec)
-    return list(sign_change_brackets(
-        lambda s: z_char_eval(s, chi, target), 0, s_max))
+    z = lambda s: z_char_eval(s, chi, target)
+    return [bisect_sign_change(z, *cell) for cell in sign_changes(z, 0, s_max)]
 
 
 def f_char_eval(s, chi):
@@ -119,6 +120,40 @@ def test_unit_group_enumeration():
             for g, c in zip(gens, exponents):
                 value = value * pow(g, c, q) % q
             assert value == unit, (q, unit, exponents)
+
+
+def multiplicative_order(g, m):
+    """Order of the unit g mod m, by repeated multiplication."""
+    x, k = g % m, 1
+    while x != 1:
+        x, k = x * g % m, k + 1
+    return k
+
+
+def test_generators_are_smallest_primitive_roots():
+    # expected components from prime powers found by division and orders
+    # found by repeated multiplication, independent of the group code
+    for q in range(1, 201):
+        expected = []  # (p^e, generator mod p^e, order) in increasing p
+        n = q
+        for p in range(2, q + 1):
+            pe = 1
+            while n % p == 0:
+                n, pe = n // p, pe * p
+            if p == 2 and pe == 4:
+                expected.append((4, 3, 2))
+            elif p == 2 and pe >= 8:
+                expected += [(pe, pe - 1, 2), (pe, 5, pe // 4)]
+            elif p > 2 and pe > 1:
+                phi = pe - pe // p
+                root = next(g for g in range(2, pe) if g % p
+                            and multiplicative_order(g, pe) == phi)
+                expected.append((pe, root, phi))
+        gens, orders, _ = _unit_group(q)
+        assert len(gens) == len(expected), q
+        for g, d, (pe, root, order) in zip(gens, orders, expected):
+            assert (g % pe, d) == (root, order), (q, pe)
+            assert g % (q // pe) == 1 % (q // pe), (q, pe)
 
 
 def test_q3_nontrivial(chi3):

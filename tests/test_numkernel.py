@@ -14,7 +14,7 @@ from momentsieve.numkernel import (
     bisect_sign_change,
     certify_sign,
     decimal_str,
-    sign_change_brackets,
+    sign_changes,
     to_mpf,
 )
 
@@ -223,12 +223,13 @@ def test_sign_change_brackets_on_cos():
         points.append(x)
         return mpmath.cos(x)
 
-    first = next(sign_change_brackets(cos, 0, 10))
+    first = bisect_sign_change(cos, *next(sign_changes(cos, 0, 10)))
     assert first.lo < mpmath.pi / 2 < first.hi
     assert max(points) < mpmath.pi / 2 + SCAN_STEP
 
     points.clear()
-    brackets = list(sign_change_brackets(cos, 0, 10))
+    brackets = [bisect_sign_change(cos, *cell)
+                for cell in sign_changes(cos, 0, 10)]
     assert len(brackets) == 3
     for b, k in zip(brackets, (1, 3, 5)):
         assert b.lo < k * mpmath.pi / 2 < b.hi
@@ -285,8 +286,8 @@ def test_scan_reevaluates_uncertain_rough_signs():
         return mpmath.cos(x)
 
     rough = lambda x: mpf(0) if x == mpf(3) / 2 else mpmath.cos(x)
-    cell = next(numkernel.sign_changes(f, 0, 10, rough=rough))
+    cell = next(sign_changes(f, 0, 10, rough=rough))
     assert fine == [mpf(3) / 2]
     assert cell[:2] == (mpf(3) / 2, 2)
-    b = next(sign_change_brackets(f, 0, 10, rough=rough))
+    b = bisect_sign_change(f, *next(sign_changes(f, 0, 10, rough=rough)))
     assert b.lo < mpmath.pi / 2 < b.hi

@@ -39,8 +39,6 @@ def test_conjugate_completion():
     assert zs.zeros[0].imag == -zs.zeros[1].imag
     # already balanced input stays as-is
     assert len(ZeroSet.from_zeros([mpc(2, 1), mpc(2, -1)])) == 2
-    with pytest.raises(DomainError, match="conjugate"):
-        ZeroSet.from_zeros([mpc(2, 1)], complete=False)
 
 
 def test_zero_set_rejects_bad_zeros():
