@@ -63,6 +63,7 @@ from .numkernel import (
     bisect_sign_change,
     certify_sign,
     default_target,
+    log_theta_majorant,
     scan_target,
     sign_changes,
     sign_target,
@@ -405,7 +406,8 @@ def _char_kernel(chi: DirichletCharacter, prec: int,
     """Cached phi(., chi) kernel folded onto [0, y_max'] with y_max' >= y_max.
 
     The node y carries the parts E = K(y) + K(-y) and F = i (K(y) - K(-y))
-    of K = phi(., chi) (see :class:`CachedKernelQuadrature`).  One cache
+    of K = phi(., chi) (see :class:`CachedKernelQuadrature`), with the
+    majorant of :func:`_folded_log_majorant`.  One cache
     entry holds the kernels of chi and conj chi, which share their series:
     with t = phi(y, chi), t' = phi(y, conj chi) and e' = epsilon(conj chi),
     the functional equation of :func:`phi_char` and epsilon(chi) e' = 1
@@ -422,8 +424,28 @@ def _char_kernel(chi: DirichletCharacter, prec: int,
     return found[chi]
 
 
+def _folded_log_majorant(q: int, kappa: int):
+    """log of a bound on |K(y + it)| + |K(-y + it)| over |t| <= tau, y >= 0.
+
+    For K = phi(., chi) of modulus q and parity kappa: termwise
+    |exp(-n^2 pi e^(2(y+it))/q + (kappa+1/2)(y+it))| =
+    exp(-n^2 pi e^(2y) cos 2t / q + (kappa+1/2) y) and |chi(n)| <= 1, so
+    2 sum n^kappa exp(-n^2 pi e^(2y) cos 2tau / q + (kappa+1/2) y) bounds
+    |K(y + it)|.  By the functional equation K(-y + it) is a factor of
+    modulus 1 times phi(y - it, conj chi), which has the same bound; hence
+    the factor 4.  (The series of moduli itself diverges as y -> -inf.)
+    """
+    def log_majorant(y: float, tau: float) -> float:
+        lead = math.log(4) + (kappa + 0.5) * y
+        return log_theta_majorant(
+            lambda n: lead + kappa * math.log(n),
+            math.pi * math.exp(2 * y) * math.cos(2 * tau) / q)
+    return log_majorant
+
+
 def _folded_kernels(pair, y_max: mpf) -> dict:
     """The folded kernels of :func:`_char_kernel`, keyed by character."""
+    majorant = _folded_log_majorant(pair[0].q, pair[0].parity)
     eps_bar = None
     pending = {}  # y -> series the other kernel of the pair has not used yet
 
@@ -446,7 +468,7 @@ def _folded_kernels(pair, y_max: mpf) -> dict:
             return plus + minus, mpc(-diff.imag, diff.real)
         return parts
 
-    return {c: CachedKernelQuadrature(node(side), 0, y_max)
+    return {c: CachedKernelQuadrature(node(side), y_max, majorant)
             for side, c in enumerate(pair)}
 
 
@@ -461,11 +483,11 @@ class CharCoefficients:
     2n + mu <= N.  ``eq_residuals`` stores
     |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|; both kernels take
     their y < 0 half from the functional equation, so it sits at rounding
-    level by construction.  ``quadrature_error[n]`` is the scaled
-    difference of the last two quadrature levels of a_n(chi), not an error
-    bound: it is exactly 0 when two levels agree to every guard bit.
-    ``b_radii[n]`` bounds the error of b[n]: the radius default_target/n!
-    of each a_n, plus rounding, carried through the convolution.
+    level by construction.  ``quadrature_error[n]`` is the difference of
+    the last two quadrature levels of a_n(chi) over n!, not an error
+    bound.  ``b_radii[n]`` bounds the error of b[n]: the radius of each
+    a_n, the quadrature's error radius over n! plus rounding, carried
+    through the convolution.
     """
 
     a: Tuple[mpc, ...]
@@ -490,24 +512,30 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
 
     def powers(y):
         # on the folded kernel y^n has the multipliers (y^n, 0) for even n
-        # and (0, -y^n) for odd n, whose integral is then times i
+        # and (0, -y^n) for odd n, whose integral is then times i; the
+        # quadrature leaves the zero multipliers out of its sums
         columns, p = [], mpf(1)
         for n in range(N + 1):
             columns.append((zero, -p) if n % 2 else (p, zero))
             p *= y
         return tuple(columns)
 
+    facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
+    growth = tuple((0, n) for n in range(N + 1))
+
     def monomials(c):
         # coefficient of s^n in the e^(isy) expansion is i^n/n! int y^n phi,
         # so the moment integral carries the 1/n! factor
-        vals, errs = _char_kernel(c, prec, y_max).integrate(powers)
-        facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
+        vals, radii, diffs = _char_kernel(c, prec, y_max).integrate(
+            powers, growth)
         return ([mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
                  for n, (v, fac) in enumerate(zip(vals, facs))],
-                [e / fac for e, fac in zip(errs, facs)])
+                [r / fac for r, fac in zip(radii, facs)],
+                [d / fac for d, fac in zip(diffs, facs)])
 
-    a, errs = monomials(chi)
-    a_bar, _ = (a, errs) if chi_bar == chi else monomials(chi_bar)
+    a, radii, errs = monomials(chi)
+    a_bar, radii_bar, _ = (a, radii, errs) if chi_bar == chi \
+        else monomials(chi_bar)
 
     eps_bar = epsilon_factor(chi_bar)
     residuals = tuple(abs(a_bar[n] - (-1) ** n * eps_bar * a[n])
@@ -521,10 +549,10 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             f"up to N = {N}; cannot locate mu")
 
     u = mpf(2) ** -prec
-    # radius of a_n and of a_n(conj chi): the target over n!, plus rounding
-    rho = [default_target(prec) / mpf(mpmath.factorial(n))
-           + 4 * u * max(abs(v), abs(w))
-           for n, (v, w) in enumerate(zip(a, a_bar))]
+    # radius of a_n and of a_n(conj chi): the quadrature radius over n!,
+    # plus rounding
+    rho = [max(r, r_bar) + 4 * u * max(abs(v), abs(w))
+           for v, w, r, r_bar in zip(a, a_bar, radii, radii_bar)]
     b: List[mpc] = []
     b_radii: List[mpf] = []
     for n in range((N - mu) // 2 + 1):
@@ -552,7 +580,7 @@ def xi_char_eval(s, chi: DirichletCharacter,
     With ``derivative``, returns the value and its s-derivative
     i int y e^(isy) phi(y, chi) dy from the same kernel values.  On the
     folded kernel both are integrated with real multipliers from one
-    cos_sin per node pair +-y.
+    cos_sin per node pair +-y; their growths are (|s|, 0) and (|s|, 1).
     """
     _require_analytic(chi)
     s = to_mpf(s)
@@ -564,7 +592,9 @@ def xi_char_eval(s, chi: DirichletCharacter,
         c, sn = mpmath.cos_sin(s * y)
         return ((c, sn), (-y * sn, y * c)) if derivative else (c, sn)
 
-    value, _ = kernel.integrate(g, target)
+    sigma = abs(s)
+    growth = ((sigma, 0), (sigma, 1)) if derivative else (sigma, 0)
+    value = kernel.integrate(g, growth, target).value
     return tuple(map(mpc, value)) if derivative else mpc(value)
 
 

@@ -7,14 +7,16 @@ precision wrap calls in ``mpmath.workprec(bits)``.
 Provided here:
 
 * :class:`CachedKernelQuadrature` - trapezoidal-rule quadrature of many
-  integrals ``int_a^b K(x) g(x) dx`` that share an expensive kernel ``K``;
-  the kernel values at the equispaced nodes are computed once, there are
-  no node tables, and the error is estimated from inter-level
-  differences; :func:`default_target` is the error target unless a caller
-  passes one.  A kernel value may be a tuple of parts with one real
-  multiplier each, which folds a kernel on [-b, b] onto [0, b].  The rule
-  needs K*g analytic in a strip around [a, b], negligible at b, and
-  negligible or even at a.
+  integrals ``int_0^inf K(x) g(x) dx`` that share an expensive kernel
+  ``K``, cut at b; the kernel values at the equispaced nodes are computed
+  once and there are no node tables.  The error radius is an a-priori
+  bound (Trefethen & Weideman's strip bound plus the tail past b and the
+  rounding), from a majorant of the kernel on the strip |Im x| <
+  :data:`STRIP` and the integrand's stated growth there, so only the
+  smallest level that meets the target is built; :func:`default_target`
+  is the target unless a caller passes one.  A kernel value may be a
+  tuple of parts with one real multiplier each, which folds a kernel on
+  [-b, b] onto [0, b].  The rule needs K*g even and analytic in the strip.
 * zero location: :func:`sign_changes` scans for sign changes at step
   :data:`SCAN_STEP` and needs only certified signs, then
   :func:`bisect_sign_change` refines each: Newton steps
@@ -28,10 +30,11 @@ Provided here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
 import mpmath
@@ -42,6 +45,7 @@ __all__ = [
     "CertifiedSign",
     "ConsistencyError",
     "DomainError",
+    "Integral",
     "NEGATIVE",
     "POSITIVE",
     "UNCERTAIN",
@@ -50,6 +54,7 @@ __all__ = [
     "certify_sign",
     "decimal_str",
     "default_target",
+    "log_theta_majorant",
     "require_finite",
     "scan_target",
     "sign_changes",
@@ -160,11 +165,22 @@ def certify_sign(value, *, radius) -> CertifiedSign:
 #: extra working bits inside quadrature loops
 _QUAD_GUARD = 32
 
-#: trapezoidal levels (step halvings) tried before giving up
+#: trapezoidal levels (step halvings) available
 MAX_LEVELS = 12
 
-#: intervals of the level-0 trapezoidal rule on [a, b]
+#: intervals of the level-0 trapezoidal rule on [0, b]
 BASE_INTERVALS = 8
+
+#: half-width a of the strip |Im x| < a in which the error bound needs every
+#: kernel and integrand analytic; the theta kernels are analytic for
+#: |Im x| < pi/4
+STRIP = 0.7
+
+#: step and most points of the float grids that sum the majorant integrals
+_MAJORANT_STEP = 1 / 32
+_MAJORANT_POINTS = 1 << 16
+
+_LN2 = math.log(2)
 
 
 def default_target(prec: int) -> mpf:
@@ -172,30 +188,104 @@ def default_target(prec: int) -> mpf:
     return mpf(2) ** (-(prec - 16))
 
 
+def _log_sum_exp(logs) -> float:
+    logs = list(logs)
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+def log_theta_majorant(log_coeff, c: float) -> float:
+    """log sum_(n>=1) exp(log_coeff(n) - c n^2) in floats, for c > 0.
+
+    The terms are unimodal for the coefficients of theta series (a power
+    of n times constants); they are summed until one is past the largest
+    and e^-40 below it, after which the rest is far below the outward
+    factor of the majorant integrals.
+    """
+    logs, top, n = [], -math.inf, 1
+    while True:
+        v = log_coeff(n) - c * n * n
+        logs.append(v)
+        if v > top:
+            top = v
+        elif v < top - 40:
+            return _log_sum_exp(logs)
+        n += 1
+
+
+class Integral(NamedTuple):
+    """What :meth:`CachedKernelQuadrature.integrate` returns.
+
+    ``radius`` bounds the error of the sum at the guard precision, of
+    which ``value`` is the rounding to the working precision (one more
+    relative 2^-prec); ``difference`` is the change from the level below,
+    a diagnostic, not a bound.  For an integrand
+    that returns a tuple, each field is the tuple of its columns.
+    """
+
+    value: object
+    radius: object
+    difference: object
+
+
 class CachedKernelQuadrature:
-    """Many integrals ``int_a^b K(x) g(x) dx`` sharing one kernel ``K``.
+    """Many integrals ``int_0^inf K(x) g(x) dx`` sharing one kernel ``K``.
 
-    The rule is the equispaced trapezoidal rule: level 0 has
-    :data:`BASE_INTERVALS` intervals with half weights at a and b, and each
-    later level adds the midpoints and halves the step.  It converges
-    geometrically only if K*g is analytic in a strip around [a, b], is
-    negligible at b, and at a is negligible or even about a; otherwise it
-    converges like h^2 and ends in :class:`AccuracyError`.  Phi(u) u^(2n)
-    and Phi(u) cos(us) are even at u = 0, a kernel folded onto [0, b] (below)
-    gives even integrands by construction, and phi(y, chi) is negligible at
-    +-y_max, so the theta kernels of this package qualify.
+    The rule is the equispaced trapezoidal rule on [0, b]: level 0 has
+    :data:`BASE_INTERVALS` intervals with half weights at 0 and b, and each
+    later level adds the midpoints and halves the step h.  K*g must be even
+    in x and analytic in the strip |Im x| < a = :data:`STRIP`.  Level l is
+    then half the whole-line rule, whose error is at most
+    2 M / (e^(2 pi a/h) - 1) when int |K g| <= M along every line of the
+    strip (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  By
+    evenness the lines need only x >= 0, so the error radius of level l is
 
-    A kernel value may be a tuple of parts ``(K_1, ..., K_p)``; a number
+        2 e^(sigma a) M_p / (e^(2 pi a/h_l) - 1) + tail_p
+            + 2^-(prec + _QUAD_GUARD - 16) R_p,
+
+    where the integrand states its growth (sigma, p):
+    |g(x + iy)| <= e^(sigma |y|) (x^2 + y^2)^(p/2).  cos(sx) and e^(isx)
+    have (|s|, 0), x sin(sx) and x e^(isx) have (|s|, 1), x^n has (0, n).
+    With m(x, t) the kernel's majorant (a bound on |K(x + iy)| over
+    |y| <= t) and w(x) = (x^2 + a^2)^(p/2):
+
+    * M_p = int_0^inf m(x, a) w(x) dx;
+    * tail_p = (h_0/2) f(b) + int_b^inf f, with f = m(., 0) w, covers the
+      half weight at b and the nodes the rule drops past b; f must
+      decrease past b;
+    * R_p = int_0^inf m(x, 0) w(x) dx scales the rounding of the level
+      sums at the guard precision, 16 bits of slack included.
+
+    The kernel passes ``log m`` as ``log_majorant(x, t)`` in floats.  The
+    integrals are summed once per kernel and degree p, at the first
+    integral that needs them, on a float grid (upper sums) and doubled:
+    they only set an exponent.  A tuple of growths, one per column, goes
+    with an integrand that returns a tuple.
+
+    :meth:`integrate` builds only the smallest level l >= 1 whose radius
+    meets the target; it raises :class:`AccuracyError` before computing any
+    kernel value when no level up to :data:`MAX_LEVELS` does.  Level l - 1
+    is every other node of level l, so |T_l - T_(l-1)| comes free: it is
+    the reported ``difference``, and one above the sum of the two levels'
+    radii raises :class:`ConsistencyError`: then K*g is not even and
+    analytic in the strip, or the majorant does not bound the kernel.
+
+    A kernel value may be a tuple of parts ``(K_1, ..., K_k)``; a number
     is the one-part case.  Then the integrand ``g`` returns one real
-    multiplier per part, ``(g_1, ..., g_p)``, and the integral is
+    multiplier per part, ``(g_1, ..., g_k)``, and the integral is
     ``int sum_j K_j(x) g_j(x) dx``.  A kernel on [-b, b] folded onto
     [0, b] has the parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), so
-    K(x) g(x) + K(-x) g(-x) = E g_even(x) - i F g_odd(x): e^(isx) has the
-    multipliers (cos sx, sin sx), i x e^(isx) has (-x sin sx, x cos sx),
-    and x^n has (x^n, 0) for even n and i times (0, -x^n) for odd n.  At
-    x = 0, E = 2 K(0) and F = 0, so the half weight there restores the
-    node's full weight on [-b, b], and folded level l is level l + 1 of
-    the rule on [-b, b], node for node.
+    K(x) g(x) + K(-x) g(-x) = E g_even(x) - i F g_odd(x), which is even in
+    x: e^(isx) has the multipliers (cos sx, sin sx), i x e^(isx) has
+    (-x sin sx, x cos sx), and x^n has (x^n, 0) for even n and i times
+    (0, -x^n) for odd n.  Exact zero multipliers cost nothing: a part
+    whose multiplier is 0 is left out of the sum.  At x = 0, E = 2 K(0) and
+    F = 0, so the half weight there restores the node's full weight on
+    [-b, b], and folded level l is level l + 1 of the rule on [-b, b],
+    node for node.  The majorant of a folded kernel bounds
+    |K(x + iy)| + |K(-x + iy)|, and g's growth is that of the unfolded g.
 
     Kernel values at the nodes are computed lazily, once per level, at the
     precision current at construction, and reused for every ``g``.  This
@@ -204,19 +294,21 @@ class CachedKernelQuadrature:
     expensive than the polynomial or oscillatory factor.
     """
 
-    def __init__(self, kernel, a, b):
-        self.a = to_mpf(a)
+    def __init__(self, kernel, b, log_majorant):
         self.b = to_mpf(b)
-        if not self.b > self.a:
-            raise DomainError("CachedKernelQuadrature needs a < b")
+        if not self.b > 0:
+            raise DomainError("CachedKernelQuadrature needs b > 0")
         self.prec = mp.prec
         self._kernel = kernel
+        self._log_majorant = log_majorant
         self._multipart = None  # whether kernel values are tuples of parts
         # level -> (nodes, weight * kernel parts, node by node); step omitted
         self._levels = []
+        self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
+        self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
 
     def _step(self, level: int) -> mpf:
-        return (self.b - self.a) / (BASE_INTERVALS << level)
+        return self.b / (BASE_INTERVALS << level)
 
     def _ensure_level(self, level: int):
         with workprec(self.prec + _QUAD_GUARD):
@@ -225,12 +317,12 @@ class CachedKernelQuadrature:
                 n = BASE_INTERVALS << lv
                 h = self._step(lv)
                 if lv == 0:  # the ends, with half weights
-                    nodes = [self.a, self.b]
+                    nodes = [mpf(0), self.b]
                     js = range(1, n)
                 else:  # the midpoints of the previous level
                     nodes = []
                     js = range(1, n, 2)
-                nodes += [self.a + j * h for j in js]
+                nodes += [j * h for j in js]
                 values = [self._kernel(x) for x in nodes]
                 if lv == 0:
                     multi = self._multipart = isinstance(values[0], tuple)
@@ -240,53 +332,125 @@ class CachedKernelQuadrature:
                     values = [p for v in values for p in v]
                 self._levels.append((nodes, values))
 
-    def integrate(self, g, target=None):
-        """Return (value, err) for ``int K(x) g(x) dx`` at the cached nodes.
+    def _majorant_integrals(self, p: int):
+        """(log M_p, log tail_p, log R_p) of the class docstring."""
+        a, dx, b = STRIP, _MAJORANT_STEP, float(self.b)
 
-        ``target`` is the absolute error goal, :func:`default_target` if None.
-        ``g`` may return a tuple of multipliers instead of one: its
-        components share the nodes and kernel values, and the value and
-        ``err`` are the tuples of their integrals and of their last level
-        differences; the rule stops when the largest difference meets the
-        target.  Each level's sum is one exactly rounded dot product.
-        """
-        result = None
+        def grid(t, x0):
+            """log of m(., t) w at x0, x0 + dx, ... until past the peak and
+            60 below it; log m and log(x^2 + a^2) are kept for every p."""
+            known = self._grids.setdefault((t, x0), [])
+            out, top = [], -math.inf
+            for k in range(_MAJORANT_POINTS):
+                x = x0 + k * dx
+                if k == len(known):
+                    known.append((self._log_majorant(x, t),
+                                  math.log(x * x + a * a)))
+                log_m, log_r2 = known[k]
+                out.append(log_m + p / 2 * log_r2)
+                top = max(top, out[-1])
+                if k and x >= b and out[-1] < min(out[-2], top - 60):
+                    return out
+            raise DomainError(
+                f"the kernel majorant does not decay past {x0 + k * dx}")
+
+        # the tail: a left sum of the decreasing f bounds its integral
+        tail = grid(0.0, b)
+        if not all(u > v for u, v in zip(tail, tail[1:])):
+            raise DomainError(
+                f"the kernel majorant does not decrease past b = {b}")
+        h0 = b / BASE_INTERVALS
+        log_tail = math.log(2) + _log_sum_exp(
+            [math.log(h0 / 2) + tail[0]] + [math.log(dx) + v for v in tail])
+        # M_p and R_p: upper sums, each cell taking its larger end
+        upper = lambda f: math.log(2 * dx) + _log_sum_exp(
+            max(u, v) for u, v in zip(f, f[1:]))
+        return upper(grid(a, 0.0)), log_tail, upper(grid(0.0, 0.0))
+
+    def _log_radii(self, growth, level: int):
+        """log of the error radius of level ``level``, one per column."""
+        x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << level) / float(self.b)
+        log_disc = math.log(2) - x - math.log1p(-math.exp(-x))
+        guard = -(self.prec + _QUAD_GUARD - 16) * _LN2
+        out = []
+        for sigma, p in growth:
+            if p not in self._majorants:
+                self._majorants[p] = self._majorant_integrals(p)
+            log_m, log_tail, log_r = self._majorants[p]
+            out.append(_log_sum_exp((
+                log_disc + float(sigma) * STRIP + log_m, log_tail,
+                guard + log_r)))
+        return out
+
+    def _level(self, columns, target) -> int:
+        """The smallest level >= 1 whose radii meet ``target``."""
+        target = default_target(self.prec) if target is None \
+            else to_mpf(target)
+        if not target > 0:
+            raise DomainError(f"target must be > 0, got {target}")
+        log_target = float(mpmath.log(target))
+        for level in range(1, MAX_LEVELS + 1):
+            if max(self._log_radii(columns, level)) <= log_target:
+                return level
+        worst = mpmath.exp(max(self._log_radii(columns, MAX_LEVELS)))
+        raise AccuracyError(
+            f"no trapezoidal level up to {MAX_LEVELS} meets the target "
+            f"{mpmath.nstr(target, 5)}: the error bound there is "
+            f"{mpmath.nstr(worst, 5)}", error_estimate=worst)
+
+    def _sums(self, g, level: int):
+        """The trapezoidal sums of levels level-1 and level, per column."""
         with workprec(self.prec + _QUAD_GUARD):
-            if target is None:
-                target = default_target(self.prec)
-            else:
-                target = to_mpf(target)
-            best = None
-            err = mpf("inf")
-            for level in range(MAX_LEVELS + 1):
-                self._ensure_level(level)
-                h = self._step(level)
-                nodes, weights = self._levels[level]
+            self._ensure_level(level)
+            below = sums = None
+            for lv in range(level + 1):
+                nodes, weights = self._levels[lv]
                 rows = [g(x) for x in nodes]
-                if level == 0:
+                if lv == 0:
                     first = rows[0][0] if self._multipart else rows[0]
                     vector = isinstance(first, tuple)
                     flat = chain.from_iterable if self._multipart else iter
-                new = [mpmath.fdot(weights, flat(column))
+                new = [mpmath.fdot([wg for wg in zip(weights, flat(column))
+                                    if wg[1]])
                        for column in (zip(*rows) if vector else [rows])]
-                if best is None:
-                    s = [v * h for v in new]
-                else:
-                    s = [b / 2 + v * h for b, v in zip(best, new)]
-                    errs = [abs(a - b) for a, b in zip(s, best)]
-                    err = max(errs)
-                    if err <= target and level >= 2:
-                        result = (s, errs)
-                        break
-                best = s
+                h = self._step(lv)
+                below, sums = sums, ([v * h for v in new] if sums is None
+                                     else [s / 2 + v * h
+                                           for s, v in zip(sums, new)])
+            return below, sums
+
+    def integrate(self, g, growth, target=None) -> Integral:
+        """The :class:`Integral` of ``int K(x) g(x) dx`` at the cached nodes.
+
+        ``growth`` is g's (sigma, p), or a tuple of them when ``g`` returns
+        a tuple of multipliers (one column each): the columns share the
+        nodes and kernel values, and the level is the first at which every
+        column's radius meets ``target``, the absolute error goal
+        (:func:`default_target` if None).  Each level's sum is one exactly
+        rounded dot product.
+        """
+        vector = isinstance(growth[0], tuple)
+        columns = list(growth) if vector else [growth]
+        level = self._level(columns, target)
+        below, sums = self._sums(g, level)
+        if len(sums) != len(columns):
+            raise DomainError(
+                f"{len(columns)} growths for {len(sums)} integrand columns")
+        radii = [mpmath.exp(r) for r in self._log_radii(columns, level)]
+        lower = [mpmath.exp(r) for r in self._log_radii(columns, level - 1)]
+        diffs = [abs(s - t) for s, t in zip(sums, below)]
+        for d, r, r_below in zip(diffs, radii, lower):
+            if d > r + r_below:
+                raise ConsistencyError(
+                    f"trapezoidal levels {level - 1} and {level} differ by "
+                    f"{mpmath.nstr(d, 5)}, beyond their error radii "
+                    f"{mpmath.nstr(r + r_below, 5)}: the integrand is not "
+                    "even and analytic in the strip, or the majorant does "
+                    "not bound the kernel")
         unpack = tuple if vector else (lambda parts: parts[0])
-        if result is None:
-            raise AccuracyError(
-                "cached-kernel quadrature did not converge "
-                f"(last difference {mpmath.nstr(err, 5)})",
-                best_estimate=unpack(best), error_estimate=err)
         with workprec(self.prec):
-            return tuple(unpack([+v for v in part]) for part in result)
+            return Integral(unpack([+s for s in sums]), unpack(radii),
+                            unpack([+d for d in diffs]))
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,24 @@ def _real_part_checked(value: mpc, scale, what: str) -> mpf:
 def product_to_series(zs: ZeroSet) -> SeriesPrefix:
     """Expand prod (1 + z/lambda) by successive convolution.
 
-    Conjugate closure makes every coefficient analytically real; the
-    imaginary residue is checked against 2^-(prec-16) relative to the
-    coefficient and then discarded.  The result is normalized (a_0 = 1 by
-    construction).  The radius of a_i, 8 (Z+1) 2^-prec times a_i of the
-    product over the Z moduli |lambda|, bounds the convolution rounding.
+    Conjugate closure makes every coefficient analytically real.  A set
+    with a conjugate pair convolves in complex arithmetic, and each
+    coefficient's imaginary residue is checked against 2^-(prec-16)
+    relative to the coefficient and then discarded.  An all-real set
+    convolves in real arithmetic, on the real parts of the same
+    reciprocals, so it gets the same values.  The result is normalized
+    (a_0 = 1 by construction).  The radius of a_i, 8 (Z+1) 2^-prec times
+    a_i of the product over the Z moduli |lambda|, bounds the convolution
+    rounding; for an all-real set (positive lambda) that product is the
+    series itself.
     """
+    u = 8 * (len(zs.zeros) + 1) * mpf(2) ** -mp.prec
+    if not any(z.imag for z in zs.zeros):
+        real: List[mpf] = [mpf(1)]
+        for z in zs.zeros:
+            r = (1 / z).real
+            real = [c + p * r for c, p in zip(real + [0], [0] + real)]
+        return SeriesPrefix(tuple(real), tuple(u * c for c in real))
     coeffs: List[mpc] = [mpc(1)]
     sizes: List[mpf] = [mpf(1)]
     for z in zs.zeros:
@@ -156,7 +168,6 @@ def product_to_series(zs: ZeroSet) -> SeriesPrefix:
         sizes = [c + p / abs(z) for c, p in zip(sizes + [0], [0] + sizes)]
     real = tuple(_real_part_checked(c, abs(c), f"coefficient a_{i}")
                  for i, c in enumerate(coeffs))
-    u = 8 * (len(zs.zeros) + 1) * mpf(2) ** -mp.prec
     return SeriesPrefix(real, tuple(u * c for c in sizes))
 
 

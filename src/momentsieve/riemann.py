@@ -54,6 +54,7 @@ from .numkernel import (
     bisect_sign_change,
     decimal_str,
     default_target,
+    log_theta_majorant,
     require_finite,
     scan_target,
     sign_changes,
@@ -129,7 +130,8 @@ def kernel_cutoff(prec: int, q: int, slope: float) -> mpf:
     pi*e^(2u)/q - slope*u > prec*ln2 + 16, where the integrand, bounded by
     exp(slope*u - pi*e^(2u)/q), is below working epsilon; the doubly
     exponential decay makes the remaining tail irrelevant at prec bits.
-    For Phi u^(2n), q = 1 and slope = 9/2 + 2n.
+    For Phi u^(2n), q = 1 and slope = 9/2 + 2n.  The quadrature bounds
+    the tail past the cutoff from the kernel's majorant.
     """
     goal = prec * math.log(2) + 16
     u = 1.0
@@ -138,24 +140,43 @@ def kernel_cutoff(prec: int, q: int, slope: float) -> mpf:
     return mpf(u)
 
 
+def _phi_log_majorant(u: float, t: float) -> float:
+    """log of a bound on |Phi(u + iy)| over |y| <= t < pi/4, for u >= 0.
+
+    Termwise |e^(9(u+iy)/2)| = e^(9u/2) and
+    |exp(-n^2 pi e^(2(u+iy)))| = exp(-n^2 pi e^(2u) cos 2y), so the series
+    of the terms' moduli at cos 2t bounds Phi.  Phi is even, so this also
+    bounds |Phi(-u + iy)|, where the series of moduli diverges.
+    """
+    e2u = math.exp(2 * u)
+    lead = 4.5 * u + math.log(4 * math.pi ** 2)
+    # 4 n^4 pi^2 e^(9u/2) + 6 n^2 pi e^(5u/2), factored
+    return log_theta_majorant(
+        lambda n: lead + 4 * math.log(n)
+        + math.log1p(3 / (2 * math.pi * n * n * e2u)),
+        math.pi * e2u * math.cos(2 * t))
+
+
 _kernel_cache: dict = {}
 
 
 def _phi_kernel(u_max: mpf, prec: int) -> CachedKernelQuadrature:
     key = (prec, str(u_max))
     if key not in _kernel_cache:
-        _kernel_cache[key] = CachedKernelQuadrature(phi, 0, u_max)
+        _kernel_cache[key] = CachedKernelQuadrature(
+            phi, u_max, _phi_log_majorant)
     return _kernel_cache[key]
 
 
 @dataclass(frozen=True)
 class XiCoefficients:
-    """Computed a_0..a_N with a per-coefficient quadrature difference.
+    """Computed a_0..a_N with their error radii.
 
-    ``quadrature_error[n]`` is the scaled difference of the last two
-    quadrature levels of a_n, not an error bound: it is exactly 0 when two
-    levels agree to every guard bit.  ``radii[n]`` is 2/(2n)! times the
-    quadrature target (never below that difference) plus a_n's rounding.
+    ``radii[n]`` bounds the error of a_n: 2/(2n)! times the quadrature's
+    error radius (the strip bound, the tail past the cutoff and the
+    rounding of the level sums) plus a_n's rounding.
+    ``quadrature_error[n]`` is 2/(2n)! times the difference of a_n's last
+    two quadrature levels, not an error bound.
     """
 
     a: Tuple[mpf, ...]
@@ -172,7 +193,8 @@ def xi_coefficients(N: int) -> XiCoefficients:
     """Taylor coefficients a_0..a_N of xi(1/2 + s) in s^2, by quadrature.
 
     All coefficients share one cached Phi kernel on [0, u_max(N)]; the
-    moment integrals differ only in the polynomial factor u^(2n).
+    moment integrals differ only in the polynomial factor u^(2n), of
+    growth (0, 2n).
     """
     if N < 0:
         raise DomainError("N must be >= 0")
@@ -181,36 +203,41 @@ def xi_coefficients(N: int) -> XiCoefficients:
     a: List[mpf] = []
     errs: List[mpf] = []
     radii: List[mpf] = []
-    target, u = default_target(prec), mpf(2) ** -prec
+    u = mpf(2) ** -prec
     for n in range(N + 1):
         fac = 2 / mpf(mpmath.factorial(2 * n))
-        value, err = kernel.integrate(lambda u, n=n: u ** (2 * n))
+        value, radius, diff = kernel.integrate(
+            lambda u, n=n: u ** (2 * n), (0, 2 * n))
         a.append(fac * value)
-        errs.append(fac * err)
-        radii.append(fac * target + 4 * u * abs(a[-1]))
+        errs.append(fac * diff)
+        radii.append(fac * radius + 4 * u * abs(a[-1]))
     return XiCoefficients(tuple(a), tuple(errs), tuple(radii))
 
 
 def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
     """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s.
 
-    ``target`` is the absolute quadrature error goal (None: the default).
-    With ``derivative``, returns (Xi(s), Xi'(s)) with
+    ``target`` is the absolute error goal (None: the default); the
+    integrals, half the values, are taken to half of it.  With
+    ``derivative``, returns (Xi(s), Xi'(s)) with
     Xi'(s) = -2 int_0^umax u Phi(u) sin(us) du, integrated together on the
     same Phi values from one cos_sin per node.
     """
     s = to_mpf(s)
     prec = mp.prec
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5), prec)
+    half = (default_target(prec) if target is None else to_mpf(target)) / 2
+    sigma = abs(s)
 
     def g(u):
         c, sn = mpmath.cos_sin(u * s)
-        return (2 * c, -2 * u * sn) if derivative else 2 * c
+        return (c, -u * sn) if derivative else c
 
-    value, _ = kernel.integrate(g, target)
+    growth = ((sigma, 0), (sigma, 1)) if derivative else (sigma, 0)
+    value = kernel.integrate(g, growth, half).value
     if derivative:
-        return tuple(require_finite(v, "Xi(s) or Xi'(s)") for v in value)
-    return require_finite(value, "Xi(s)")
+        return tuple(require_finite(2 * v, "Xi(s) or Xi'(s)") for v in value)
+    return require_finite(2 * value, "Xi(s)")
 
 
 def bracket_zeros(s_max) -> List[ZeroBracket]:

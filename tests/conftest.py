@@ -65,19 +65,45 @@ def random_fraction(rng: random.Random, max_num=1000, max_den=1000):
                     rng.randint(1, max_den))
 
 
+def levels_covered_two_levels_up(kernel, g, growth, targets):
+    """Check a quadrature's radius at the level it picks for each target.
+
+    The radius must cover |T_l - T_(l+2)|, the distance of the level's sum
+    from the sum two levels finer.  Returns the set of levels checked.
+    """
+    levels = set()
+    for target in targets:
+        level = kernel._level([growth], target)
+        radius = kernel.integrate(g, growth, target).radius
+        (t_l,), (t_finer,) = (kernel._sums(g, lv)[1]
+                              for lv in (level, level + 2))
+        assert abs(t_l - t_finer) <= radius, (level, target)
+        levels.add(level)
+    return levels
+
+
 def direct_char_coeffs(chi, N):
     """a_0..a_N(chi) from the direct theta series over the whole interval.
 
     Unlike ``char_coeffs``, which takes the y < 0 half of the kernel from
-    the functional equation, every node here sums the series itself, so the
-    two paths agree only if the reflection factor is right.
+    the functional equation, every node here sums the series itself at y
+    and -y, so the two paths agree only if the reflection factor is right.
     """
     prec = mp.prec
     y_max = kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N)
+
+    def folded(y):  # the parts E and F at +-y, both from the series
+        plus, minus = (dirichlet._theta_series(v, chi) for v in (y, -y))
+        return plus + minus, mpc(0, 1) * (plus - minus)
+
     kernel = CachedKernelQuadrature(
-        lambda y: dirichlet._theta_series(y, chi), -y_max, y_max)
-    return [mpc(kernel.integrate(lambda y, n=n: y ** n)[0])
-            / mpmath.factorial(n) for n in range(N + 1)]
+        folded, y_max, dirichlet._folded_log_majorant(chi.q, chi.parity))
+    # y^n has the multipliers (y^n, 0) for even n and i times (0, -y^n)
+    # for odd n
+    return [mpc(kernel.integrate(
+        lambda y, n=n: (0, -y ** n) if n % 2 else (y ** n, 0), (0, n)).value)
+        * (mpc(0, 1) if n % 2 else 1) / mpmath.factorial(n)
+        for n in range(N + 1)]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from momentsieve.numkernel import (
     sign_changes,
 )
 
-from conftest import close, direct_char_coeffs
+from conftest import close, direct_char_coeffs, levels_covered_two_levels_up
 
 
 def z_brackets(chi, s_max):
@@ -433,6 +433,33 @@ def test_pair_sums_each_series_once_per_node(monkeypatch):
     assert calls and all(y >= 0 for y in nodes)
     assert len(calls) <= 2 * len(nodes)
     assert len(set(calls)) == len(calls)
+
+
+def test_b_radii_cover_a_double_precision_reference(chi5):
+    # the coefficients of dirichlet --q 5 --index 1 --N 6 --bits 128: the
+    # radius of each b_n bounds its error against the 256-bit values
+    with workprec(128):
+        coeffs = char_coeffs(chi5, 12)
+    with workprec(256):
+        reference = char_coeffs(chi5, 12)
+    assert coeffs.mu == reference.mu == 0
+    for n, (v, w, r) in enumerate(zip(coeffs.b, reference.b,
+                                      coeffs.b_radii)):
+        assert abs(v - w) <= r, n
+
+
+def test_char_kernel_radius_covers_two_levels_up(chi5, monkeypatch):
+    # the folded chi_5.1 kernel: at the level the bound picks for each
+    # target, the radius covers the sum two levels finer
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    y_max = dirichlet.kernel_cutoff(mp.prec, 5, chi5.parity + 0.5 + 6)
+    kernel = dirichlet._char_kernel(chi5, mp.prec, y_max)
+    s = mpf(7)
+    targets = [mpf(2) ** -k for k in (20, 60, 100, 160, 240)]
+    for g, growth in ((lambda y: mpmath.cos_sin(s * y), (s, 0)),
+                      (lambda y: (y ** 6, 0), (0, 6))):
+        levels = levels_covered_two_levels_up(kernel, g, growth, targets)
+        assert len(levels) >= 3
 
 
 def test_char_coeffs_preconditions(chi3):

@@ -9,8 +9,11 @@ from momentsieve import numkernel
 from momentsieve.numkernel import (
     AccuracyError,
     CachedKernelQuadrature,
+    ConsistencyError,
     DomainError,
+    MAX_LEVELS,
     SCAN_STEP,
+    STRIP,
     bisect_sign_change,
     certify_sign,
     decimal_str,
@@ -18,83 +21,154 @@ from momentsieve.numkernel import (
     to_mpf,
 )
 
-from conftest import close
+from conftest import close, levels_covered_two_levels_up
 
 
 # --- quadrature battery -----------------------------------------------------
 
+def gaussian_majorant(x, t):
+    # |exp(-(x + iy)^2)| = exp(y^2 - x^2)
+    return t * t - x * x
+
+
 def battery():
-    """Analytically known integrals that meet the trapezoidal precondition:
-    analytic in a strip, negligible at b, and negligible or even at a.
-    Infinite ranges are cut where the integrand drops below 2^-256, as the
-    kernels are at u_max."""
+    """Analytically known integrals int_0^inf of even integrands, analytic
+    in the strip, with a majorant there: (kernel, log majorant, b, exact,
+    integrand, growth).  Infinite ranges are cut where the integrand drops
+    below 2^-256, as the kernels are at u_max.  Case 3 folds the Gaussian
+    centred at 1/2, which is not even, onto [0, 14]."""
     sqrt_pi = mpmath.sqrt(mpmath.pi)
+    a2 = STRIP ** 2
+    one, folded_one = (lambda x: 1), (lambda x: (1, 0))
+
+    def shifted(x):
+        plus, minus = (mpmath.exp(-(v - mpf(1) / 2) ** 2) for v in (x, -x))
+        return plus + minus, mpc(0, 1) * (plus - minus)
+
+    def shifted_majorant(x, t):
+        return t * t + math.log(math.exp(-(x - 0.5) ** 2)
+                                + math.exp(-(x + 0.5) ** 2))
+
     return [
-        (lambda x: mpmath.exp(-x * x), (0, 14), sqrt_pi / 2),
-        (lambda x: x * x * mpmath.exp(-x * x), (0, 14), sqrt_pi / 4),
-        (lambda x: mpmath.exp(-x * x) * mpmath.cos(3 * x), (0, 14),
-         sqrt_pi / 2 * mpmath.exp(-mpf(9) / 4)),
-        (lambda x: mpmath.exp(-x * x), (-14, 14), sqrt_pi),
-        (mpmath.sech, (-200, 200), +mpmath.pi),
-        (lambda x: mpmath.sech(x) ** 2, (-100, 100), mpf(2)),
-        (lambda x: mpmath.exp(-mpmath.cosh(x)), (-7, 7),
-         2 * mpmath.besselk(0, 1)),
+        (lambda x: mpmath.exp(-x * x), gaussian_majorant, 14, sqrt_pi / 2,
+         one, (0, 0)),
+        (lambda x: x * x * mpmath.exp(-x * x),
+         lambda x, t: math.log(x * x + a2) + t * t - x * x, 14,
+         sqrt_pi / 4, one, (0, 0)),
+        (lambda x: mpmath.exp(-x * x) * mpmath.cos(3 * x),
+         lambda x, t: t * t - x * x + math.log(math.cosh(3 * t)), 14,
+         sqrt_pi / 2 * mpmath.exp(-mpf(9) / 4), one, (0, 0)),
+        (shifted, shifted_majorant, 14, sqrt_pi, folded_one, (0, 0)),
+        # |cosh(x + iy)|^2 = sinh(x)^2 + cos(y)^2
+        (mpmath.sech,
+         lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2) / 2,
+         200, mpmath.pi / 2, one, (0, 0)),
+        (lambda x: mpmath.sech(x) ** 2,
+         lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2), 100,
+         mpf(1), one, (0, 0)),
+        # |exp(-cosh(x + iy))| = exp(-cosh(x) cos(y))
+        (lambda x: mpmath.exp(-mpmath.cosh(x)),
+         lambda x, t: -math.cosh(x) * math.cos(t), 7, mpmath.besselk(0, 1),
+         one, (0, 0)),
     ]
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_trapezoid_battery(case):
-    f, (a, b), exact = battery()[case]
-    value, err = CachedKernelQuadrature(f, a, b).integrate(lambda x: 1)
+    f, majorant, b, exact, g, growth = battery()[case]
+    kernel = CachedKernelQuadrature(f, b, majorant)
+    value, radius, _ = kernel.integrate(g, growth)
     target = numkernel.default_target(mp.prec)
-    assert abs(value - exact) <= target
-    assert err <= target
+    assert abs(value - exact) <= radius + mpf(2) ** -mp.prec * abs(exact)
+    assert radius <= target
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_battery_radius_covers_two_levels_up(case):
+    # at the level the bound picks, its radius must cover the distance to
+    # the sum two levels finer, at loose and at tight targets
+    f, majorant, b, _, g, growth = battery()[case]
+    kernel = CachedKernelQuadrature(f, b, majorant)
+    targets = [mpf(2) ** -k for k in (10, 30, 60, 100)]
+    assert len(levels_covered_two_levels_up(kernel, g, growth, targets)) >= 2
 
 
 def test_phi_kernel_integral_matches_xi_half():
     # independent targets: the completed zeta at the central point,
     # evaluated through library gamma/zeta, and mpmath's own quadrature
-    from momentsieve.riemann import kernel_cutoff, phi
+    from momentsieve.riemann import _phi_log_majorant, kernel_cutoff, phi
     xi_half = mpmath.pi ** (-mpf(1) / 4) * (mpf(1) / 2 - 1) \
         * mpmath.gamma(1 + mpf(1) / 4) * mpmath.zeta(mpf(1) / 2)
     u_max = kernel_cutoff(mp.prec, 1, 4.5)
     reference = mpmath.quad(phi, [0, u_max])
     assert close(reference, xi_half / 2, mpf(10) ** -15)
     assert close(reference, xi_half / 2, mpf(2) ** -(mp.prec - 24))
-    value, _ = CachedKernelQuadrature(phi, 0, u_max).integrate(lambda u: 1)
+    value, radius, _ = CachedKernelQuadrature(
+        phi, u_max, _phi_log_majorant).integrate(lambda u: 1, (0, 0))
     assert close(value, reference, mpf(2) ** -(mp.prec - 24))
+    assert abs(value - xi_half / 2) <= radius + mpf(2) ** -(mp.prec - 24)
 
 
-def test_accuracy_failure_carries_best_estimate(monkeypatch):
-    # exp(-x) on [0, 1] is neither even at 0 nor negligible at 1, so the
-    # trapezoidal rule converges only like h^2 and must not return a value
-    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x), 0, 1)
-    with pytest.raises(AccuracyError) as info:
-        kernel.integrate(lambda x: 1)
-    assert info.value.best_estimate is not None
-    assert abs(info.value.best_estimate - (1 - mpmath.exp(-1))) < mpf(10) ** -8
-    assert info.value.error_estimate > 0
+def test_unreachable_target_fails_before_any_level(monkeypatch):
+    # the tail past b alone exceeds 2^-(20 prec): no level can meet it, and
+    # the bound says so before any kernel value is computed
+    calls = []
 
+    def gaussian(x):
+        calls.append(x)
+        return mpmath.exp(-x * x)
+
+    kernel = CachedKernelQuadrature(gaussian, 14, gaussian_majorant)
+    target = mpf(2) ** -(20 * mp.prec)
+    with pytest.raises(AccuracyError, match=f"up to {MAX_LEVELS}") as info:
+        kernel.integrate(lambda x: 1, (0, 0), target)
+    assert calls == []
+    assert info.value.best_estimate is None
+    assert info.value.error_estimate > target
+    assert mpmath.nstr(info.value.error_estimate, 5) in str(info.value)
+
+    # cos(1000 x) needs a step far below what 3 levels reach
     monkeypatch.setattr(numkernel, "MAX_LEVELS", 3)
-    kernel = CachedKernelQuadrature(lambda x: mpmath.cos(1000 * x), 0, 1)
-    with pytest.raises(AccuracyError) as info:
-        kernel.integrate(lambda x: 1, mpf(2) ** -200)
-    assert info.value.best_estimate is not None
-    assert info.value.error_estimate > 0
+    with pytest.raises(AccuracyError, match="up to 3"):
+        kernel.integrate(lambda x: mpmath.cos(1000 * x), (1000, 0))
+    assert calls == []
+
+
+def test_non_even_integrand_is_inconsistent():
+    # exp(-(x-1)^2) is not even about 0, so the rule converges only like
+    # h^2: the levels differ by far more than their radii allow
+    kernel = CachedKernelQuadrature(
+        lambda x: mpmath.exp(-(x - 1) ** 2), 14,
+        lambda x, t: t * t - (x - 1) ** 2)
+    with pytest.raises(ConsistencyError, match="not even"):
+        kernel.integrate(lambda x: 1, (0, 0))
 
 
 def test_interval_validation():
     with pytest.raises(DomainError):
-        CachedKernelQuadrature(lambda x: x, 1, 1)
+        CachedKernelQuadrature(lambda x: x, 0, gaussian_majorant)
     with pytest.raises(DomainError):
-        CachedKernelQuadrature(lambda x: x, 2, 1)
+        CachedKernelQuadrature(lambda x: x, -1, gaussian_majorant)
+    kernel = CachedKernelQuadrature(
+        lambda x: mpmath.exp(-x * x), 14, gaussian_majorant)
+    with pytest.raises(DomainError, match="growths"):
+        kernel.integrate(lambda x: (1, x * x), (0, 0))
+    with pytest.raises(DomainError, match="target"):
+        kernel.integrate(lambda x: 1, (0, 0), 0)
+    # a majorant that does not decay past b cannot bound the dropped nodes
+    for log_majorant in (lambda x, t: x, lambda x, t: -(x - 3) ** 2):
+        kernel = CachedKernelQuadrature(lambda x: 1, 1, log_majorant)
+        with pytest.raises(DomainError, match="majorant does not"):
+            kernel.integrate(lambda x: 1, (0, 0), mpf(2) ** -10)
 
 
 def test_cached_kernel_matches_direct():
-    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 0, 14)
-    v1, e1 = kernel.integrate(lambda x: x * x)
+    kernel = CachedKernelQuadrature(
+        lambda x: mpmath.exp(-x * x), 14, gaussian_majorant)
+    v1, r1, e1 = kernel.integrate(lambda x: x * x, (0, 2))
     exact = mpmath.sqrt(mpmath.pi) / 4
     assert abs(v1 - exact) <= mpf(2) ** -(mp.prec - 24)
+    assert abs(v1 - exact) <= r1 + mpf(2) ** -mp.prec
     assert e1 <= mpf(2) ** -(mp.prec - 16)
 
 
@@ -108,36 +182,65 @@ def test_folded_kernel_matches_the_full_interval():
         plus, minus = kernel(x), kernel(-x)
         return plus + minus, mpc(0, 1) * (plus - minus)
 
-    s, degrees = mpf("1.7"), range(6)
+    def majorant(x, t):
+        # |1 + i(x + iy)| <= sqrt((1 + t)^2 + x^2), each Gaussian as above
+        return t * t + math.log(math.exp(-(x - 0.3) ** 2)
+                                + math.exp(-(x + 0.3) ** 2)) \
+            + math.log((1 + t) ** 2 + x * x) / 2
 
-    def full_g(x):
-        e = mpmath.expj(s * x)
-        return (e, mpc(0, x) * e) + tuple(x ** n for n in degrees)
+    s, degrees = mpf("1.7"), range(6)
+    full_g = [lambda x: mpmath.expj(s * x),
+              lambda x: mpc(0, x) * mpmath.expj(s * x)] + [
+        lambda x, n=n: x ** n for n in degrees]
 
     def folded_g(x):
         c, sn = mpmath.cos_sin(s * x)
         return ((c, sn), (-x * sn, x * c)) + tuple(
             (0, -x ** n) if n % 2 else (x ** n, 0) for n in degrees)
 
-    want, _ = CachedKernelQuadrature(kernel, -16, 16).integrate(full_g)
-    got, errs = CachedKernelQuadrature(folded, 0, 16).integrate(folded_g)
+    growth = ((s, 0), (s, 1)) + tuple((0, n) for n in degrees)
+    got, radii, _ = CachedKernelQuadrature(
+        folded, 16, majorant).integrate(folded_g, growth)
     factors = (1, 1) + tuple(mpc(0, 1) if n % 2 else 1 for n in degrees)
     target = numkernel.default_target(mp.prec)
-    assert len(errs) == len(got) == len(want)
-    for w, v, f, e in zip(want, got, factors, errs):
-        assert abs(w - f * v) <= target
-        assert e <= target
+    assert len(radii) == len(got) == len(full_g)
+    for g, v, f, r in zip(full_g, got, factors, radii):
+        want = mpmath.quad(lambda x: kernel(x) * g(x), [-16, 0, 16])
+        assert abs(want - f * v) <= target
+        assert r <= target
 
 
 def test_tuple_integrand_reports_each_column_difference():
-    # the second column is exactly twice the first, so its last level
-    # difference is too; a loose target stops while the differences are > 0
-    kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 0, 14)
-    (v1, v2), (e1, e2) = kernel.integrate(lambda x: (x * x, 2 * x * x),
-                                          mpf(2) ** -40)
-    assert v2 == 2 * v1
-    assert 0 < e1 <= mpf(2) ** -40
-    assert e2 == 2 * e1
+    # the second column is exactly half the first, with the same growth, so
+    # its last level difference is half too and its radius the same; a
+    # loose target stops while the differences are > 0
+    kernel = CachedKernelQuadrature(
+        mpmath.sech, 200,
+        lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2) / 2)
+    (v1, v2), (r1, r2), (e1, e2) = kernel.integrate(
+        lambda x: (x * x, x * x / 2), ((0, 2), (0, 2)), mpf(2) ** -40)
+    assert v1 == 2 * v2
+    assert 0 < e1 <= r1 <= mpf(2) ** -40
+    assert e1 == 2 * e2
+    assert r1 == r2
+
+
+def test_zero_multipliers_are_left_out_of_the_sums(monkeypatch):
+    # x^2 reads only the part E and x only F, as char_coeffs's columns do;
+    # dropping exact zero products leaves an exactly rounded sum unchanged
+    f, majorant, b, *_ = battery()[3]
+    kernel = CachedKernelQuadrature(f, b, majorant)
+    pairs = []
+    fdot = mpmath.fdot
+
+    def counting(terms):
+        pairs.append(len(terms))
+        return fdot(terms)
+
+    monkeypatch.setattr(numkernel.mpmath, "fdot", counting)
+    kernel.integrate(lambda x: ((x * x, 0), (0, x)), ((0, 2), (0, 1)))
+    nodes = sum(len(nodes) for nodes, _ in kernel._levels)
+    assert sum(pairs) == 2 * (nodes - 1)  # both vanish at x = 0
 
 
 # --- sign certification -------------------------------------------------------

@@ -80,6 +80,23 @@ def test_product_examples():
         assert close(got, to_mpf(want), mpf(2) ** -250)
 
 
+def test_real_sets_convolve_to_the_complex_values():
+    # an all-real set convolves in real arithmetic; the complex
+    # convolution, kept here as the reference, gives the same bits
+    rng = random.Random(7)
+    for count in (1, 5, 20):
+        zs = ZeroSet.from_zeros(random_real_zeros(rng, count))
+        coeffs = [mpc(1)]
+        for z in zs.zeros:
+            r = 1 / z
+            coeffs = [c + p * r for c, p in zip(coeffs + [0], [0] + coeffs)]
+        series = product_to_series(zs)
+        assert series.coeffs == tuple(c.real for c in coeffs)
+        assert all(c.imag == 0 for c in coeffs)
+        u = 8 * (count + 1) * mpf(2) ** -mp.prec
+        assert series.radii == tuple(u * c for c in series.coeffs)
+
+
 # --- moments -----------------------------------------------------------------------
 
 def test_moments_from_zeros_examples():

@@ -9,6 +9,7 @@ from momentsieve.numkernel import (
     AccuracyError,
     DomainError,
     ZeroBracket,
+    sign_target,
 )
 from momentsieve.oracle import load_zeros
 from momentsieve.riemann import (
@@ -24,7 +25,12 @@ from momentsieve.riemann import (
     zero_sum_tail_bound,
 )
 
-from conftest import EvenZeroSet, close, even_moments_from_zeros
+from conftest import (
+    EvenZeroSet,
+    close,
+    even_moments_from_zeros,
+    levels_covered_two_levels_up,
+)
 
 
 def xi_completed(w):
@@ -120,7 +126,65 @@ def test_coefficients_kernel_node_count(monkeypatch):
     monkeypatch.setattr(riemann, "phi", counting_phi)
     with workprec(256):
         xi_coefficients(12)
-    assert len(calls) <= 257
+    assert len(calls) <= 129
+
+
+def test_coefficient_radii_cover_a_double_precision_reference(coeffs12):
+    # the radius of each a_n bounds its error: the 512-bit coefficients lie
+    # within it
+    with workprec(512):
+        reference = xi_coefficients(12)
+    for n, (v, w, r) in enumerate(zip(coeffs12.a, reference.a,
+                                      coeffs12.radii)):
+        assert abs(v - w) <= r, n
+
+
+def test_phi_radius_covers_two_levels_up(monkeypatch):
+    # the Phi kernel of the 256-bit N = 12 run: at the level the bound
+    # picks for each target, the radius covers the sum two levels finer
+    from momentsieve import riemann
+    monkeypatch.setattr(riemann, "_kernel_cache", {})
+    kernel = riemann._phi_kernel(riemann.kernel_cutoff(256, 1, 28.5), 256)
+    s = mpf("14.13")
+    targets = [mpf(2) ** -k for k in (20, 60, 100, 160, 240)]
+    for g, growth in ((lambda u: 1, (0, 0)), (lambda u: u ** 24, (0, 24)),
+                      (lambda u: mpmath.cos(s * u), (s, 0))):
+        levels = levels_covered_two_levels_up(kernel, g, growth, targets)
+        assert len(levels) >= 3
+
+
+def test_xi_command_node_counts(monkeypatch, capsys):
+    # a fresh 256-bit xi run builds the Phi kernel to 129 nodes at most,
+    # and every sign-scan value stops at 65 nodes: the error bound picks
+    # one level fewer than a test on the difference of two levels would
+    from momentsieve import cli, riemann
+    monkeypatch.setattr(riemann, "_kernel_cache", {})
+    phi, xi_eval, cos_sin = riemann.phi, riemann.xi_eval, mpmath.cos_sin
+    kernel_values, evaluations, nodes = [], [], [0]
+
+    def counting_phi(u):
+        kernel_values.append(u)
+        return phi(u)
+
+    def counting_cos_sin(x):
+        nodes[0] += 1
+        return cos_sin(x)
+
+    def counting_xi_eval(s, target=None, derivative=False):
+        nodes[0] = 0
+        value = xi_eval(s, target, derivative)
+        evaluations.append((target, nodes[0]))
+        return value
+
+    monkeypatch.setattr(riemann, "phi", counting_phi)
+    monkeypatch.setattr(riemann, "xi_eval", counting_xi_eval)
+    monkeypatch.setattr(riemann.mpmath, "cos_sin", counting_cos_sin)
+    assert cli.main("xi --N 12 --nmax 4 --kmax 4 --bits 256".split()) == 0
+    capsys.readouterr()
+    assert len(kernel_values) <= 129
+    sign_scan = [n for target, n in evaluations if target == sign_target(256)]
+    assert len(sign_scan) >= 30
+    assert max(sign_scan) <= 65
 
 
 def test_series_vanishes_at_first_zero(coeffs12, brackets30):
@@ -175,15 +239,16 @@ def test_bracket_first_zero():
 
 def test_bracket_zeros_evaluation_count(monkeypatch):
     # the sign scan takes 33 points on [0, 16]; Newton and its two probes
-    # add a handful, where bisection to 2^-128 added 127 (160 in all)
+    # add a handful, where bisection to 2^-128 added 127 (160 in all); the
+    # error bound stops the Newton integrals at 129 nodes
     from momentsieve import numkernel, riemann
     quadratures, kernel_values = [], []
     integrate = numkernel.CachedKernelQuadrature.integrate
     phi = riemann.phi
 
-    def counting_integrate(self, g, target=None):
+    def counting_integrate(self, g, growth, target=None):
         quadratures.append(target)
-        return integrate(self, g, target)
+        return integrate(self, g, growth, target)
 
     def counting_phi(u, phi=phi):
         kernel_values.append(u)
@@ -197,7 +262,7 @@ def test_bracket_zeros_evaluation_count(monkeypatch):
         brackets = bracket_zeros(16)
     assert len(brackets) == 1
     assert len(quadratures) <= 50
-    assert len(kernel_values) <= 257
+    assert len(kernel_values) <= 129
 
 
 def test_pipeline_first_zero_to_full_precision():
