@@ -579,22 +579,16 @@ def xi_char_eval(s, chi: DirichletCharacter,
     ``target`` is the absolute quadrature error goal (None: the default).
     With ``derivative``, returns the value and its s-derivative
     i int y e^(isy) phi(y, chi) dy from the same kernel values.  On the
-    folded kernel both are integrated with real multipliers from one
-    cos_sin per node pair +-y; their growths are (|s|, 0) and (|s|, 1).
+    folded kernel both are integrated by
+    :meth:`CachedKernelQuadrature.fourier` with the real multipliers
+    (cos sy, sin sy) and (-y sin sy, y cos sy), taken by integer angle
+    addition from two ``cos_sin`` calls per trapezoidal level.
     """
     _require_analytic(chi)
-    s = to_mpf(s)
     prec = mp.prec
     kernel = _char_kernel(
         chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
-
-    def g(y):
-        c, sn = mpmath.cos_sin(s * y)
-        return ((c, sn), (-y * sn, y * c)) if derivative else (c, sn)
-
-    sigma = abs(s)
-    growth = ((sigma, 0), (sigma, 1)) if derivative else (sigma, 0)
-    value = kernel.integrate(g, growth, target).value
+    value = kernel.fourier(s, target, derivative).value
     return tuple(map(mpc, value)) if derivative else mpc(value)
 
 

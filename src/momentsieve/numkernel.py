@@ -17,6 +17,15 @@ Provided here:
   is the target unless a caller passes one.  A kernel value may be a
   tuple of parts with one real multiplier each, which folds a kernel on
   [-b, b] onto [0, b].  The rule needs K*g even and analytic in the strip.
+  Polynomial moments are exactly rounded ``mpmath.fdot`` sums;
+  the oscillatory integrals int K(x) e^(isx) dx take the fixed-point path
+  :meth:`CachedKernelQuadrature.fourier`: cos and sin at each level's
+  equispaced nodes by integer angle addition (the trigonometric
+  recurrence, Numerical Recipes 5.4) from two ``cos_sin`` calls per
+  level, and each level sum one exact integer dot product, the inner loop
+  on Python integers as in Johansson's fixed-point elementary functions
+  (ARITH 22, 2015), with a proved bound on the fixed-point error in the
+  radius.
 * zero location: :func:`sign_changes` scans for sign changes at step
   :data:`SCAN_STEP` and needs only certified signs, then
   :func:`bisect_sign_change` refines each: Newton steps
@@ -34,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
@@ -188,6 +198,15 @@ def default_target(prec: int) -> mpf:
     return mpf(2) ** (-(prec - 16))
 
 
+def _to_fixed(x, bits: int) -> int:
+    """x 2^bits rounded to the nearest integer, for a real number x."""
+    sign, man, exp, _ = mpf(x)._mpf_
+    shift = exp + bits
+    n = man << shift if shift >= 0 \
+        else (man + (1 << (-shift - 1))) >> -shift
+    return -n if sign else n
+
+
 def _log_sum_exp(logs) -> float:
     logs = list(logs)
     top = max(logs)
@@ -288,10 +307,12 @@ class CachedKernelQuadrature:
     |K(x + iy)| + |K(-x + iy)|, and g's growth is that of the unfolded g.
 
     Kernel values at the nodes are computed lazily, once per level, at the
-    precision current at construction, and reused for every ``g``.  This
-    is the workhorse behind Taylor coefficient batches and zero
-    bracketing, where the kernel (a theta-type series) is far more
-    expensive than the polynomial or oscillatory factor.
+    precision current at construction, and reused for every ``g``; each
+    level also keeps them as integers for :meth:`fourier`, which sums
+    e^(isx) and its s-derivative in fixed point.  This is the workhorse
+    behind Taylor coefficient batches and zero bracketing, where the
+    kernel (a theta-type series) is far more expensive than the
+    polynomial or oscillatory factor.
     """
 
     def __init__(self, kernel, b, log_majorant):
@@ -304,6 +325,11 @@ class CachedKernelQuadrature:
         self._multipart = None  # whether kernel values are tuples of parts
         # level -> (nodes, weight * kernel parts, node by node); step omitted
         self._levels = []
+        # level -> (node indices j, components, sum of |W| over them): the
+        # node x is j times the level's step, and each component is a
+        # nonzero real or imaginary part of the weighted kernel part as the
+        # integers W at scale 2^-(prec + guard), (part, imaginary, W, W j)
+        self._fixed = []
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
 
@@ -311,23 +337,33 @@ class CachedKernelQuadrature:
         return self.b / (BASE_INTERVALS << level)
 
     def _ensure_level(self, level: int):
-        with workprec(self.prec + _QUAD_GUARD):
+        bits = self.prec + _QUAD_GUARD
+        with workprec(bits):
             while len(self._levels) <= level:
                 lv = len(self._levels)
                 n = BASE_INTERVALS << lv
                 h = self._step(lv)
-                if lv == 0:  # the ends, with half weights
-                    nodes = [mpf(0), self.b]
-                    js = range(1, n)
-                else:  # the midpoints of the previous level
-                    nodes = []
-                    js = range(1, n, 2)
-                nodes += [j * h for j in js]
+                # every node of [0, b] at level 0, then the midpoints of the
+                # previous level
+                js = range(n + 1) if lv == 0 else range(1, n, 2)
+                nodes = [j * h for j in js]
                 values = [self._kernel(x) for x in nodes]
-                if lv == 0:
+                if lv == 0:  # the ends, with half weights
                     multi = self._multipart = isinstance(values[0], tuple)
-                    values[:2] = [tuple(p / 2 for p in v) if multi else v / 2
-                                  for v in values[:2]]
+                    for i in (0, -1):
+                        values[i] = tuple(p / 2 for p in values[i]) \
+                            if multi else values[i] / 2
+                rows = values if self._multipart else [(v,) for v in values]
+                components = []
+                for part, column in enumerate(zip(*rows)):
+                    for imaginary in (False, True):
+                        w = [_to_fixed(v.imag if imaginary else v.real, bits)
+                             for v in column]
+                        if any(w):
+                            components.append((part, imaginary, w, [
+                                wk * j for wk, j in zip(w, js)]))
+                self._fixed.append((js, components, sum(
+                    abs(wk) for *_, w, _ in components for wk in w)))
                 if self._multipart:
                     values = [p for v in values for p in v]
                 self._levels.append((nodes, values))
@@ -367,22 +403,28 @@ class CachedKernelQuadrature:
             max(u, v) for u, v in zip(f, f[1:]))
         return upper(grid(a, 0.0)), log_tail, upper(grid(0.0, 0.0))
 
-    def _log_radii(self, growth, level: int):
-        """log of the error radius of level ``level``, one per column."""
+    def _log_radii(self, growth, level: int, fixed: bool = False):
+        """log of the error radius of level ``level``, one per column.
+
+        ``fixed`` adds the error bound of :meth:`fourier`'s fixed-point
+        sums, which needs the kernel values of every level up to
+        ``level``; the rest is a-priori.
+        """
         x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << level) / float(self.b)
         log_disc = math.log(2) - x - math.log1p(-math.exp(-x))
         guard = -(self.prec + _QUAD_GUARD - 16) * _LN2
+        extra = [self._log_fixed_radius(level)] if fixed else []
         out = []
         for sigma, p in growth:
             if p not in self._majorants:
                 self._majorants[p] = self._majorant_integrals(p)
             log_m, log_tail, log_r = self._majorants[p]
-            out.append(_log_sum_exp((
+            out.append(_log_sum_exp([
                 log_disc + float(sigma) * STRIP + log_m, log_tail,
-                guard + log_r)))
+                guard + log_r] + extra))
         return out
 
-    def _level(self, columns, target) -> int:
+    def _level(self, columns, target, fixed: bool = False) -> int:
         """The smallest level >= 1 whose radii meet ``target``."""
         target = default_target(self.prec) if target is None \
             else to_mpf(target)
@@ -390,9 +432,13 @@ class CachedKernelQuadrature:
             raise DomainError(f"target must be > 0, got {target}")
         log_target = float(mpmath.log(target))
         for level in range(1, MAX_LEVELS + 1):
-            if max(self._log_radii(columns, level)) <= log_target:
+            log_radii = self._log_radii(columns, level)
+            if fixed and max(log_radii) <= log_target:
+                # builds the level: only once the a-priori part fits
+                log_radii = self._log_radii(columns, level, fixed)
+            if max(log_radii) <= log_target:
                 return level
-        worst = mpmath.exp(max(self._log_radii(columns, MAX_LEVELS)))
+        worst = mpmath.exp(max(log_radii))
         raise AccuracyError(
             f"no trapezoidal level up to {MAX_LEVELS} meets the target "
             f"{mpmath.nstr(target, 5)}: the error bound there is "
@@ -433,11 +479,151 @@ class CachedKernelQuadrature:
         columns = list(growth) if vector else [growth]
         level = self._level(columns, target)
         below, sums = self._sums(g, level)
+        return self._integral(columns, level, below, sums, vector)
+
+    def fourier(self, s, target=None, derivative: bool = False) -> Integral:
+        """The :class:`Integral` of ``int K(x) e^(isx) dx`` for real ``s``.
+
+        On a one-part kernel, whose K is even, that is ``int K(x) cos sx``
+        over [0, b]; on a folded kernel the parts take the multipliers
+        (cos sx, sin sx).  With ``derivative`` a second column is the
+        s-derivative, i x e^(isx): -x sin sx, or (-x sin sx, x cos sx)
+        folded.  The growths are (|s|, 0) and (|s|, 1); ``target`` is as
+        for :meth:`integrate`, and with ``derivative`` each field of the
+        result is the pair of columns.
+
+        The levels, kernel values and a-priori radius are those of
+        :meth:`integrate`; only the sums are taken in fixed point.  With
+        F = prec + guard bits and e = 2^-F, the weighted kernel parts w
+        are stored once, at level build, as the integers W = round(w/e).
+        A level's nodes are x_k = (j_0 + k dj) u, k < n, with u its step:
+        the angles s x_0 and s dj u are exact dyadic products, and their
+        cos and sin, from one ``cos_sin`` each at F + 16 bits, are rounded
+        to integers C_0, S_0 and c, d within 1 of 2^F times the true
+        values.  With z_k = C_k + i S_k every other node takes the integer
+        angle addition
+
+            z_(k+1) = floor(z_k (c + i d) / 2^F), componentwise,
+
+        and each column of the level is one exact integer dot product of
+        the W with these integers (times the node index j for the
+        derivative), all levels being converted to ``mpf`` once.  The
+        error bound :meth:`_log_fixed_radius`, added to the radius inside
+        the level choice, covers the fixed point:
+
+        * Recurrence.  Let e_k = z_k - 2^F e^(i s x_k), so |e_0| <= sqrt 2.
+          Then z_k (c + i d) / 2^F = (2^F e^(i s x_k) + e_k)(e^(i s dj u)
+          + r) with |r| <= sqrt 2 e, and the floor is off by at most
+          sqrt 2, so |e_(k+1)| <= (1 + sqrt 2 e) |e_k| + 2 sqrt 2 and
+          |e_k| <= (1 + sqrt 2 e)^k (1 + 2k) sqrt 2 <= 3 (k + 1), as
+          k < 2^16.  The step angle is exact, so there is no phase drift
+          from a rounded angle, which would reach |s| b e over a level;
+          the rounding of its cos and sin is r, counted at every step.
+        * Conversion.  |W e - w| <= e/2 for each of the P components.
+        * Dot product.  Exact; per level and column its error is at most
+          sum_k |W_k| e 3 (k + 1) e + P n e / 2 <= e (3 n A + P n / 2),
+          with A = e sum |W| over the components, known exactly, and
+          times x <= b for the derivative's multipliers.
+        * Rounding.  Each total is rounded once at F bits, relative
+          error e, and the multipliers are at most 2 max(1, b).
+
+        The sum of level l is u_l times the node sums of levels 0..l, so
+        its fixed-point error is at most
+
+            e u_l max(1, b) sum_(lv <= l) ((3 n_lv + 2) A_lv + P_lv n_lv / 2).
+        """
+        s = to_mpf(s)
+        columns = [(abs(s), 0)] + ([(abs(s), 1)] if derivative else [])
+        level = self._level(columns, target, fixed=True)
+        below, sums = self._fixed_sums(s, level, derivative)
+        return self._integral(columns, level, below, sums, derivative,
+                              fixed=True)
+
+    def _turns(self, s, lv: int):
+        """2^F (cos s x, sin s x) at level ``lv``'s nodes x, as integers.
+
+        One ``cos_sin`` at the first node and one at the node spacing; the
+        rest by angle addition with truncating shifts (see
+        :meth:`fourier`).  F = prec + guard bits.
+        """
+        bits = self.prec + _QUAD_GUARD
+        js = self._fixed[lv][0]
+        with workprec(bits + 16):
+            angle = mpmath.fmul(s, self._step(lv), exact=True)
+            first, step = (mpmath.fmul(angle, j, exact=True)
+                           for j in (js[0], js[1] - js[0]))
+            c, sn = (_to_fixed(v, bits) for v in mpmath.cos_sin(first))
+            dc, ds = (_to_fixed(v, bits) for v in mpmath.cos_sin(step))
+        cs, ss = [c], [sn]
+        for _ in range(len(js) - 1):
+            c, sn = (c * dc - sn * ds) >> bits, (sn * dc + c * ds) >> bits
+            cs.append(c)
+            ss.append(sn)
+        return cs, ss
+
+    def _fixed_sums(self, s, level: int, derivative: bool):
+        """:meth:`fourier`'s sums of levels level-1 and level, per column."""
+        self._ensure_level(level)
+        bits = self.prec + _QUAD_GUARD
+        # per level and column, the integer sums (real, imaginary) at scale
+        # 2^(-2 bits); the derivative's in units of the level's step
+        per_level = []
+        for lv in range(level + 1):
+            cs, ss = self._turns(s, lv)
+            sums = [[0, 0], [0, 0]]
+            for part, imaginary, w, wj in self._fixed[lv][1]:
+                sums[0][imaginary] += sum(map(mul, w, (cs, ss)[part]))
+                if derivative:
+                    d = sum(map(mul, wj, (ss, cs)[part]))
+                    sums[1][imaginary] += d if part else -d
+            per_level.append(sums)
+        complex_ = any(imaginary for lv in range(level + 1)
+                       for _, imaginary, *_ in self._fixed[lv][1])
+
+        def level_sums(top):
+            # each column is h_top (value) or h_top^2 (derivative) times its
+            # integers; a node j h_lv is j 2^(top - lv) h_top, so the
+            # derivative's sums of level lv shift by top - lv
+            h = self._step(top)
+            units = (h, mpmath.fmul(h, h, exact=True))
+            out = []
+            for col in range(1 + derivative):
+                parts = [mpmath.ldexp(+mpmath.fmul(sum(
+                    per_level[lv][col][i] << col * (top - lv)
+                    for lv in range(top + 1)), units[col], exact=True),
+                    -2 * bits) for i in (0, 1)]
+                out.append(mpc(*parts) if complex_ else parts[0])
+            return out
+
+        with workprec(bits):
+            return level_sums(level - 1), level_sums(level)
+
+    def _log_fixed_radius(self, level: int) -> float:
+        """log of :meth:`fourier`'s fixed-point error bound at ``level``.
+
+        Evaluated in floats from exact integers and doubled, as the
+        a-priori terms are.
+        """
+        self._ensure_level(level)
+        bits = self.prec + _QUAD_GUARD
+        # the bound's sum, in units of e^2 = 2^(-2 bits)
+        total = sum((3 * len(js) + 2) * scale
+                    + (len(components) * len(js) << (bits - 1))
+                    for js, components, scale in self._fixed[:level + 1])
+        h = float(self._step(level))
+        return math.log(2 * h * max(1.0, float(self.b))) \
+            + math.log(total) - 2 * bits * _LN2 if total else -math.inf
+
+    def _integral(self, columns, level, below, sums, vector,
+                  fixed=False) -> Integral:
+        """The :class:`Integral` of the level sums, with the consistency check."""
         if len(sums) != len(columns):
             raise DomainError(
                 f"{len(columns)} growths for {len(sums)} integrand columns")
-        radii = [mpmath.exp(r) for r in self._log_radii(columns, level)]
-        lower = [mpmath.exp(r) for r in self._log_radii(columns, level - 1)]
+        radii = [mpmath.exp(r)
+                 for r in self._log_radii(columns, level, fixed)]
+        lower = [mpmath.exp(r)
+                 for r in self._log_radii(columns, level - 1, fixed)]
         diffs = [abs(s - t) for s, t in zip(sums, below)]
         for d, r, r_below in zip(diffs, radii, lower):
             if d > r + r_below:

@@ -98,10 +98,14 @@ def phi(u, n_terms: int = 100000) -> mpf:
     u = abs(to_mpf(u))
     if u > 32:
         raise DomainError("Phi(u) is evaluated for |u| <= 32 only")
-    g9 = mpmath.exp(mpf(9) * u / 2)
-    g5 = mpmath.exp(mpf(5) * u / 2)
+    # e^(5u/2), e^(9u/2) and e^(2u) as powers of one e^(u/2)
+    e1 = mpmath.exp(u / 2)
+    e2 = e1 * e1
+    e4 = e2 * e2
+    g5 = e4 * e1
+    g9 = g5 * e4
     pi = mpmath.pi
-    b = pi * mpmath.exp(2 * u)
+    b = pi * e4
     # e^(-n^2 b) by the two-multiplication recurrence, not one exp per term
     p = mpmath.exp(-b)
     ratio = p * p
@@ -161,11 +165,16 @@ _kernel_cache: dict = {}
 
 
 def _phi_kernel(u_max: mpf, prec: int) -> CachedKernelQuadrature:
-    key = (prec, str(u_max))
-    if key not in _kernel_cache:
-        _kernel_cache[key] = CachedKernelQuadrature(
+    """Cached Phi kernel on [0, u_max'] with u_max' >= u_max, one per precision.
+
+    A request past the cached cutoff replaces the kernel; the integrands
+    are negligible on the extra stretch, where the tail bound covers them.
+    """
+    found = _kernel_cache.get(prec)
+    if found is None or found.b < u_max:
+        found = _kernel_cache[prec] = CachedKernelQuadrature(
             phi, u_max, _phi_log_majorant)
-    return _kernel_cache[key]
+    return found
 
 
 @dataclass(frozen=True)
@@ -221,20 +230,14 @@ def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
     integrals, half the values, are taken to half of it.  With
     ``derivative``, returns (Xi(s), Xi'(s)) with
     Xi'(s) = -2 int_0^umax u Phi(u) sin(us) du, integrated together on the
-    same Phi values from one cos_sin per node.
+    same Phi values by :meth:`CachedKernelQuadrature.fourier`, which takes
+    cos and sin at the nodes by integer angle addition, from two
+    ``cos_sin`` calls per trapezoidal level.
     """
-    s = to_mpf(s)
     prec = mp.prec
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5), prec)
     half = (default_target(prec) if target is None else to_mpf(target)) / 2
-    sigma = abs(s)
-
-    def g(u):
-        c, sn = mpmath.cos_sin(u * s)
-        return (c, -u * sn) if derivative else c
-
-    growth = ((sigma, 0), (sigma, 1)) if derivative else (sigma, 0)
-    value = kernel.integrate(g, growth, half).value
+    value = kernel.fourier(s, half, derivative).value
     if derivative:
         return tuple(require_finite(2 * v, "Xi(s) or Xi'(s)") for v in value)
     return require_finite(2 * value, "Xi(s)")
@@ -369,6 +372,9 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
 
     def source():
         nonlocal coeffs, brackets
+        # the coefficients' kernel has the larger cutoff: built first, it
+        # serves the zero scan too
+        _phi_kernel(kernel_cutoff(mp.prec, 1, 4.5 + 2 * N), mp.prec)
         brackets = tuple(bracket_zeros(SCAN_MAX))
         if not brackets:
             raise DomainError(f"no Xi zero located below {SCAN_MAX}")

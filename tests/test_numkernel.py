@@ -243,6 +243,116 @@ def test_zero_multipliers_are_left_out_of_the_sums(monkeypatch):
     assert sum(pairs) == 2 * (nodes - 1)  # both vanish at x = 0
 
 
+def fourier_references(kernel, s, levels):
+    """The sums of :meth:`fourier`'s two columns at levels 0..``levels``,
+    from one cos_sin per node and one fdot per column on the kernel's own
+    weighted values, 64 bits above the fixed point."""
+    kernel._ensure_level(levels)
+    out = [[0, 0]]
+    with workprec(kernel.prec + numkernel._QUAD_GUARD + 64):
+        for lv in range(levels + 1):
+            nodes, values = kernel._levels[lv]
+            parts = len(values) // len(nodes)
+            terms = ([], [])
+            for i, x in enumerate(nodes):
+                c, sn = mpmath.cos_sin(s * x)
+                w = values[i * parts:(i + 1) * parts]
+                terms[0].extend(zip(w, (c, sn)))
+                terms[1].extend(zip(w, (-x * sn, x * c)))
+            h = kernel.b / (numkernel.BASE_INTERVALS << lv)
+            out.append([t / 2 + h * mpmath.fdot(column)
+                        for t, column in zip(out[-1], terms)])
+    return out[1:]
+
+
+def folded_complex_kernel():
+    """exp(-(x - 3/10)^2) (1 + ix) folded onto [0, 16]: E and F are both
+    complex, so the sums carry four integer components."""
+    kernel = lambda x: mpmath.exp(-(x - mpf(3) / 10) ** 2) * mpc(1, x)
+
+    def folded(x):
+        plus, minus = kernel(x), kernel(-x)
+        return plus + minus, mpc(0, 1) * (plus - minus)
+
+    def majorant(x, t):
+        return t * t + math.log(math.exp(-(x - 0.3) ** 2)
+                                + math.exp(-(x + 0.3) ** 2)) \
+            + math.log((1 + t) ** 2 + x * x) / 2
+
+    return CachedKernelQuadrature(folded, 16, majorant)
+
+
+@pytest.mark.parametrize("bits, levels", [(64, (MAX_LEVELS, 7)),
+                                          (256, (7, 7)), (1056, (5, 5))])
+def test_fixed_point_sums_within_their_bound(bits, levels):
+    # the integer angle-addition sums against cos_sin and fdot on the same
+    # nodes, for a one-part and a folded kernel, every level up to
+    # ``levels``, with and without the derivative column; at 64 bits the
+    # one-part kernel reaches a progression of the longest length
+    with workprec(bits):
+        kernels = [CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 14,
+                                          gaussian_majorant),
+                   folded_complex_kernel()]
+        target = numkernel.default_target(bits)
+    for kernel, s, top in zip(kernels, (mpf("17.3"), mpf("-2.9")), levels):
+        references = fourier_references(kernel, s, top)
+        for lv in range(1, top + 1):
+            bounds = [mpmath.exp(kernel._log_fixed_radius(k))
+                      for k in (lv - 1, lv)]
+            assert bounds[1] <= target * mpf(2) ** -16
+            for derivative in (False, True):
+                got = kernel._fixed_sums(s, lv, derivative)
+                for sums, want, bound in zip(
+                        got, references[lv - 1:lv + 1], bounds):
+                    assert len(sums) == 1 + derivative
+                    for v, w in zip(sums, want):
+                        assert abs(v - w) <= bound, (lv, derivative)
+
+
+@pytest.mark.parametrize("bits, level", [(64, MAX_LEVELS),
+                                         (256, MAX_LEVELS), (1056, 8)])
+def test_angle_addition_stays_within_its_lemma(bits, level):
+    # node by node, the integers of the recurrence are within 3 (k + 1) of
+    # 2^F (cos, sin)(s x_k) at the k-th node of a level, F = prec + guard:
+    # the lemma behind the fixed-point bound, down to a level of the
+    # longest progression
+    with workprec(bits):
+        kernel = CachedKernelQuadrature(lambda x: 1, 14, gaussian_majorant)
+    kernel._ensure_level(level)
+    fixed = bits + numkernel._QUAD_GUARD
+    s = mpf("-23.7")
+    for lv in (0, 1, level):
+        nodes = kernel._levels[lv][0]
+        with workprec(fixed + 64):
+            want = [mpmath.cos_sin(s * x) for x in nodes]
+        for k, (c, sn, (wc, ws)) in enumerate(zip(*kernel._turns(s, lv),
+                                                  want)):
+            assert abs(c - mpmath.ldexp(wc, fixed)) <= 3 * (k + 1), (lv, k)
+            assert abs(sn - mpmath.ldexp(ws, fixed)) <= 3 * (k + 1), (lv, k)
+
+
+def test_fourier_matches_integrate():
+    # the same Integral as cos_sin multipliers through integrate, to the
+    # fixed-point bound, with the radius grown by that bound only
+    kernel = folded_complex_kernel()
+    s = mpf("1.7")
+
+    def g(x):
+        c, sn = mpmath.cos_sin(s * x)
+        return (c, sn), (-x * sn, x * c)
+
+    want = kernel.integrate(g, ((s, 0), (s, 1)))
+    got = kernel.fourier(s, derivative=True)
+    level = kernel._level([(s, 0), (s, 1)], None)
+    bound = mpmath.exp(kernel._log_fixed_radius(level))
+    for v, w, r, r_want in zip(got.value, want.value, got.radius,
+                               want.radius):
+        assert abs(v - w) <= bound + mpf(2) ** -mp.prec * abs(w)
+        assert r_want <= r <= r_want + 2 * bound
+    value, radius, _ = kernel.fourier(s)
+    assert (value, radius) == (got.value[0], got.radius[0])
+
+
 # --- sign certification -------------------------------------------------------
 
 def test_certify_trivial_signs():

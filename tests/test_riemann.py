@@ -6,6 +6,7 @@ from mpmath import mp, mpf, mpc, workprec
 
 from momentsieve.moments import build_grid, moments_by_recursion, normalize
 from momentsieve.numkernel import (
+    BASE_INTERVALS,
     AccuracyError,
     DomainError,
     ZeroBracket,
@@ -156,35 +157,51 @@ def test_phi_radius_covers_two_levels_up(monkeypatch):
 def test_xi_command_node_counts(monkeypatch, capsys):
     # a fresh 256-bit xi run builds the Phi kernel to 129 nodes at most,
     # and every sign-scan value stops at 65 nodes: the error bound picks
-    # one level fewer than a test on the difference of two levels would
-    from momentsieve import cli, riemann
+    # one level fewer than a test on the difference of two levels would.
+    # The nodes are counted where the integer angle addition visits them,
+    # and each level takes two cos_sin calls, at its first node and step
+    from momentsieve import cli, numkernel, riemann
     monkeypatch.setattr(riemann, "_kernel_cache", {})
     phi, xi_eval, cos_sin = riemann.phi, riemann.xi_eval, mpmath.cos_sin
-    kernel_values, evaluations, nodes = [], [], [0]
+    turns = numkernel.CachedKernelQuadrature._turns
+    kernel_values, evaluations, levels, trig = [], [], [], [0]
 
     def counting_phi(u):
         kernel_values.append(u)
         return phi(u)
 
+    def counting_turns(self, s, lv):
+        cs, ss = turns(self, s, lv)
+        levels.append((lv, len(cs)))
+        return cs, ss
+
     def counting_cos_sin(x):
-        nodes[0] += 1
+        trig[0] += 1
         return cos_sin(x)
 
     def counting_xi_eval(s, target=None, derivative=False):
-        nodes[0] = 0
+        levels.clear()
+        trig[0] = 0
         value = xi_eval(s, target, derivative)
-        evaluations.append((target, nodes[0]))
+        evaluations.append((target, sum(n for _, n in levels),
+                            max(lv for lv, _ in levels), trig[0]))
         return value
 
     monkeypatch.setattr(riemann, "phi", counting_phi)
     monkeypatch.setattr(riemann, "xi_eval", counting_xi_eval)
-    monkeypatch.setattr(riemann.mpmath, "cos_sin", counting_cos_sin)
+    monkeypatch.setattr(numkernel.CachedKernelQuadrature, "_turns",
+                        counting_turns)
+    monkeypatch.setattr(numkernel.mpmath, "cos_sin", counting_cos_sin)
     assert cli.main("xi --N 12 --nmax 4 --kmax 4 --bits 256".split()) == 0
     capsys.readouterr()
     assert len(kernel_values) <= 129
-    sign_scan = [n for target, n in evaluations if target == sign_target(256)]
+    sign_scan = [n for target, n, _, _ in evaluations
+                 if target == sign_target(256)]
     assert len(sign_scan) >= 30
     assert max(sign_scan) <= 65
+    for _, nodes, level, calls in evaluations:
+        assert nodes == (BASE_INTERVALS << level) + 1
+        assert calls <= 2 * (level + 1)
 
 
 def test_series_vanishes_at_first_zero(coeffs12, brackets30):
@@ -243,20 +260,20 @@ def test_bracket_zeros_evaluation_count(monkeypatch):
     # error bound stops the Newton integrals at 129 nodes
     from momentsieve import numkernel, riemann
     quadratures, kernel_values = [], []
-    integrate = numkernel.CachedKernelQuadrature.integrate
+    fourier = numkernel.CachedKernelQuadrature.fourier
     phi = riemann.phi
 
-    def counting_integrate(self, g, growth, target=None):
+    def counting_fourier(self, s, target=None, derivative=False):
         quadratures.append(target)
-        return integrate(self, g, growth, target)
+        return fourier(self, s, target, derivative)
 
     def counting_phi(u, phi=phi):
         kernel_values.append(u)
         return phi(u)
 
     monkeypatch.setattr(riemann, "_kernel_cache", {})
-    monkeypatch.setattr(numkernel.CachedKernelQuadrature, "integrate",
-                        counting_integrate)
+    monkeypatch.setattr(numkernel.CachedKernelQuadrature, "fourier",
+                        counting_fourier)
     monkeypatch.setattr(riemann, "phi", counting_phi)
     with workprec(256):
         brackets = bracket_zeros(16)
