@@ -18,8 +18,10 @@ with kappa the parity of chi.  The series is summed only at y >= 0; at
 y < 0 the theta functional equation gives phi from the series of conj chi.
 Every integral is folded onto [0, y_max]: the node y carries the parts
 phi(y) + phi(-y) and i (phi(y) - phi(-y)), each integrand one real
-multiplier per part, and the kernels of chi and conj chi share the series
-at each node (see _char_kernel).  Moment data comes from the coefficients
+multiplier per part.  The pair {chi, conj chi} has one such kernel
+(E, F), that of its lower-index character; the other character chi' has
+the parts epsilon(chi') (E, -F), so its integrals are products, not
+quadratures (see _char_kernel).  Moment data comes from the coefficients
 a_n(chi) = int y^n phi(y, chi) dy: the product
 f(s, chi) = s^(-2 mu) xi(1/2+is, chi) xi(1/2+is, conj chi) is even with real
 coefficients b_n built by convolution, and when the ratios b_n/b_0 are
@@ -60,6 +62,7 @@ from .numkernel import (
     ConsistencyError,
     DomainError,
     ZeroBracket,
+    _QUAD_GUARD,
     bisect_sign_change,
     certify_sign,
     default_target,
@@ -401,27 +404,38 @@ def phi_char(y, chi: DirichletCharacter) -> mpc:
 _char_kernel_cache: dict = {}
 
 
-def _char_kernel(chi: DirichletCharacter, prec: int,
-                 y_max: mpf) -> CachedKernelQuadrature:
-    """Cached phi(., chi) kernel folded onto [0, y_max'] with y_max' >= y_max.
+def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
+    """(kernel, base, e') for the pair {chi, conj chi}, cached per precision.
 
-    The node y carries the parts E = K(y) + K(-y) and F = i (K(y) - K(-y))
-    of K = phi(., chi) (see :class:`CachedKernelQuadrature`), with the
-    majorant of :func:`_folded_log_majorant`.  One cache
-    entry holds the kernels of chi and conj chi, which share their series:
-    with t = phi(y, chi), t' = phi(y, conj chi) and e' = epsilon(conj chi),
-    the functional equation of :func:`phi_char` and epsilon(chi) e' = 1
-    give K(-y) = t' / e' for chi and t e' for conj chi.  So each node
-    y >= 0 sums each character's series once for the pair, and e' is
-    computed once, at the nodes' precision.  The pair is ordered by index,
-    so a kernel does not depend on which character asked first.
+    ``base`` is the pair's lower-index character, so the kernel does not
+    depend on which one asked first, and e' = epsilon(conj base), computed
+    once, at the nodes' precision.  By :func:`phi_char`, phi(-y, base) =
+    t'/e' with t' = phi(y, conj base), so with t = phi(y, base) the node
+    y > 0 carries E = t + t'/e' and F = i (t - t'/e'), and y = 0 carries
+    (2t, 0) (see :class:`CachedKernelQuadrature`), on [0, y_max'] with
+    y_max' >= y_max and the majorant of :func:`_folded_log_majorant`; a
+    real base sums one series.  As epsilon(base) e' = 1, conj base has the
+    parts e' (E, -F), so it needs no kernel of its own.
     """
-    pair = sorted({chi, chi.conjugate()}, key=lambda c: c.index)
-    key = (chi.q, pair[0].exponents, prec)
-    found = _char_kernel_cache.get(key)
-    if found is None or found[chi].b < y_max:
-        found = _char_kernel_cache[key] = _folded_kernels(pair, y_max)
-    return found[chi]
+    base = min(chi, chi.conjugate(), key=lambda c: c.index)
+    found = _char_kernel_cache.get((base, prec))
+    if found is None or found[0].b < y_max:
+        base_bar = base.conjugate()
+        with workprec(prec + _QUAD_GUARD):
+            eps_bar = epsilon_factor(base_bar)
+
+        def parts(y):
+            t = phi_char(y, base)
+            if y == 0:  # E = 2 K(0), F = 0, as phi_char(0, chi) has it
+                return 2 * t, mpc(0)
+            minus = (t if base_bar == base else phi_char(y, base_bar)) \
+                / eps_bar
+            diff = t - minus
+            return t + minus, mpc(-diff.imag, diff.real)
+
+        found = _char_kernel_cache[(base, prec)] = (CachedKernelQuadrature(
+            parts, y_max, _folded_log_majorant(base.q, base.parity)), eps_bar)
+    return found[0], base, found[1]
 
 
 def _folded_log_majorant(q: int, kappa: int):
@@ -443,35 +457,6 @@ def _folded_log_majorant(q: int, kappa: int):
     return log_majorant
 
 
-def _folded_kernels(pair, y_max: mpf) -> dict:
-    """The folded kernels of :func:`_char_kernel`, keyed by character."""
-    majorant = _folded_log_majorant(pair[0].q, pair[0].parity)
-    eps_bar = None
-    pending = {}  # y -> series the other kernel of the pair has not used yet
-
-    def node(side):
-        def parts(y):
-            nonlocal eps_bar
-            if eps_bar is None:
-                eps_bar = epsilon_factor(pair[-1])
-            thetas = pending.pop(y, None)
-            if thetas is None:
-                thetas = tuple(phi_char(y, c) for c in pair)
-                if len(pair) > 1:
-                    pending[y] = thetas
-            t, t_bar = thetas[0], thetas[-1]
-            plus, minus = (t, t_bar / eps_bar) if side == 0 \
-                else (t_bar, t * eps_bar)
-            if y == 0:  # E = 2 K(0), F = 0, as phi_char(0, chi) has it
-                minus = plus
-            diff = plus - minus
-            return plus + minus, mpc(-diff.imag, diff.real)
-        return parts
-
-    return {c: CachedKernelQuadrature(node(side), y_max, majorant)
-            for side, c in enumerate(pair)}
-
-
 @dataclass(frozen=True)
 class CharCoefficients:
     """a_n(chi) with the conjugate-side coefficients and the products b_n.
@@ -480,14 +465,14 @@ class CharCoefficients:
     2^-(prec/2) * max|a_n| (true zeros here are exact symmetry zeros, living
     at roundoff level far below genuine coefficients).  ``b[n]`` is
     sum_(j=0..2n) a_(j+mu)(chi) a_(2n-j+mu)(conj chi), defined while
-    2n + mu <= N.  ``eq_residuals`` stores
-    |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|; both kernels take
-    their y < 0 half from the functional equation, so it sits at rounding
-    level by construction.  ``quadrature_error[n]`` is the difference of
-    the last two quadrature levels of a_n(chi) over n!, not an error
-    bound.  ``b_radii[n]`` bounds the error of b[n]: the radius of each
-    a_n, the quadrature's error radius over n! plus rounding, carried
-    through the convolution.
+    2n + mu <= N.  One side of the pair is integrated and the other is
+    (-1)^n epsilon(conj chi) times it (eq. 3.24), so ``eq_residuals``,
+    |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|, only measures the
+    rounding of that product.  ``quadrature_error[n]`` is the difference
+    of the last two quadrature levels of the integrated a_n over n!, not
+    an error bound.  ``b_radii[n]`` bounds the error of b[n]: the radius
+    of each a_n, the quadrature's error radius over n! plus rounding,
+    carried through the convolution.
     """
 
     a: Tuple[mpc, ...]
@@ -501,13 +486,23 @@ class CharCoefficients:
 
 
 def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
-    """Coefficients a_0..a_N(chi) and a_n(conj chi) by shared-kernel quadrature."""
+    """Coefficients a_0..a_N of chi and of conj chi from the pair's one kernel.
+
+    The kernel of :func:`_char_kernel` gives a_n(base), and its parts
+    e' (E, -F) give a_n(conj base) = (-1)^n e' a_n(base).  Radii: a_n(base)
+    is rounded twice (to the working precision, then by n!), so its error
+    is under r_n + 2u |a_n|, with u = 2^-prec and r_n the quadrature radius
+    over n!.  As |e'| = 1 the mirror inherits that error and adds one
+    rounding of the product (u |a_n|, each part rounded once) and the error
+    of e', far below u at 32 guard bits.  So the term 4u max(|a_n(chi)|,
+    |a_n(conj chi)|) of each radius covers the extra product.
+    """
     _require_analytic(chi)
     if N < 2:
         raise DomainError("N must be >= 2")
     prec = mp.prec
-    y_max = kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N)
-    chi_bar = chi.conjugate()
+    kernel, base, eps_mirror = _char_kernel(
+        chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N))
     zero = mpf(0)
 
     def powers(y):
@@ -520,24 +515,19 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             p *= y
         return tuple(columns)
 
+    # coefficient of s^n in the e^(isy) expansion is i^n/n! int y^n phi,
+    # so the moment integral carries the 1/n! factor
     facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
-    growth = tuple((0, n) for n in range(N + 1))
+    vals, radii, diffs = kernel.integrate(
+        powers, tuple((0, n) for n in range(N + 1)))
+    a = [mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
+         for n, (v, fac) in enumerate(zip(vals, facs))]
+    a_bar = a
+    if not base.is_real:
+        mirror = [(-1) ** n * eps_mirror * v for n, v in enumerate(a)]
+        a, a_bar = (a, mirror) if chi == base else (mirror, a)
 
-    def monomials(c):
-        # coefficient of s^n in the e^(isy) expansion is i^n/n! int y^n phi,
-        # so the moment integral carries the 1/n! factor
-        vals, radii, diffs = _char_kernel(c, prec, y_max).integrate(
-            powers, growth)
-        return ([mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
-                 for n, (v, fac) in enumerate(zip(vals, facs))],
-                [r / fac for r, fac in zip(radii, facs)],
-                [d / fac for d, fac in zip(diffs, facs)])
-
-    a, radii, errs = monomials(chi)
-    a_bar, radii_bar, _ = (a, radii, errs) if chi_bar == chi \
-        else monomials(chi_bar)
-
-    eps_bar = epsilon_factor(chi_bar)
+    eps_bar = epsilon_factor(chi.conjugate())
     residuals = tuple(abs(a_bar[n] - (-1) ** n * eps_bar * a[n])
                       for n in range(N + 1))
 
@@ -549,10 +539,9 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             f"up to N = {N}; cannot locate mu")
 
     u = mpf(2) ** -prec
-    # radius of a_n and of a_n(conj chi): the quadrature radius over n!,
-    # plus rounding
-    rho = [max(r, r_bar) + 4 * u * max(abs(v), abs(w))
-           for v, w, r, r_bar in zip(a, a_bar, radii, radii_bar)]
+    # radius of a_n and of a_n(conj chi): see the docstring
+    rho = [r / fac + 4 * u * max(abs(v), abs(w))
+           for v, w, r, fac in zip(a, a_bar, radii, facs)]
     b: List[mpc] = []
     b_radii: List[mpf] = []
     for n in range((N - mu) // 2 + 1):
@@ -566,7 +555,8 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
         b_radii=tuple(b_radii), eq_residuals=residuals,
-        quadrature_error=tuple(errs), bits=prec)
+        quadrature_error=tuple(d / fac for d, fac in zip(diffs, facs)),
+        bits=prec)
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +572,21 @@ def xi_char_eval(s, chi: DirichletCharacter,
     folded kernel both are integrated by
     :meth:`CachedKernelQuadrature.fourier` with the real multipliers
     (cos sy, sin sy) and (-y sin sy, y cos sy), taken by integer angle
-    addition from two ``cos_sin`` calls per trapezoidal level.
+    addition from two ``cos_sin`` calls per trapezoidal level.  For conj
+    base (see :func:`_char_kernel`) they are e' xi(1/2 - is, base) and
+    its s-derivative.
     """
     _require_analytic(chi)
     prec = mp.prec
-    kernel = _char_kernel(
+    kernel, base, eps_mirror = _char_kernel(
         chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
-    value = kernel.fourier(s, target, derivative).value
-    return tuple(map(mpc, value)) if derivative else mpc(value)
+    if chi == base:
+        value = kernel.fourier(s, target, derivative).value
+        return tuple(map(mpc, value)) if derivative else mpc(value)
+    value = kernel.fourier(-to_mpf(s), target, derivative).value
+    if derivative:
+        return eps_mirror * value[0], -eps_mirror * value[1]
+    return eps_mirror * value
 
 
 def z_char_eval(s, chi: DirichletCharacter,

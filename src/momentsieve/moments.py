@@ -328,8 +328,8 @@ def build_grid(m: MomentSequence, L, n_max: int,
     are then exact, and :func:`certify_sign` rates each cell against R.
     """
     L = to_mpf(L)
-    if not L > 0:
-        raise DomainError("L must be > 0")
+    if not 0 < L < mpmath.inf:
+        raise DomainError("L must be finite and > 0")
     if n_max < 0 or k_max < 0:
         raise DomainError("n_max and k_max must be >= 0")
     if n_max + k_max > m.max_index:

@@ -198,10 +198,11 @@ def test_criterion_6a_gauss_sum_modulus():
 def test_criterion_6b_reflection_residuals():
     """Coefficient reflection residuals below 1e-20 for q in 3,4,5,7.
 
-    ``char_coeffs`` builds the y < 0 half of each kernel from the theta
-    functional equation, which makes the residuals hold by construction;
-    so every a_n is also compared with a kernel that sums the direct
-    series at every node, and that deviation must stay below 1e-20 too.
+    ``char_coeffs`` integrates one character of each pair and takes the
+    other's a_n from the reflection itself, so the residuals hold by
+    construction; every a_n, of both characters, is therefore also
+    compared with a kernel that sums the direct series at every node, and
+    that deviation must stay below 1e-20 too.
     """
     with workprec(256):
         worst = deviation = mpf(0)

@@ -108,6 +108,15 @@ def test_xi_rejects_scale_below_constraint(capsys):
     assert "s_1" in err
 
 
+def test_infinite_scale_is_a_usage_error(capsys):
+    # no precision settles a grid at L = inf: a usage error (exit 1), not
+    # an uncertain grid (exit 3)
+    code, _, err = run(["synthetic", str(FIXTURES / "real_23.zeros"),
+                        "--nmax", "2", "--kmax", "2", "--L", "inf"], capsys)
+    assert code == 1
+    assert "L must be finite" in err
+
+
 def test_xi_rejects_quad_error_option(capsys):
     # the option once set the quadrature target of every value and zero
     # scan; 1e-3 turned this clean grid into a certified violation

@@ -20,6 +20,7 @@ from momentsieve.dirichlet import (
     z_char_eval,
 )
 from momentsieve.numkernel import (
+    CachedKernelQuadrature,
     DomainError,
     bisect_sign_change,
     scan_target,
@@ -344,8 +345,9 @@ def test_q4_coefficients(coeffs4, chi4):
 def assert_matches_direct_series(coeffs, chi):
     """a_n(chi) and a_n(conj chi) against kernels on the direct series.
 
-    The eq-3.24 residuals hold by construction once the y < 0 half of each
-    kernel comes from the functional equation; this comparison does not.
+    The eq-3.24 residuals hold by construction, as char_coeffs takes one
+    side of the pair from the other by that relation; this comparison
+    does not.
     Exact symmetry zeros (below the floor) are compared absolutely.
     """
     bits = coeffs.bits
@@ -412,9 +414,9 @@ def test_b_ratios_real_for_complex_character(coeffs5):
 
 
 def test_pair_sums_each_series_once_per_node(monkeypatch):
-    # chi and conj chi share one folded kernel entry: each node y >= 0 sums
-    # the series of both characters once, and the conjugate's coefficients
-    # reuse them
+    # chi and conj chi share one folded kernel: each node y > 0 sums the
+    # series of both characters once, and the conjugate's coefficients
+    # come from the same integrals
     chi, chi_bar = characters_mod(5)[1], characters_mod(5)[3]
     assert chi.conjugate() == chi_bar
     calls = []
@@ -424,11 +426,20 @@ def test_pair_sums_each_series_once_per_node(monkeypatch):
         calls.append((y, c))
         return phi(y, c)
 
+    kernels = []
+
+    class Kernel(CachedKernelQuadrature):
+        def __init__(self, *args):
+            kernels.append(self)
+            super().__init__(*args)
+
     monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    monkeypatch.setattr(dirichlet, "CachedKernelQuadrature", Kernel)
     monkeypatch.setattr(dirichlet, "phi_char", counting)
     with workprec(128):
         char_coeffs(chi, 12)
         char_coeffs(chi_bar, 12)
+    assert len(kernels) == 1
     nodes = {y for y, _ in calls}
     assert calls and all(y >= 0 for y in nodes)
     assert len(calls) <= 2 * len(nodes)
@@ -436,16 +447,18 @@ def test_pair_sums_each_series_once_per_node(monkeypatch):
 
 
 def test_b_radii_cover_a_double_precision_reference(chi5):
-    # the coefficients of dirichlet --q 5 --index 1 --N 6 --bits 128: the
-    # radius of each b_n bounds its error against the 256-bit values
-    with workprec(128):
-        coeffs = char_coeffs(chi5, 12)
-    with workprec(256):
-        reference = char_coeffs(chi5, 12)
-    assert coeffs.mu == reference.mu == 0
-    for n, (v, w, r) in enumerate(zip(coeffs.b, reference.b,
-                                      coeffs.b_radii)):
-        assert abs(v - w) <= r, n
+    # the coefficients of dirichlet --q 5 --index 1|3 --N 6 --bits 128: the
+    # radius of each b_n bounds its error against the 256-bit values; the
+    # kernel integrates chi_5.1, and chi_5.3 is its mirror
+    for chi in (chi5, chi5.conjugate()):
+        with workprec(128):
+            coeffs = char_coeffs(chi, 12)
+        with workprec(256):
+            reference = char_coeffs(chi, 12)
+        assert coeffs.mu == reference.mu == 0
+        for n, (v, w, r) in enumerate(zip(coeffs.b, reference.b,
+                                          coeffs.b_radii)):
+            assert abs(v - w) <= r, (chi.label(), n)
 
 
 def test_char_kernel_radius_covers_two_levels_up(chi5, monkeypatch):
@@ -453,7 +466,8 @@ def test_char_kernel_radius_covers_two_levels_up(chi5, monkeypatch):
     # target, the radius covers the sum two levels finer
     monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
     y_max = dirichlet.kernel_cutoff(mp.prec, 5, chi5.parity + 0.5 + 6)
-    kernel = dirichlet._char_kernel(chi5, mp.prec, y_max)
+    kernel, base, _ = dirichlet._char_kernel(chi5, mp.prec, y_max)
+    assert base == chi5
     s = mpf(7)
     targets = [mpf(2) ** -k for k in (20, 60, 100, 160, 240)]
     for g, growth in ((lambda y: mpmath.cos_sin(s * y), (s, 0)),
@@ -474,8 +488,9 @@ def test_char_coeffs_preconditions(chi3):
 
 def test_xi_char_eval_matches_hurwitz(chi3, chi5):
     # chi_5 is complex, so its kernel is not even: a folded kernel with
-    # K(y) and K(-y) swapped still matches at s = 0 but not at s = 1
-    for chi in (chi3, chi5):
+    # K(y) and K(-y) swapped still matches at s = 0 but not at s = 1;
+    # chi_5.3 takes its values from the chi_5.1 kernel at -s
+    for chi in (chi3, chi5, chi5.conjugate()):
         for s in (mpf(0), mpf(1)):
             direct = hurwitz_xi(mpf(1) / 2 + mpc(0, 1) * s, chi)
             value = xi_char_eval(s, chi)
@@ -497,13 +512,15 @@ def test_z_sign_change_on_8_9(chi3):
 
 
 def test_z_derivative_matches_central_difference(chi5):
-    with workprec(128):
-        s, h = mpf(3), mpf(2) ** -40
-        value, slope = z_char_eval(s, chi5, derivative=True)
-        assert value == z_char_eval(s, chi5)
-        central = (z_char_eval(s + h, chi5) - z_char_eval(s - h, chi5)) / (2 * h)
-        assert close(slope, central, mpf(10) ** -20)
-        assert abs(slope) > mpf("0.1")
+    for chi in (chi5, chi5.conjugate()):
+        with workprec(128):
+            s, h = mpf(3), mpf(2) ** -40
+            value, slope = z_char_eval(s, chi, derivative=True)
+            assert value == z_char_eval(s, chi)
+            central = (z_char_eval(s + h, chi)
+                       - z_char_eval(s - h, chi)) / (2 * h)
+            assert close(slope, central, mpf(10) ** -20)
+            assert abs(slope) > mpf("0.1")
 
 
 def test_first_zero_heights(chi3, chi4):

@@ -281,8 +281,9 @@ def test_grid_argument_checks():
     m = MomentSequence((mpf(1), mpf(1), mpf(1)))
     with pytest.raises(DomainError, match="moments up to"):
         build_grid(m, 1, 2, 2)
-    with pytest.raises(DomainError, match="L must be"):
-        build_grid(m, 0, 1, 1)
+    for L in (0, "inf"):
+        with pytest.raises(DomainError, match="L must be"):
+            build_grid(m, L, 1, 1)
 
 
 def test_grid_report_verdicts():
