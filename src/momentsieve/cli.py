@@ -35,6 +35,8 @@ EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 
 DEFAULT_BITS = 256
+#: below this the zero scan's steps and brackets no longer resolve
+MIN_BITS = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--bits", type=int, default=DEFAULT_BITS,
                         help=f"working precision in bits "
-                             f"(default {DEFAULT_BITS})")
+                             f"(default {DEFAULT_BITS}, at least {MIN_BITS})")
     common.add_argument("--nmax", type=int, default=8,
                         help="grid depth in n (default 8)")
     common.add_argument("--kmax", type=int, default=8,
@@ -288,8 +290,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         bits = args.bits
-        if bits <= 0:
-            raise DomainError("--bits must be positive")
+        if bits < MIN_BITS:
+            raise DomainError(f"--bits must be at least {MIN_BITS}")
         with workprec(bits):
             report, grid = COMMANDS[args.command](args, bits)
         _emit(report, args.format, args.out, grid)

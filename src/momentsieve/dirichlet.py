@@ -503,23 +503,11 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
     prec = mp.prec
     kernel, base, eps_mirror = _char_kernel(
         chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5 + N))
-    zero = mpf(0)
-
-    def powers(y):
-        # on the folded kernel y^n has the multipliers (y^n, 0) for even n
-        # and (0, -y^n) for odd n, whose integral is then times i; the
-        # quadrature leaves the zero multipliers out of its sums
-        columns, p = [], mpf(1)
-        for n in range(N + 1):
-            columns.append((zero, -p) if n % 2 else (p, zero))
-            p *= y
-        return tuple(columns)
-
     # coefficient of s^n in the e^(isy) expansion is i^n/n! int y^n phi,
-    # so the moment integral carries the 1/n! factor
+    # so the moment integral carries the 1/n! factor; on the folded kernel
+    # an odd moment is i times what the quadrature returns
     facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
-    vals, radii, diffs = kernel.integrate(
-        powers, tuple((0, n) for n in range(N + 1)))
+    vals, radii, diffs = kernel.moments(range(N + 1))
     a = [mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
          for n, (v, fac) in enumerate(zip(vals, facs))]
     a_bar = a

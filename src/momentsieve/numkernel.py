@@ -6,19 +6,19 @@ precision wrap calls in ``mpmath.workprec(bits)``.
 
 Provided here:
 
-* :class:`CachedKernelQuadrature` - trapezoidal-rule quadrature of many
-  integrals ``int_0^inf K(x) g(x) dx`` that share an expensive kernel
-  ``K``, cut at b; the kernel values at the equispaced nodes are computed
-  once and there are no node tables.  The error radius is an a-priori
-  bound (Trefethen & Weideman's strip bound plus the tail past b and the
-  rounding), from a majorant of the kernel on the strip |Im x| <
-  :data:`STRIP` and the integrand's stated growth there, so only the
-  smallest level that meets the target is built; :func:`default_target`
-  is the target unless a caller passes one.  A kernel value may be a
-  tuple of parts with one real multiplier each, which folds a kernel on
-  [-b, b] onto [0, b].  The rule needs K*g even and analytic in the strip.
-  Polynomial moments are exactly rounded ``mpmath.fdot`` sums;
-  the oscillatory integrals int K(x) e^(isx) dx take the fixed-point path
+* :class:`CachedKernelQuadrature` - trapezoidal-rule quadrature of the
+  integrals ``int_0^inf K(x) x^n dx`` and ``int K(x) e^(isx) dx`` of one
+  expensive kernel ``K``, cut at b; the kernel values at the equispaced
+  nodes are computed once and there are no node tables.  The error radius
+  is an a-priori bound (Trefethen & Weideman's strip bound plus the tail
+  past b and the rounding), from a majorant of the kernel on the strip
+  |Im x| < :data:`STRIP`, so only the smallest level that meets the
+  target is built; :func:`default_target` is the target unless a caller
+  passes one.  A kernel value may be a pair of parts, which folds a
+  kernel on [-b, b] onto [0, b].  The polynomial moments
+  :meth:`CachedKernelQuadrature.moments` are one exactly rounded
+  ``mpmath.fdot`` per level with integer powers of the node indices; the
+  oscillatory integrals take the fixed-point path
   :meth:`CachedKernelQuadrature.fourier`: cos and sin at each level's
   equispaced nodes by integer angle addition (the trigonometric
   recurrence, Numerical Recipes 5.4) from two ``cos_sin`` calls per
@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -235,13 +234,13 @@ def log_theta_majorant(log_coeff, c: float) -> float:
 
 
 class Integral(NamedTuple):
-    """What :meth:`CachedKernelQuadrature.integrate` returns.
+    """What :meth:`CachedKernelQuadrature.moments` and ``fourier`` return.
 
     ``radius`` bounds the error of the sum at the guard precision, of
     which ``value`` is the rounding to the working precision (one more
     relative 2^-prec); ``difference`` is the change from the level below,
-    a diagnostic, not a bound.  For an integrand
-    that returns a tuple, each field is the tuple of its columns.
+    a diagnostic, not a bound.  For several degrees, or a value with its
+    derivative, each field is the tuple of their columns.
     """
 
     value: object
@@ -250,25 +249,27 @@ class Integral(NamedTuple):
 
 
 class CachedKernelQuadrature:
-    """Many integrals ``int_0^inf K(x) g(x) dx`` sharing one kernel ``K``.
+    """The integrals ``int K(x) x^n dx`` and ``int K(x) e^(isx) dx`` of one
+    kernel ``K``.
 
     The rule is the equispaced trapezoidal rule on [0, b]: level 0 has
     :data:`BASE_INTERVALS` intervals with half weights at 0 and b, and each
-    later level adds the midpoints and halves the step h.  K*g must be even
-    in x and analytic in the strip |Im x| < a = :data:`STRIP`.  Level l is
-    then half the whole-line rule, whose error is at most
-    2 M / (e^(2 pi a/h) - 1) when int |K g| <= M along every line of the
-    strip (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  By
-    evenness the lines need only x >= 0, so the error radius of level l is
+    later level adds the midpoints and halves the step h.  A one-part
+    kernel must be even in x, and K must be analytic in the strip
+    |Im x| < a = :data:`STRIP`.  Level l is then half the whole-line rule,
+    whose error is at most 2 M / (e^(2 pi a/h) - 1) when int |K g| <= M
+    along every line of the strip for the factor g = x^n or e^(isx)
+    (Trefethen & Weideman, SIAM Review 56, 2014, Thm 5.1).  By evenness
+    the lines need only x >= 0, so the error radius of level l is
 
         2 e^(sigma a) M_p / (e^(2 pi a/h_l) - 1) + tail_p
             + 2^-(prec + _QUAD_GUARD - 16) R_p,
 
-    where the integrand states its growth (sigma, p):
-    |g(x + iy)| <= e^(sigma |y|) (x^2 + y^2)^(p/2).  cos(sx) and e^(isx)
-    have (|s|, 0), x sin(sx) and x e^(isx) have (|s|, 1), x^n has (0, n).
-    With m(x, t) the kernel's majorant (a bound on |K(x + iy)| over
-    |y| <= t) and w(x) = (x^2 + a^2)^(p/2):
+    where (sigma, p) is the growth of g:
+    |g(x + iy)| <= e^(sigma |y|) (x^2 + y^2)^(p/2).  x^n has (0, n),
+    e^(isx) has (|s|, 0) and x e^(isx) has (|s|, 1).  With m(x, t) the
+    kernel's majorant (a bound on |K(x + iy)| over |y| <= t) and
+    w(x) = (x^2 + a^2)^(p/2):
 
     * M_p = int_0^inf m(x, a) w(x) dx;
     * tail_p = (h_0/2) f(b) + int_b^inf f, with f = m(., 0) w, covers the
@@ -280,39 +281,30 @@ class CachedKernelQuadrature:
     The kernel passes ``log m`` as ``log_majorant(x, t)`` in floats.  The
     integrals are summed once per kernel and degree p, at the first
     integral that needs them, on a float grid (upper sums) and doubled:
-    they only set an exponent.  A tuple of growths, one per column, goes
-    with an integrand that returns a tuple.
+    they only set an exponent.
 
-    :meth:`integrate` builds only the smallest level l >= 1 whose radius
-    meets the target; it raises :class:`AccuracyError` before computing any
-    kernel value when no level up to :data:`MAX_LEVELS` does.  Level l - 1
-    is every other node of level l, so |T_l - T_(l-1)| comes free: it is
-    the reported ``difference``, and one above the sum of the two levels'
-    radii raises :class:`ConsistencyError`: then K*g is not even and
-    analytic in the strip, or the majorant does not bound the kernel.
+    Each call builds only the smallest level l >= 1 whose radius meets the
+    target; it raises :class:`AccuracyError` before computing any kernel
+    value when no level up to :data:`MAX_LEVELS` does.  Level l - 1 is
+    every other node of level l, so |T_l - T_(l-1)| comes free: it is the
+    reported ``difference``, and one above the sum of the two levels' radii
+    raises :class:`ConsistencyError`: then K g is not even and analytic in
+    the strip, or the majorant does not bound the kernel.
 
-    A kernel value may be a tuple of parts ``(K_1, ..., K_k)``; a number
-    is the one-part case.  Then the integrand ``g`` returns one real
-    multiplier per part, ``(g_1, ..., g_k)``, and the integral is
-    ``int sum_j K_j(x) g_j(x) dx``.  A kernel on [-b, b] folded onto
-    [0, b] has the parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), so
-    K(x) g(x) + K(-x) g(-x) = E g_even(x) - i F g_odd(x), which is even in
-    x: e^(isx) has the multipliers (cos sx, sin sx), i x e^(isx) has
-    (-x sin sx, x cos sx), and x^n has (x^n, 0) for even n and i times
-    (0, -x^n) for odd n.  Exact zero multipliers cost nothing: a part
-    whose multiplier is 0 is left out of the sum.  At x = 0, E = 2 K(0) and
-    F = 0, so the half weight there restores the node's full weight on
-    [-b, b], and folded level l is level l + 1 of the rule on [-b, b],
-    node for node.  The majorant of a folded kernel bounds
-    |K(x + iy)| + |K(-x + iy)|, and g's growth is that of the unfolded g.
+    A kernel value is a number, or the pair of parts (E, F) of a kernel on
+    [-b, b] folded onto [0, b]: E = K(x) + K(-x) and F = i (K(x) - K(-x)).
+    At x = 0, E = 2 K(0) and F = 0, so the half weight there restores the
+    node's full weight on [-b, b], and folded level l is level l + 1 of
+    the rule on [-b, b], node for node.  The majorant of a folded kernel
+    bounds |K(x + iy)| + |K(-x + iy)|.
 
     Kernel values at the nodes are computed lazily, once per level, at the
-    precision current at construction, and reused for every ``g``; each
-    level also keeps them as integers for :meth:`fourier`, which sums
-    e^(isx) and its s-derivative in fixed point.  This is the workhorse
-    behind Taylor coefficient batches and zero bracketing, where the
-    kernel (a theta-type series) is far more expensive than the
-    polynomial or oscillatory factor.
+    precision current at construction plus the guard bits, and reused by
+    every call; each level also keeps them as integers for
+    :meth:`fourier`, which sums e^(isx) and its s-derivative in fixed
+    point.  This is the workhorse behind Taylor coefficient batches and
+    zero bracketing, where the kernel (a theta-type series) is far more
+    expensive than the polynomial or oscillatory factor.
     """
 
     def __init__(self, kernel, b, log_majorant):
@@ -322,8 +314,8 @@ class CachedKernelQuadrature:
         self.prec = mp.prec
         self._kernel = kernel
         self._log_majorant = log_majorant
-        self._multipart = None  # whether kernel values are tuples of parts
-        # level -> (nodes, weight * kernel parts, node by node); step omitted
+        # level -> one list per kernel part of the weighted kernel values,
+        # node by node; the weights omit the step
         self._levels = []
         # level -> (node indices j, components, sum of |W| over them): the
         # node x is j times the level's step, and each component is a
@@ -346,16 +338,15 @@ class CachedKernelQuadrature:
                 # every node of [0, b] at level 0, then the midpoints of the
                 # previous level
                 js = range(n + 1) if lv == 0 else range(1, n, 2)
-                nodes = [j * h for j in js]
-                values = [self._kernel(x) for x in nodes]
+                rows = [self._kernel(j * h) for j in js]
+                if not isinstance(rows[0], tuple):
+                    rows = [(v,) for v in rows]
                 if lv == 0:  # the ends, with half weights
-                    multi = self._multipart = isinstance(values[0], tuple)
                     for i in (0, -1):
-                        values[i] = tuple(p / 2 for p in values[i]) \
-                            if multi else values[i] / 2
-                rows = values if self._multipart else [(v,) for v in values]
+                        rows[i] = tuple(p / 2 for p in rows[i])
+                parts = list(zip(*rows))
                 components = []
-                for part, column in enumerate(zip(*rows)):
+                for part, column in enumerate(parts):
                     for imaginary in (False, True):
                         w = [_to_fixed(v.imag if imaginary else v.real, bits)
                              for v in column]
@@ -364,9 +355,7 @@ class CachedKernelQuadrature:
                                 wk * j for wk, j in zip(w, js)]))
                 self._fixed.append((js, components, sum(
                     abs(wk) for *_, w, _ in components for wk in w)))
-                if self._multipart:
-                    values = [p for v in values for p in v]
-                self._levels.append((nodes, values))
+                self._levels.append(parts)
 
     def _majorant_integrals(self, p: int):
         """(log M_p, log tail_p, log R_p) of the class docstring."""
@@ -444,42 +433,53 @@ class CachedKernelQuadrature:
             f"{mpmath.nstr(target, 5)}: the error bound there is "
             f"{mpmath.nstr(worst, 5)}", error_estimate=worst)
 
-    def _sums(self, g, level: int):
-        """The trapezoidal sums of levels level-1 and level, per column."""
+    def moments(self, degrees, target=None) -> Integral:
+        """The :class:`Integral` of ``int K(x) x^n dx`` for each n in ``degrees``.
+
+        Each field is the tuple over ``degrees``.  x^n has the growth
+        (0, n), and the level is the first at which every degree's radius
+        meets ``target``, the absolute error goal (:func:`default_target`
+        if None).  A one-part kernel is even, so every n must be even.  On
+        a folded kernel K(x) x^n + K(-x) (-x)^n is E x^n for even n and
+        i (-F) x^n for odd n: an even n reads the part E, an odd n reads -F,
+        and the integral of an odd degree over [-b, b] is i times its
+        value here.
+
+        A node of level lv is x = j h_lv = J h_l with the integer
+        J = j 2^(l - lv), so the sum of level l is h_l^(n+1) times one
+        exactly rounded dot product (``mpmath.fdot``) of the weighted kernel
+        values of levels 0..l with the integers J^n (Ogita, Rump & Oishi,
+        SIAM J. Sci. Comput. 26, 2005).  As h_(l-1) = 2 h_l, the sum of
+        level l - 1 is 2 h_l^(n+1) times the same dot product over levels
+        0..l-1 alone.
+        """
+        degrees = tuple(degrees)
+        columns = [(0, n) for n in degrees]
+        level = self._level(columns, target)
+        below, sums = self._moment_sums(degrees, level)
+        return self._integral(columns, level, below, sums, True)
+
+    def _moment_sums(self, degrees, level: int):
+        """:meth:`moments`' sums of levels level-1 and level, per degree."""
         with workprec(self.prec + _QUAD_GUARD):
             self._ensure_level(level)
-            below = sums = None
-            for lv in range(level + 1):
-                nodes, weights = self._levels[lv]
-                rows = [g(x) for x in nodes]
-                if lv == 0:
-                    first = rows[0][0] if self._multipart else rows[0]
-                    vector = isinstance(first, tuple)
-                    flat = chain.from_iterable if self._multipart else iter
-                new = [mpmath.fdot([wg for wg in zip(weights, flat(column))
-                                    if wg[1]])
-                       for column in (zip(*rows) if vector else [rows])]
-                h = self._step(lv)
-                below, sums = sums, ([v * h for v in new] if sums is None
-                                     else [s / 2 + v * h
-                                           for s, v in zip(sums, new)])
+            if len(self._levels[0]) == 1 and any(n % 2 for n in degrees):
+                raise DomainError(
+                    "odd moments need a folded kernel; a one-part kernel "
+                    "is even")
+
+            h, below, sums = self._step(level), [], []
+            split = sum(len(js) for js, *_ in self._fixed[:level])
+            for n in degrees:
+                # mp.convert takes an integer exactly, where mpf() rounds it
+                terms = [(w, mp.convert((j << (level - lv)) ** n))
+                         for lv in range(level + 1)
+                         for w, j in zip(self._levels[lv][n % 2],
+                                         self._fixed[lv][0])]
+                scale = -h ** (n + 1) if n % 2 else h ** (n + 1)
+                below.append(2 * scale * mpmath.fdot(terms[:split]))
+                sums.append(scale * mpmath.fdot(terms))
             return below, sums
-
-    def integrate(self, g, growth, target=None) -> Integral:
-        """The :class:`Integral` of ``int K(x) g(x) dx`` at the cached nodes.
-
-        ``growth`` is g's (sigma, p), or a tuple of them when ``g`` returns
-        a tuple of multipliers (one column each): the columns share the
-        nodes and kernel values, and the level is the first at which every
-        column's radius meets ``target``, the absolute error goal
-        (:func:`default_target` if None).  Each level's sum is one exactly
-        rounded dot product.
-        """
-        vector = isinstance(growth[0], tuple)
-        columns = list(growth) if vector else [growth]
-        level = self._level(columns, target)
-        below, sums = self._sums(g, level)
-        return self._integral(columns, level, below, sums, vector)
 
     def fourier(self, s, target=None, derivative: bool = False) -> Integral:
         """The :class:`Integral` of ``int K(x) e^(isx) dx`` for real ``s``.
@@ -489,11 +489,11 @@ class CachedKernelQuadrature:
         (cos sx, sin sx).  With ``derivative`` a second column is the
         s-derivative, i x e^(isx): -x sin sx, or (-x sin sx, x cos sx)
         folded.  The growths are (|s|, 0) and (|s|, 1); ``target`` is as
-        for :meth:`integrate`, and with ``derivative`` each field of the
+        for :meth:`moments`, and with ``derivative`` each field of the
         result is the pair of columns.
 
         The levels, kernel values and a-priori radius are those of
-        :meth:`integrate`; only the sums are taken in fixed point.  With
+        :meth:`moments`; only the sums are taken in fixed point.  With
         F = prec + guard bits and e = 2^-F, the weighted kernel parts w
         are stored once, at level build, as the integers W = round(w/e).
         A level's nodes are x_k = (j_0 + k dj) u, k < n, with u its step:
@@ -617,9 +617,6 @@ class CachedKernelQuadrature:
     def _integral(self, columns, level, below, sums, vector,
                   fixed=False) -> Integral:
         """The :class:`Integral` of the level sums, with the consistency check."""
-        if len(sums) != len(columns):
-            raise DomainError(
-                f"{len(columns)} growths for {len(sums)} integrand columns")
         radii = [mpmath.exp(r)
                  for r in self._log_radii(columns, level, fixed)]
         lower = [mpmath.exp(r)
@@ -749,7 +746,8 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
     within :func:`sign_target` of it; a scan point takes the value
     ``rough(x)`` when :func:`certify_sign` certifies its sign against that
     radius and is re-evaluated by ``f`` otherwise.  An even number of zeros
-    within one step, or a zero exactly on a scan point, yield nothing.
+    within one step, or a zero exactly on a scan point, yield nothing.  A
+    step that rounds back to its start raises :class:`DomainError`.
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
 
@@ -764,6 +762,10 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
     s_prev, v_prev = lo, scan(lo)
     while s_prev < hi:
         s = min(s_prev + SCAN_STEP, hi)
+        if not s > s_prev:
+            raise DomainError(
+                f"the scan step {SCAN_STEP} does not advance past {s_prev} "
+                f"at {mp.prec} bits")
         v = scan(s)
         if v_prev * v < 0:
             yield s_prev, s, v_prev, v

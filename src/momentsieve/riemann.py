@@ -201,25 +201,20 @@ class XiCoefficients:
 def xi_coefficients(N: int) -> XiCoefficients:
     """Taylor coefficients a_0..a_N of xi(1/2 + s) in s^2, by quadrature.
 
-    All coefficients share one cached Phi kernel on [0, u_max(N)]; the
-    moment integrals differ only in the polynomial factor u^(2n), of
-    growth (0, 2n).
+    All coefficients are the even moments of one cached Phi kernel on
+    [0, u_max(N)], taken together by
+    :meth:`CachedKernelQuadrature.moments`.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
     prec = mp.prec
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5 + 2 * N), prec)
-    a: List[mpf] = []
-    errs: List[mpf] = []
-    radii: List[mpf] = []
+    values, radii, diffs = kernel.moments(range(0, 2 * N + 1, 2))
     u = mpf(2) ** -prec
-    for n in range(N + 1):
-        fac = 2 / mpf(mpmath.factorial(2 * n))
-        value, radius, diff = kernel.integrate(
-            lambda u, n=n: u ** (2 * n), (0, 2 * n))
-        a.append(fac * value)
-        errs.append(fac * diff)
-        radii.append(fac * radius + 4 * u * abs(a[-1]))
+    facs = [2 / mpf(mpmath.factorial(2 * n)) for n in range(N + 1)]
+    a = [fac * v for fac, v in zip(facs, values)]
+    errs = [fac * d for fac, d in zip(facs, diffs)]
+    radii = [fac * r + 4 * u * abs(v) for fac, r, v in zip(facs, radii, a)]
     return XiCoefficients(tuple(a), tuple(errs), tuple(radii))
 
 

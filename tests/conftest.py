@@ -65,18 +65,26 @@ def random_fraction(rng: random.Random, max_num=1000, max_den=1000):
                     rng.randint(1, max_den))
 
 
-def levels_covered_two_levels_up(kernel, g, growth, targets):
+def levels_covered_two_levels_up(kernel, targets, degree=None, s=None):
     """Check a quadrature's radius at the level it picks for each target.
 
-    The radius must cover |T_l - T_(l+2)|, the distance of the level's sum
-    from the sum two levels finer.  Returns the set of levels checked.
+    The integral is the moment of ``degree`` or, when ``s`` is given, the
+    Fourier integral at ``s``.  The radius must cover |T_l - T_(l+2)|, the
+    distance of the level's sum from the sum two levels finer.  Returns
+    the set of levels checked.
     """
     levels = set()
     for target in targets:
-        level = kernel._level([growth], target)
-        radius = kernel.integrate(g, growth, target).radius
-        (t_l,), (t_finer,) = (kernel._sums(g, lv)[1]
-                              for lv in (level, level + 2))
+        if s is None:
+            level = kernel._level([(0, degree)], target)
+            radius = kernel.moments((degree,), target).radius[0]
+            (t_l,), (t_finer,) = (kernel._moment_sums((degree,), lv)[1]
+                                  for lv in (level, level + 2))
+        else:
+            level = kernel._level([(abs(s), 0)], target, fixed=True)
+            radius = kernel.fourier(s, target).radius
+            (t_l,), (t_finer,) = (kernel._fixed_sums(s, lv, False)[1]
+                                  for lv in (level, level + 2))
         assert abs(t_l - t_finer) <= radius, (level, target)
         levels.add(level)
     return levels
@@ -98,12 +106,9 @@ def direct_char_coeffs(chi, N):
 
     kernel = CachedKernelQuadrature(
         folded, y_max, dirichlet._folded_log_majorant(chi.q, chi.parity))
-    # y^n has the multipliers (y^n, 0) for even n and i times (0, -y^n)
-    # for odd n
-    return [mpc(kernel.integrate(
-        lambda y, n=n: (0, -y ** n) if n % 2 else (y ** n, 0), (0, n)).value)
-        * (mpc(0, 1) if n % 2 else 1) / mpmath.factorial(n)
-        for n in range(N + 1)]
+    # an odd moment of the folded kernel is i times what moments returns
+    return [mpc(v) * (mpc(0, 1) if n % 2 else 1) / mpmath.factorial(n)
+            for n, v in enumerate(kernel.moments(range(N + 1)).value)]
 
 
 @dataclass(frozen=True)

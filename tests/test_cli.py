@@ -216,6 +216,14 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _, _ = run([], capsys)
     assert code == 1
+    # below 16 bits the zero scan and the brackets no longer resolve
+    for argv in (["xi", "--N", "4", "--nmax", "1", "--kmax", "1",
+                  "--bits", "8"],
+                 ["dirichlet", "--q", "5", "--index", "1", "--N", "6",
+                  "--nmax", "2", "--kmax", "2", "--bits", "2"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "--bits must be at least 16" in err
 
 
 def test_cached_parser_keeps_calls_apart(tmp_path, capsys):

@@ -470,9 +470,8 @@ def test_char_kernel_radius_covers_two_levels_up(chi5, monkeypatch):
     assert base == chi5
     s = mpf(7)
     targets = [mpf(2) ** -k for k in (20, 60, 100, 160, 240)]
-    for g, growth in ((lambda y: mpmath.cos_sin(s * y), (s, 0)),
-                      (lambda y: (y ** 6, 0), (0, 6))):
-        levels = levels_covered_two_levels_up(kernel, g, growth, targets)
+    for integral in ({"s": s}, {"degree": 6}):
+        levels = levels_covered_two_levels_up(kernel, targets, **integral)
         assert len(levels) >= 3
 
 

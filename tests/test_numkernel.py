@@ -32,14 +32,13 @@ def gaussian_majorant(x, t):
 
 
 def battery():
-    """Analytically known integrals int_0^inf of even integrands, analytic
-    in the strip, with a majorant there: (kernel, log majorant, b, exact,
-    integrand, growth).  Infinite ranges are cut where the integrand drops
-    below 2^-256, as the kernels are at u_max.  Case 3 folds the Gaussian
-    centred at 1/2, which is not even, onto [0, 14]."""
+    """Analytically known integrals int_0^inf of even kernels, analytic in
+    the strip, with a majorant there: (kernel, log majorant, b, exact).
+    Infinite ranges are cut where the kernel drops below 2^-256, as the
+    kernels are at u_max.  Case 3 folds the Gaussian centred at 1/2, which
+    is not even, onto [0, 14]."""
     sqrt_pi = mpmath.sqrt(mpmath.pi)
     a2 = STRIP ** 2
-    one, folded_one = (lambda x: 1), (lambda x: (1, 0))
 
     def shifted(x):
         plus, minus = (mpmath.exp(-(v - mpf(1) / 2) ** 2) for v in (x, -x))
@@ -50,34 +49,32 @@ def battery():
                                 + math.exp(-(x + 0.5) ** 2))
 
     return [
-        (lambda x: mpmath.exp(-x * x), gaussian_majorant, 14, sqrt_pi / 2,
-         one, (0, 0)),
+        (lambda x: mpmath.exp(-x * x), gaussian_majorant, 14, sqrt_pi / 2),
         (lambda x: x * x * mpmath.exp(-x * x),
          lambda x, t: math.log(x * x + a2) + t * t - x * x, 14,
-         sqrt_pi / 4, one, (0, 0)),
+         sqrt_pi / 4),
         (lambda x: mpmath.exp(-x * x) * mpmath.cos(3 * x),
          lambda x, t: t * t - x * x + math.log(math.cosh(3 * t)), 14,
-         sqrt_pi / 2 * mpmath.exp(-mpf(9) / 4), one, (0, 0)),
-        (shifted, shifted_majorant, 14, sqrt_pi, folded_one, (0, 0)),
+         sqrt_pi / 2 * mpmath.exp(-mpf(9) / 4)),
+        (shifted, shifted_majorant, 14, sqrt_pi),
         # |cosh(x + iy)|^2 = sinh(x)^2 + cos(y)^2
         (mpmath.sech,
          lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2) / 2,
-         200, mpmath.pi / 2, one, (0, 0)),
+         200, mpmath.pi / 2),
         (lambda x: mpmath.sech(x) ** 2,
          lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2), 100,
-         mpf(1), one, (0, 0)),
+         mpf(1)),
         # |exp(-cosh(x + iy))| = exp(-cosh(x) cos(y))
         (lambda x: mpmath.exp(-mpmath.cosh(x)),
-         lambda x, t: -math.cosh(x) * math.cos(t), 7, mpmath.besselk(0, 1),
-         one, (0, 0)),
+         lambda x, t: -math.cosh(x) * math.cos(t), 7, mpmath.besselk(0, 1)),
     ]
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_trapezoid_battery(case):
-    f, majorant, b, exact, g, growth = battery()[case]
+    f, majorant, b, exact = battery()[case]
     kernel = CachedKernelQuadrature(f, b, majorant)
-    value, radius, _ = kernel.integrate(g, growth)
+    (value,), (radius,), _ = kernel.moments((0,))
     target = numkernel.default_target(mp.prec)
     assert abs(value - exact) <= radius + mpf(2) ** -mp.prec * abs(exact)
     assert radius <= target
@@ -87,10 +84,10 @@ def test_trapezoid_battery(case):
 def test_battery_radius_covers_two_levels_up(case):
     # at the level the bound picks, its radius must cover the distance to
     # the sum two levels finer, at loose and at tight targets
-    f, majorant, b, _, g, growth = battery()[case]
+    f, majorant, b, _ = battery()[case]
     kernel = CachedKernelQuadrature(f, b, majorant)
     targets = [mpf(2) ** -k for k in (10, 30, 60, 100)]
-    assert len(levels_covered_two_levels_up(kernel, g, growth, targets)) >= 2
+    assert len(levels_covered_two_levels_up(kernel, targets, degree=0)) >= 2
 
 
 def test_phi_kernel_integral_matches_xi_half():
@@ -103,8 +100,8 @@ def test_phi_kernel_integral_matches_xi_half():
     reference = mpmath.quad(phi, [0, u_max])
     assert close(reference, xi_half / 2, mpf(10) ** -15)
     assert close(reference, xi_half / 2, mpf(2) ** -(mp.prec - 24))
-    value, radius, _ = CachedKernelQuadrature(
-        phi, u_max, _phi_log_majorant).integrate(lambda u: 1, (0, 0))
+    (value,), (radius,), _ = CachedKernelQuadrature(
+        phi, u_max, _phi_log_majorant).moments((0,))
     assert close(value, reference, mpf(2) ** -(mp.prec - 24))
     assert abs(value - xi_half / 2) <= radius + mpf(2) ** -(mp.prec - 24)
 
@@ -121,7 +118,7 @@ def test_unreachable_target_fails_before_any_level(monkeypatch):
     kernel = CachedKernelQuadrature(gaussian, 14, gaussian_majorant)
     target = mpf(2) ** -(20 * mp.prec)
     with pytest.raises(AccuracyError, match=f"up to {MAX_LEVELS}") as info:
-        kernel.integrate(lambda x: 1, (0, 0), target)
+        kernel.moments((0,), target)
     assert calls == []
     assert info.value.best_estimate is None
     assert info.value.error_estimate > target
@@ -130,7 +127,7 @@ def test_unreachable_target_fails_before_any_level(monkeypatch):
     # cos(1000 x) needs a step far below what 3 levels reach
     monkeypatch.setattr(numkernel, "MAX_LEVELS", 3)
     with pytest.raises(AccuracyError, match="up to 3"):
-        kernel.integrate(lambda x: mpmath.cos(1000 * x), (1000, 0))
+        kernel.fourier(1000)
     assert calls == []
 
 
@@ -141,7 +138,7 @@ def test_non_even_integrand_is_inconsistent():
         lambda x: mpmath.exp(-(x - 1) ** 2), 14,
         lambda x, t: t * t - (x - 1) ** 2)
     with pytest.raises(ConsistencyError, match="not even"):
-        kernel.integrate(lambda x: 1, (0, 0))
+        kernel.moments((0,))
 
 
 def test_interval_validation():
@@ -151,21 +148,22 @@ def test_interval_validation():
         CachedKernelQuadrature(lambda x: x, -1, gaussian_majorant)
     kernel = CachedKernelQuadrature(
         lambda x: mpmath.exp(-x * x), 14, gaussian_majorant)
-    with pytest.raises(DomainError, match="growths"):
-        kernel.integrate(lambda x: (1, x * x), (0, 0))
+    # a one-part kernel is even, so its odd moments vanish by assumption
+    with pytest.raises(DomainError, match="odd moments"):
+        kernel.moments((0, 1))
     with pytest.raises(DomainError, match="target"):
-        kernel.integrate(lambda x: 1, (0, 0), 0)
+        kernel.moments((0,), 0)
     # a majorant that does not decay past b cannot bound the dropped nodes
     for log_majorant in (lambda x, t: x, lambda x, t: -(x - 3) ** 2):
         kernel = CachedKernelQuadrature(lambda x: 1, 1, log_majorant)
         with pytest.raises(DomainError, match="majorant does not"):
-            kernel.integrate(lambda x: 1, (0, 0), mpf(2) ** -10)
+            kernel.moments((0,), mpf(2) ** -10)
 
 
 def test_cached_kernel_matches_direct():
     kernel = CachedKernelQuadrature(
         lambda x: mpmath.exp(-x * x), 14, gaussian_majorant)
-    v1, r1, e1 = kernel.integrate(lambda x: x * x, (0, 2))
+    (v1,), (r1,), (e1,) = kernel.moments((2,))
     exact = mpmath.sqrt(mpmath.pi) / 4
     assert abs(v1 - exact) <= mpf(2) ** -(mp.prec - 24)
     assert abs(v1 - exact) <= r1 + mpf(2) ** -mp.prec
@@ -174,8 +172,9 @@ def test_cached_kernel_matches_direct():
 
 def test_folded_kernel_matches_the_full_interval():
     # K is complex and neither even nor odd; folded onto [0, 16] with the
-    # parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), each integrand takes
-    # one real multiplier per part, and x^n for odd n is i times its integral
+    # parts E = K(x) + K(-x) and F = i (K(x) - K(-x)), e^(isx) and its
+    # s-derivative come from fourier, and x^n for odd n is i times its
+    # moment
     kernel = lambda x: mpmath.exp(-(x - mpf(3) / 10) ** 2) * mpc(1, x)
 
     def folded(x):
@@ -193,14 +192,9 @@ def test_folded_kernel_matches_the_full_interval():
               lambda x: mpc(0, x) * mpmath.expj(s * x)] + [
         lambda x, n=n: x ** n for n in degrees]
 
-    def folded_g(x):
-        c, sn = mpmath.cos_sin(s * x)
-        return ((c, sn), (-x * sn, x * c)) + tuple(
-            (0, -x ** n) if n % 2 else (x ** n, 0) for n in degrees)
-
-    growth = ((s, 0), (s, 1)) + tuple((0, n) for n in degrees)
-    got, radii, _ = CachedKernelQuadrature(
-        folded, 16, majorant).integrate(folded_g, growth)
+    quadrature = CachedKernelQuadrature(folded, 16, majorant)
+    got, radii, _ = (a + b for a, b in zip(
+        quadrature.fourier(s, derivative=True), quadrature.moments(degrees)))
     factors = (1, 1) + tuple(mpc(0, 1) if n % 2 else 1 for n in degrees)
     target = numkernel.default_target(mp.prec)
     assert len(radii) == len(got) == len(full_g)
@@ -210,37 +204,59 @@ def test_folded_kernel_matches_the_full_interval():
         assert r <= target
 
 
+def test_high_degree_moments_within_their_radii():
+    # int_0^inf x^n exp(-x^2) dx = Gamma((n+1)/2)/2 up to n = 40, where
+    # x^n weighs the far nodes by up to 24^40: the moments keep the kernel
+    # values' relative accuracy there, which integers at one absolute
+    # scale 2^-(prec + guard) would not
+    kernel = CachedKernelQuadrature(
+        lambda x: mpmath.exp(-x * x), 24, gaussian_majorant)
+    degrees = range(0, 41, 2)
+    values, radii, _ = kernel.moments(degrees, mpf(2) ** -(mp.prec - 80))
+    for n, v, r in zip(degrees, values, radii):
+        with workprec(2 * mp.prec):
+            exact = mpmath.gamma(mpf(n + 1) / 2) / 2
+        assert abs(v - exact) <= r + mpf(2) ** -mp.prec * abs(exact), n
+
+
 def test_tuple_integrand_reports_each_column_difference():
-    # the second column is exactly half the first, with the same growth, so
-    # its last level difference is half too and its radius the same; a
-    # loose target stops while the differences are > 0
+    # each degree is a column with its own sum, difference and radius, all
+    # at the one level where every radius meets the target; a repeated
+    # degree repeats its column exactly, and a loose target stops while
+    # the differences are > 0
     kernel = CachedKernelQuadrature(
         mpmath.sech, 200,
         lambda x, t: -math.log(math.sinh(x) ** 2 + math.cos(t) ** 2) / 2)
-    (v1, v2), (r1, r2), (e1, e2) = kernel.integrate(
-        lambda x: (x * x, x * x / 2), ((0, 2), (0, 2)), mpf(2) ** -40)
-    assert v1 == 2 * v2
-    assert 0 < e1 <= r1 <= mpf(2) ** -40
-    assert e1 == 2 * e2
-    assert r1 == r2
+    target = mpf(2) ** -40
+    (v0, v1, v2), (r0, r1, r2), (e0, e1, e2) = kernel.moments(
+        (0, 2, 2), target)
+    assert (v1, r1, e1) == (v2, r2, e2)
+    assert 0 < e1 <= r1 <= target and 0 < e0 <= r0 <= target
+    assert e0 != e1 and r0 != r1
+    assert (v0, v1) == (kernel.moments((0,), target).value[0],
+                        kernel.moments((2,), target).value[0])
 
 
 def test_zero_multipliers_are_left_out_of_the_sums(monkeypatch):
-    # x^2 reads only the part E and x only F, as char_coeffs's columns do;
-    # dropping exact zero products leaves an exactly rounded sum unchanged
-    f, majorant, b, *_ = battery()[3]
+    # on a folded kernel x^2 reads only the part E and x only F, as
+    # char_coeffs's moments do: the part whose multiplier is 0 is never
+    # summed, and each degree's two level sums are one fdot each over the
+    # nodes of the levels up to them
+    f, majorant, b, _ = battery()[3]
     kernel = CachedKernelQuadrature(f, b, majorant)
     pairs = []
     fdot = mpmath.fdot
 
     def counting(terms):
+        terms = list(terms)
         pairs.append(len(terms))
         return fdot(terms)
 
     monkeypatch.setattr(numkernel.mpmath, "fdot", counting)
-    kernel.integrate(lambda x: ((x * x, 0), (0, x)), ((0, 2), (0, 1)))
-    nodes = sum(len(nodes) for nodes, _ in kernel._levels)
-    assert sum(pairs) == 2 * (nodes - 1)  # both vanish at x = 0
+    kernel.moments((2, 1))
+    nodes = [len(kernel._fixed[lv][0]) for lv in range(len(kernel._levels))]
+    below, top = sum(nodes[:-1]), sum(nodes)
+    assert pairs == [below, top] * 2
 
 
 def fourier_references(kernel, s, levels):
@@ -251,15 +267,13 @@ def fourier_references(kernel, s, levels):
     out = [[0, 0]]
     with workprec(kernel.prec + numkernel._QUAD_GUARD + 64):
         for lv in range(levels + 1):
-            nodes, values = kernel._levels[lv]
-            parts = len(values) // len(nodes)
+            h = kernel.b / (numkernel.BASE_INTERVALS << lv)
             terms = ([], [])
-            for i, x in enumerate(nodes):
+            for j, *w in zip(kernel._fixed[lv][0], *kernel._levels[lv]):
+                x = j * h
                 c, sn = mpmath.cos_sin(s * x)
-                w = values[i * parts:(i + 1) * parts]
                 terms[0].extend(zip(w, (c, sn)))
                 terms[1].extend(zip(w, (-x * sn, x * c)))
-            h = kernel.b / (numkernel.BASE_INTERVALS << lv)
             out.append([t / 2 + h * mpmath.fdot(column)
                         for t, column in zip(out[-1], terms)])
     return out[1:]
@@ -322,7 +336,8 @@ def test_angle_addition_stays_within_its_lemma(bits, level):
     fixed = bits + numkernel._QUAD_GUARD
     s = mpf("-23.7")
     for lv in (0, 1, level):
-        nodes = kernel._levels[lv][0]
+        h = kernel.b / (numkernel.BASE_INTERVALS << lv)
+        nodes = [j * h for j in kernel._fixed[lv][0]]
         with workprec(fixed + 64):
             want = [mpmath.cos_sin(s * x) for x in nodes]
         for k, (c, sn, (wc, ws)) in enumerate(zip(*kernel._turns(s, lv),
@@ -331,24 +346,21 @@ def test_angle_addition_stays_within_its_lemma(bits, level):
             assert abs(sn - mpmath.ldexp(ws, fixed)) <= 3 * (k + 1), (lv, k)
 
 
-def test_fourier_matches_integrate():
-    # the same Integral as cos_sin multipliers through integrate, to the
-    # fixed-point bound, with the radius grown by that bound only
+def test_fourier_matches_cos_sin_sums():
+    # the cos_sin and fdot sums of fourier_references at fourier's level,
+    # to the fixed-point bound, with the a-priori radius grown by that
+    # bound only
     kernel = folded_complex_kernel()
     s = mpf("1.7")
-
-    def g(x):
-        c, sn = mpmath.cos_sin(s * x)
-        return (c, sn), (-x * sn, x * c)
-
-    want = kernel.integrate(g, ((s, 0), (s, 1)))
+    columns = [(s, 0), (s, 1)]
     got = kernel.fourier(s, derivative=True)
-    level = kernel._level([(s, 0), (s, 1)], None)
+    level = kernel._level(columns, None, fixed=True)
+    want = fourier_references(kernel, s, level)[level]
+    r_want = [mpmath.exp(r) for r in kernel._log_radii(columns, level)]
     bound = mpmath.exp(kernel._log_fixed_radius(level))
-    for v, w, r, r_want in zip(got.value, want.value, got.radius,
-                               want.radius):
+    for v, w, r, rw in zip(got.value, want, got.radius, r_want):
         assert abs(v - w) <= bound + mpf(2) ** -mp.prec * abs(w)
-        assert r_want <= r <= r_want + 2 * bound
+        assert rw <= r <= rw + 2 * bound
     value, radius, _ = kernel.fourier(s)
     assert (value, radius) == (got.value[0], got.radius[0])
 
@@ -504,3 +516,20 @@ def test_scan_reevaluates_uncertain_rough_signs():
     assert cell[:2] == (mpf(3) / 2, 2)
     b = bisect_sign_change(f, *next(sign_changes(f, 0, 10, rough=rough)))
     assert b.lo < mpmath.pi / 2 < b.hi
+
+
+def test_scan_step_that_does_not_advance_is_an_error():
+    # at 4 bits 8 + 1/2 rounds back to 8, so the scan would stand still;
+    # f gives up after 200 calls, long after the scan must have stopped
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise RuntimeError("the scan does not advance")
+        return mpf(1)
+
+    with workprec(4):
+        with pytest.raises(DomainError, match="does not advance past 8"):
+            list(sign_changes(f, 0, 30))
+    assert len(calls) == 17  # 0, 0.5, ..., 8

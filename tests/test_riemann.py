@@ -148,9 +148,8 @@ def test_phi_radius_covers_two_levels_up(monkeypatch):
     kernel = riemann._phi_kernel(riemann.kernel_cutoff(256, 1, 28.5), 256)
     s = mpf("14.13")
     targets = [mpf(2) ** -k for k in (20, 60, 100, 160, 240)]
-    for g, growth in ((lambda u: 1, (0, 0)), (lambda u: u ** 24, (0, 24)),
-                      (lambda u: mpmath.cos(s * u), (s, 0))):
-        levels = levels_covered_two_levels_up(kernel, g, growth, targets)
+    for integral in ({"degree": 0}, {"degree": 24}, {"s": s}):
+        levels = levels_covered_two_levels_up(kernel, targets, **integral)
         assert len(levels) >= 3
 
 
