@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kmax", type=int, default=8,
                         help="grid depth in k (default 8)")
     common.add_argument("--L", default="auto",
-                        help="scale L (decimal string, or 'auto')")
+                        help="scale L (decimal string, or 'auto': "
+                             "1.05 s_1^-2, and 1 for synthetic)")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (default json)")
     common.add_argument("--out", default=None, metavar="PATH",
@@ -194,8 +195,8 @@ def cmd_xi(args, bits: int) -> Report:
                      for b in result.brackets],
         "coefficients": [decimal_str(a, bits)
                          for a in result.coefficients.a],
-        "quadrature_errors": [decimal_str(e, bits)
-                              for e in result.coefficients.quadrature_error],
+        "coefficient_radii": [decimal_str(r, bits)
+                              for r in result.coefficients.radii],
         "moments": [decimal_str(v, bits) for v in result.moments.m],
         "determinant_residuals": [decimal_str(r, bits)
                                   for r in result.det_residuals],

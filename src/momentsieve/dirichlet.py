@@ -468,11 +468,9 @@ class CharCoefficients:
     2n + mu <= N.  One side of the pair is integrated and the other is
     (-1)^n epsilon(conj chi) times it (eq. 3.24), so ``eq_residuals``,
     |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|, only measures the
-    rounding of that product.  ``quadrature_error[n]`` is the difference
-    of the last two quadrature levels of the integrated a_n over n!, not
-    an error bound.  ``b_radii[n]`` bounds the error of b[n]: the radius
-    of each a_n, the quadrature's error radius over n! plus rounding,
-    carried through the convolution.
+    rounding of that product.  ``b_radii[n]`` bounds the error of b[n]:
+    the radius of each a_n, the quadrature's error radius over n! plus
+    rounding, carried through the convolution.
     """
 
     a: Tuple[mpc, ...]
@@ -481,7 +479,6 @@ class CharCoefficients:
     b: Tuple[mpc, ...]
     b_radii: Tuple[mpf, ...]
     eq_residuals: Tuple[mpf, ...]
-    quadrature_error: Tuple[mpf, ...]
     bits: int
 
 
@@ -507,7 +504,7 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
     # so the moment integral carries the 1/n! factor; on the folded kernel
     # an odd moment is i times what the quadrature returns
     facs = [mpf(mpmath.factorial(n)) for n in range(N + 1)]
-    vals, radii, diffs = kernel.moments(range(N + 1))
+    vals, radii = kernel.moments(range(N + 1))
     a = [mpc(v) * (mpc(0, 1) if n % 2 else 1) / fac
          for n, (v, fac) in enumerate(zip(vals, facs))]
     a_bar = a
@@ -542,9 +539,7 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             for x, rx, y, ry in pairs))
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
-        b_radii=tuple(b_radii), eq_residuals=residuals,
-        quadrature_error=tuple(d / fac for d, fac in zip(diffs, facs)),
-        bits=prec)
+        b_radii=tuple(b_radii), eq_residuals=residuals, bits=prec)
 
 
 # ---------------------------------------------------------------------------

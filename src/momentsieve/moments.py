@@ -62,6 +62,7 @@ __all__ = [
     "PositivityGrid",
     "SeriesPrefix",
     "build_grid",
+    "grid_arguments",
     "grid_report",
     "moments_by_determinant",
     "moments_by_recursion",
@@ -313,6 +314,21 @@ class PositivityGrid:
         return f"no violation up to ({self.n_max},{self.k_max})"
 
 
+def grid_arguments(L, n_max: int, k_max: int) -> Optional[mpf]:
+    """``L`` as an mpf once :func:`build_grid`'s argument checks pass.
+
+    L must be finite and > 0, and n_max and k_max >= 0; an L of None, a
+    scale still to be chosen, passes and is returned as None.
+    """
+    if L is not None:
+        L = to_mpf(L)
+        if not 0 < L < mpmath.inf:
+            raise DomainError("L must be finite and > 0")
+    if n_max < 0 or k_max < 0:
+        raise DomainError("n_max and k_max must be >= 0")
+    return L
+
+
 def build_grid(m: MomentSequence, L, n_max: int,
                k_max: int) -> PositivityGrid:
     """Certify every cell of the (n, k) rectangle for the scale L.
@@ -327,11 +343,7 @@ def build_grid(m: MomentSequence, L, n_max: int,
 
     are then exact, and :func:`certify_sign` rates each cell against R.
     """
-    L = to_mpf(L)
-    if not 0 < L < mpmath.inf:
-        raise DomainError("L must be finite and > 0")
-    if n_max < 0 or k_max < 0:
-        raise DomainError("n_max and k_max must be >= 0")
+    L = grid_arguments(L, n_max, k_max)
     if n_max + k_max > m.max_index:
         raise DomainError(
             f"grid ({n_max},{k_max}) needs moments up to index "

@@ -80,16 +80,7 @@ class DomainError(ValueError):
 
 
 class AccuracyError(ArithmeticError):
-    """A numeric routine could not reach the requested accuracy.
-
-    Carries the best estimate it had, so callers can decide whether the
-    partial answer is still useful.
-    """
-
-    def __init__(self, message, best_estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+    """A numeric routine could not reach the requested accuracy."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -238,14 +229,12 @@ class Integral(NamedTuple):
 
     ``radius`` bounds the error of the sum at the guard precision, of
     which ``value`` is the rounding to the working precision (one more
-    relative 2^-prec); ``difference`` is the change from the level below,
-    a diagnostic, not a bound.  For several degrees, or a value with its
+    relative 2^-prec).  For several degrees, or a value with its
     derivative, each field is the tuple of their columns.
     """
 
     value: object
     radius: object
-    difference: object
 
 
 class CachedKernelQuadrature:
@@ -286,10 +275,10 @@ class CachedKernelQuadrature:
     Each call builds only the smallest level l >= 1 whose radius meets the
     target; it raises :class:`AccuracyError` before computing any kernel
     value when no level up to :data:`MAX_LEVELS` does.  Level l - 1 is
-    every other node of level l, so |T_l - T_(l-1)| comes free: it is the
-    reported ``difference``, and one above the sum of the two levels' radii
-    raises :class:`ConsistencyError`: then K g is not even and analytic in
-    the strip, or the majorant does not bound the kernel.
+    every other node of level l, so |T_l - T_(l-1)| comes free, and one
+    above the sum of the two levels' radii raises
+    :class:`ConsistencyError`: then K g is not even and analytic in the
+    strip, or the majorant does not bound the kernel.
 
     A kernel value is a number, or the pair of parts (E, F) of a kernel on
     [-b, b] folded onto [0, b]: E = K(x) + K(-x) and F = i (K(x) - K(-x)).
@@ -427,11 +416,10 @@ class CachedKernelQuadrature:
                 log_radii = self._log_radii(columns, level, fixed)
             if max(log_radii) <= log_target:
                 return level
-        worst = mpmath.exp(max(log_radii))
         raise AccuracyError(
             f"no trapezoidal level up to {MAX_LEVELS} meets the target "
             f"{mpmath.nstr(target, 5)}: the error bound there is "
-            f"{mpmath.nstr(worst, 5)}", error_estimate=worst)
+            f"{mpmath.nstr(mpmath.exp(max(log_radii)), 5)}")
 
     def moments(self, degrees, target=None) -> Integral:
         """The :class:`Integral` of ``int K(x) x^n dx`` for each n in ``degrees``.
@@ -621,8 +609,8 @@ class CachedKernelQuadrature:
                  for r in self._log_radii(columns, level, fixed)]
         lower = [mpmath.exp(r)
                  for r in self._log_radii(columns, level - 1, fixed)]
-        diffs = [abs(s - t) for s, t in zip(sums, below)]
-        for d, r, r_below in zip(diffs, radii, lower):
+        for s, t, r, r_below in zip(sums, below, radii, lower):
+            d = abs(s - t)
             if d > r + r_below:
                 raise ConsistencyError(
                     f"trapezoidal levels {level - 1} and {level} differ by "
@@ -632,8 +620,7 @@ class CachedKernelQuadrature:
                     "not bound the kernel")
         unpack = tuple if vector else (lambda parts: parts[0])
         with workprec(self.prec):
-            return Integral(unpack([+s for s in sums]), unpack(radii),
-                            unpack([+d for d in diffs]))
+            return Integral(unpack([+s for s in sums]), unpack(radii))
 
 
 # ---------------------------------------------------------------------------

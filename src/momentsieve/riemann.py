@@ -41,6 +41,7 @@ from .moments import (
     PositivityGrid,
     SeriesPrefix,
     build_grid,
+    grid_arguments,
     moments_by_determinant,
     moments_by_recursion,
     normalize,
@@ -123,8 +124,7 @@ def phi(u, n_terms: int = 100000) -> mpf:
         p *= q
         q *= ratio
     raise AccuracyError(
-        f"Phi series did not converge within {n_terms} terms at u = {u}",
-        best_estimate=s)
+        f"Phi series did not converge within {n_terms} terms at u = {u}")
 
 
 def kernel_cutoff(prec: int, q: int, slope: float) -> mpf:
@@ -184,12 +184,9 @@ class XiCoefficients:
     ``radii[n]`` bounds the error of a_n: 2/(2n)! times the quadrature's
     error radius (the strip bound, the tail past the cutoff and the
     rounding of the level sums) plus a_n's rounding.
-    ``quadrature_error[n]`` is 2/(2n)! times the difference of a_n's last
-    two quadrature levels, not an error bound.
     """
 
     a: Tuple[mpf, ...]
-    quadrature_error: Tuple[mpf, ...]
     radii: Tuple[mpf, ...]
 
     def __post_init__(self):
@@ -209,13 +206,12 @@ def xi_coefficients(N: int) -> XiCoefficients:
         raise DomainError("N must be >= 0")
     prec = mp.prec
     kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5 + 2 * N), prec)
-    values, radii, diffs = kernel.moments(range(0, 2 * N + 1, 2))
+    values, radii = kernel.moments(range(0, 2 * N + 1, 2))
     u = mpf(2) ** -prec
     facs = [2 / mpf(mpmath.factorial(2 * n)) for n in range(N + 1)]
     a = [fac * v for fac, v in zip(facs, values)]
-    errs = [fac * d for fac, d in zip(facs, diffs)]
     radii = [fac * r + 4 * u * abs(v) for fac, r, v in zip(facs, radii, a)]
-    return XiCoefficients(tuple(a), tuple(errs), tuple(radii))
+    return XiCoefficients(tuple(a), tuple(radii))
 
 
 def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
@@ -302,7 +298,9 @@ def moment_tail(
 ) -> Optional[MomentTail]:
     """The criterion once the normalized coefficients and s_1 are known.
 
-    Checks N >= n_max + k_max + 2 and parses an explicit ``L`` first, then
+    Checks N >= n_max + k_max + 2 and the grid arguments of
+    :func:`moments.build_grid` (an explicit ``L`` finite and > 0, n_max
+    and k_max >= 0) first, so a bad argument costs no quadrature, then
     calls ``source()`` for the normalized series a_0..a_N with its radii
     and the bracket of s_1, or None when the positivity hypothesis fails
     (then this returns None too).  s_1 is the bracket's refined root and
@@ -317,8 +315,7 @@ def moment_tail(
             f"N = {N} too small: grid ({n_max},{k_max}) needs N >= "
             f"{n_max + k_max + 2}")
     auto = L is None or L == "auto"
-    if not auto:
-        L = to_mpf(L)
+    L = grid_arguments(None if auto else L, n_max, k_max)
     found = source()
     if found is None:
         return None

@@ -3,9 +3,11 @@ import os
 from pathlib import Path
 
 import mpmath
+import pytest
 from mpmath import mpf, workprec
 
 from momentsieve.cli import build_parser, main
+from momentsieve.riemann import xi_coefficients
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -124,6 +126,26 @@ def test_xi_rejects_quad_error_option(capsys):
                         "--bits", "128", "--quad-error", "1e-3"], capsys)
     assert code == 1
     assert "unrecognized arguments: --quad-error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "xi --N 12 --nmax 4 --kmax 4 --bits 256",
+    "xi --N 22 --nmax 2 --kmax 18 --bits 64"])
+def test_xi_coefficient_radii_cover_a_double_precision_reference(argv,
+                                                                 capsys):
+    # each reported coefficient lies within its reported radius of a_n
+    # computed at twice the bits
+    code, out, _ = run(argv.split(), capsys)
+    assert code in (0, 3)
+    report = json.loads(out)
+    bits = report["bits"]
+    assert len(report["coefficient_radii"]) == report["N"] + 1
+    with workprec(2 * bits):
+        reference = xi_coefficients(report["N"]).a
+        for n, (a, r, w) in enumerate(zip(report["coefficients"],
+                                          report["coefficient_radii"],
+                                          reference)):
+            assert 0 < mpf(r) and abs(mpf(a) - w) <= mpf(r), n
 
 
 def test_xi_rejects_small_N(capsys):

@@ -111,7 +111,6 @@ def test_coefficients_positive_and_decay(coeffs12):
     assert all(v > 0 for v in a)
     ratios = [a[n + 1] / a[n] for n in range(len(a) - 1)]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    assert all(e >= 0 for e in coeffs12.quadrature_error)
 
 
 def test_coefficients_kernel_node_count(monkeypatch):
@@ -392,6 +391,27 @@ def test_moment_tail_checks_L_over_the_whole_bracket(coeffs12):
     assert tail.L == mpf("0.0052")
     assert tail.s1 == mpf("14.1") and tail.s1_radius == mpf("14.2") - 14
     assert moment_tail(12, "auto", 2, 2, source).L == auto_scale(mpf("14.1"))
+
+
+def test_moment_tail_checks_grid_arguments_before_the_source():
+    # a grid that build_grid would reject costs no quadrature: the source,
+    # which computes the coefficients and brackets the zeros, is never
+    # called, and the error is build_grid's
+    calls = []
+
+    def source():
+        calls.append(1)
+
+    for L, n_max, k_max, message in [
+            ("auto", -1, 4, "n_max and k_max must be >= 0"),
+            (mpf("0.006"), 4, -1, "n_max and k_max must be >= 0"),
+            ("-1", 4, 4, "L must be finite and > 0"),
+            (0, 4, 4, "L must be finite and > 0"),
+            ("inf", 4, 4, "L must be finite and > 0"),
+            ("nan", 4, 4, "L must be finite and > 0")]:
+        with pytest.raises(DomainError, match=message):
+            moment_tail(12, L, n_max, k_max, source)
+    assert calls == []
 
 
 def test_pipeline_rejects_small_N():
