@@ -65,6 +65,7 @@ for q in (3, 4):
     chi = characters_mod(q)[1]
     result = grh_moment_pipeline(chi, 6, "auto", 2, 2)
     print(f"q = {q}: ratio positivity {result.eq331_status}; "
-          f"s_1 = {show(result.s1, 10)}; {result.verdict}")
-    print(f"        m_0..m_2 = {[show(v, 6) for v in result.moments.m[:3]]}")
+          f"s_1 = {show(result.tail.s1, 10)}; {result.verdict}")
+    print(f"        m_0..m_2 = "
+          f"{[show(v, 6) for v in result.tail.moments.m[:3]]}")
 print("(clean grids are what the generalized riemann hypothesis predicts)")

@@ -46,18 +46,19 @@ for i, b in enumerate(brackets):
 
 print("\n=== the moment pipeline ===")
 result = rh_moment_pipeline(10, "auto", 3, 3)
-print("s_1 =", show(result.s1, 14))
-print("L   =", show(result.L, 10), " (1.05 * s_1^-2; anything above s_1^-2 works)")
+tail = result.tail
+print("s_1 =", show(tail.s1, 14))
+print("L   =", show(tail.L, 10), " (1.05 * s_1^-2; anything above s_1^-2 works)")
 print("coefficients a_0..a_3:", [show(a, 8) for a in result.coefficients.a[:4]])
-print("moments m_0..m_3:     ", [show(v, 8) for v in result.moments.m[:4]])
+print("moments m_0..m_3:     ", [show(v, 8) for v in tail.moments.m[:4]])
 
 truncated = zero_sum_moment(brackets, 0)
 print("\nm_0 against the truncated zero sum over the brackets above:")
-print("  recursion ", show(result.moments.m[0], 10))
+print("  recursion ", show(tail.moments.m[0], 10))
 print("  sum s^-4  ", show(truncated, 10))
-print("  difference", show(abs(result.moments.m[0] - truncated), 4),
+print("  difference", show(abs(tail.moments.m[0] - truncated), 4),
       "<= tail bound", show(zero_sum_tail_bound(30, 0), 4))
 
-print("\ngrid verdict:", result.grid.verdict)
+print("\ngrid verdict:", tail.grid.verdict)
 print("(no violation: complete monotonicity holds as far as this grid sees,")
 print(" which is exactly what the riemann hypothesis predicts at any depth)")

@@ -178,6 +178,19 @@ def cmd_synthetic(args, bits: int) -> Report:
     return report, grid
 
 
+def _tail_report(tail: Optional[riemann.MomentTail], bits: int) -> dict:
+    """The keys of a pipeline tail; all null when there is none."""
+    if tail is None:
+        return dict.fromkeys(riemann.MomentTail._fields)
+    return {
+        "s1": decimal_str(tail.s1, bits),
+        "s1_radius": decimal_str(tail.s1_radius, bits),
+        "L": decimal_str(tail.L, bits),
+        "moments": [decimal_str(v, bits) for v in tail.moments.m],
+        "grid": moments.grid_report(tail.grid),
+    }
+
+
 def cmd_xi(args, bits: int) -> Report:
     result = riemann.rh_moment_pipeline(
         args.N, args.L, args.nmax, args.kmax)
@@ -187,9 +200,6 @@ def cmd_xi(args, bits: int) -> Report:
         "command": "xi",
         "bits": bits,
         "N": args.N,
-        "s1": decimal_str(result.s1, bits),
-        "s1_radius": decimal_str(result.s1_radius, bits),
-        "L": decimal_str(result.L, bits),
         "brackets": [[decimal_str(b.lo, bits), decimal_str(b.hi, bits),
                       decimal_str(b.refined_root, bits)]
                      for b in result.brackets],
@@ -197,12 +207,9 @@ def cmd_xi(args, bits: int) -> Report:
                          for a in result.coefficients.a],
         "coefficient_radii": [decimal_str(r, bits)
                               for r in result.coefficients.radii],
-        "moments": [decimal_str(v, bits) for v in result.moments.m],
-        "determinant_residuals": [decimal_str(r, bits)
-                                  for r in result.det_residuals],
-        "grid": moments.grid_report(result.grid),
+        **_tail_report(result.tail, bits),
     }
-    return report, result.grid
+    return report, result.tail.grid
 
 
 def _pick_character(q: int, index: Optional[int]) -> dirichlet.DirichletCharacter:
@@ -239,17 +246,10 @@ def cmd_dirichlet(args, bits: int) -> Report:
         "b_ratios": [decimal_str(r, bits) for r in result.b_ratios],
         "eq331_status": result.eq331_status,
         "eq324_max_residual": decimal_str(max(coeffs.eq_residuals), bits),
-        "s1": decimal_str(result.s1, bits) if result.s1 is not None else None,
-        "s1_radius": (decimal_str(result.s1_radius, bits)
-                      if result.s1 is not None else None),
-        "L": decimal_str(result.L, bits) if result.L is not None else None,
-        "moments": ([decimal_str(v, bits) for v in result.moments.m]
-                    if result.moments is not None else None),
-        "grid": (moments.grid_report(result.grid)
-                 if result.grid is not None else None),
+        **_tail_report(result.tail, bits),
         "verdict": result.verdict,
     }
-    return report, result.grid
+    return report, None if result.tail is None else result.tail.grid
 
 
 def cmd_char_table(args, bits: int) -> Report:

@@ -48,8 +48,6 @@ from mpmath import mp, mpf, mpc, workprec
 import mpmath
 
 from .moments import (
-    MomentSequence,
-    PositivityGrid,
     SeriesPrefix,
     build_grid,  # unused here; perfbench/spans.py wraps it by this name
     moments_by_determinant,  # unused here; perfbench/spans.py wraps it by this name
@@ -72,7 +70,7 @@ from .numkernel import (
     sign_target,
     to_mpf,
 )
-from .riemann import kernel_cutoff, moment_tail
+from .riemann import MomentTail, kernel_cutoff, moment_tail
 
 __all__ = [
     "CharCoefficients",
@@ -479,7 +477,6 @@ class CharCoefficients:
     b: Tuple[mpc, ...]
     b_radii: Tuple[mpf, ...]
     eq_residuals: Tuple[mpf, ...]
-    bits: int
 
 
 def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
@@ -539,7 +536,7 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             for x, rx, y, ry in pairs))
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
-        b_radii=tuple(b_radii), eq_residuals=residuals, bits=prec)
+        b_radii=tuple(b_radii), eq_residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -645,18 +642,13 @@ class GrhPipelineResult:
     coefficients: CharCoefficients
     b_ratios: Tuple[mpf, ...]
     eq331_status: str
-    s1: Optional[mpf]
-    s1_radius: Optional[mpf]
-    L: Optional[mpf]
-    moments: Optional[MomentSequence]
-    grid: Optional[PositivityGrid]
-    det_residuals: Tuple[mpf, ...]
+    tail: Optional[MomentTail]  # None exactly when the hypothesis fails
 
     @property
     def verdict(self) -> str:
-        if self.grid is None:
+        if self.tail is None:
             return "hypothesis fails"
-        return self.grid.verdict
+        return self.tail.grid.verdict
 
 
 def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
@@ -704,11 +696,5 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
         return series, first_zero_height(chi)
 
     tail = moment_tail(N, L, n_max, k_max, source)
-    if tail is None:
-        return GrhPipelineResult(
-            character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
-            eq331_status=f"fails at n = {bad}", s1=None, s1_radius=None,
-            L=None, moments=None, det_residuals=(), grid=None)
-    return GrhPipelineResult(
-        character=chi, coefficients=coeffs, b_ratios=tuple(ratios),
-        eq331_status=f"holds for n <= {N}", **tail._asdict())
+    status = f"fails at n = {bad}" if tail is None else f"holds for n <= {N}"
+    return GrhPipelineResult(chi, coeffs, tuple(ratios), status, tail)

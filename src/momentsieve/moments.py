@@ -151,11 +151,10 @@ def normalize(raw: Sequence, radii: Sequence = ()) -> SeriesPrefix:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Unscaled moments m_0..m_M, their provenance, and radii bounding the
-    absolute error of each m_k (default 0: exact)."""
+    """Unscaled moments m_0..m_M and radii bounding the absolute error of
+    each m_k (default 0: exact)."""
 
     m: Tuple[mpf, ...]
-    source: str = "recursion"  # recursion | determinant | zero-sum
     radii: Tuple[mpf, ...] = ()
 
     def __post_init__(self):
@@ -230,7 +229,7 @@ def moments_by_recursion(s: SeriesPrefix, M: int) -> MomentSequence:
     Callers that read only the values call the value pass alone.
     """
     m = recursion_values(s, M)
-    return MomentSequence(m, source="recursion", radii=_recursion_radii(s, m))
+    return MomentSequence(m, radii=_recursion_radii(s, m))
 
 
 def _det_partial_pivot(rows: List[List[mpf]]) -> mpf:

@@ -61,7 +61,8 @@ def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:
     Non-real entries are matched to a conjugate partner within a relative
     tolerance of 2^-(prec-16); missing partners are added.  Each pair is
     stored as (z, conj(z)) exactly, so downstream imaginary parts cancel
-    analytically.
+    analytically.  A zero of nonpositive real part is rejected by its
+    index in ``raw``.
     """
     tol = _imag_threshold()
     reals: List[mpf] = []
@@ -71,6 +72,9 @@ def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:
         z = to_mpc(z)
         if z == 0:
             raise DomainError(f"zero at index {i} is 0")
+        if not z.real > 0:
+            raise DomainError(
+                f"zero at index {i} has nonpositive real part ({z})")
         if abs(z.imag) <= tol * abs(z):
             reals.append(z.real)
         elif z.imag > 0:
@@ -112,14 +116,8 @@ class ZeroSet:
     @classmethod
     def from_zeros(cls, raw: Sequence) -> "ZeroSet":
         zeros = _pair_conjugates(raw)
-        beta0 = mpf(1)
-        gamma0 = mpf("inf")
-        for i, z in enumerate(zeros):
-            if not z.real > 0:
-                raise DomainError(
-                    f"zero at index {i} has nonpositive real part ({z})")
-            beta0 = min(beta0, z.real / abs(z))
-            gamma0 = min(gamma0, z.real)
+        beta0 = min([mpf(1)] + [z.real / abs(z) for z in zeros])
+        gamma0 = min((z.real for z in zeros), default=mpf("inf"))
         return cls(zeros=zeros, beta0=beta0, gamma0=gamma0)
 
     def __len__(self) -> int:
@@ -195,7 +193,7 @@ def moments_from_zeros(zs: ZeroSet, M: int) -> MomentSequence:
         out.append(total)
         radii.append((k + 4) * scale * u)
         powers = [p * r for p, r in zip(powers, inv)]
-    return MomentSequence(tuple(out), source="zero-sum", radii=tuple(radii))
+    return MomentSequence(tuple(out), radii=tuple(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +275,8 @@ def parse_zeros(text: str) -> List[mpc]:
             im = mpf(parts[1]) if len(parts) == 2 else mpf(0)
         except ValueError as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
+        if not (mpmath.isfinite(re) and mpmath.isfinite(im)):
+            raise DomainError(f"line {lineno}: non-finite value {raw_line!r}")
         zeros.append(mpc(re, im))
     return zeros
 

@@ -19,8 +19,9 @@ the general moment machinery applies with
 
     m_k = sum_rho s_rho^(-(2k+4)),
 
-computed from the coefficients by the recursion and checked against the
-determinant path and against truncated sums over bracketed zeros.  The
+computed from the coefficients by the recursion (the tests check them
+against the determinant path and against truncated sums over bracketed
+zeros).  The
 scaled grid criterion then needs L > s_1^(-2), with s_1 ~= 14.1347 the
 lowest zero, located here by scanning Xi for sign changes and refining each
 by Newton steps on Xi and Xi', safeguarded by bisection.
@@ -42,7 +43,7 @@ from .moments import (
     SeriesPrefix,
     build_grid,
     grid_arguments,
-    moments_by_determinant,
+    moments_by_determinant,  # unused here; perfbench/spans.py wraps it by this name
     moments_by_recursion,
     normalize,
 )
@@ -288,7 +289,6 @@ class MomentTail(NamedTuple):
     s1_radius: mpf  # width of the certified bracket around s1
     L: mpf
     moments: MomentSequence
-    det_residuals: Tuple[mpf, ...]  # |recursion - determinant| for small l
     grid: PositivityGrid
 
 
@@ -307,8 +307,8 @@ def moment_tail(
     ``s1_radius`` its width.  ``L`` "auto" or None means
     :func:`auto_scale`; an explicit L must exceed s_1^(-2) over the whole
     bracket, that is lo^(-2).  The recursion
-    runs to depth N-2, is cross-checked against the determinant path for
-    l <= 8, and the (n_max, k_max) grid is certified at the scale L.
+    runs to depth N-2, and the (n_max, k_max) grid is certified at the
+    scale L.
     """
     if N < n_max + k_max + 2:
         raise DomainError(
@@ -328,12 +328,8 @@ def moment_tail(
             f"L = {decimal_str(L)} violates the constraint L > s_1^-2 = "
             f"{decimal_str(1 / bracket.lo ** 2)} (at the bracket's low end)")
     moments = moments_by_recursion(series, N - 2)
-    residuals = tuple(
-        abs(moments.m[l] - moments_by_determinant(series, l))
-        for l in range(min(8, N - 2) + 1))
-    grid = build_grid(moments, L, n_max, k_max)
-    return MomentTail(s1, bracket.hi - bracket.lo, L, moments, residuals,
-                      grid)
+    return MomentTail(s1, bracket.hi - bracket.lo, L, moments,
+                      build_grid(moments, L, n_max, k_max))
 
 
 #: the Xi zero scan covers [0, SCAN_MAX]; s_1 ~= 14.13 lies inside
@@ -344,12 +340,7 @@ SCAN_MAX = mpf(16)
 class XiPipelineResult:
     coefficients: XiCoefficients
     brackets: Tuple[ZeroBracket, ...]
-    s1: mpf
-    s1_radius: mpf
-    L: mpf
-    moments: MomentSequence
-    det_residuals: Tuple[mpf, ...]
-    grid: PositivityGrid
+    tail: MomentTail
 
 
 def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
@@ -374,8 +365,7 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
         return normalize(coeffs.a, coeffs.radii), brackets[0]
 
     tail = moment_tail(N, L, n_max, k_max, source)
-    return XiPipelineResult(coefficients=coeffs, brackets=brackets,
-                            **tail._asdict())
+    return XiPipelineResult(coeffs, brackets, tail)
 
 
 def export_brackets(brackets: Sequence[ZeroBracket],

@@ -125,12 +125,9 @@ class EvenZeroSet:
 
     @classmethod
     def from_zeros(cls, raw: Sequence) -> "EvenZeroSet":
-        zeros = _pair_conjugates(raw)
+        zeros = _pair_conjugates(raw)  # rejects Re(z) <= 0
         bound = mpf(0)
         for i, z in enumerate(zeros):
-            if not z.real > 0:
-                raise DomainError(
-                    f"even zero at index {i} has Re(z) <= 0 ({z})")
             if not (z * z).real > 1:
                 raise DomainError(
                     f"even zero at index {i} has Re(z^2) <= 1 ({z})")

@@ -173,7 +173,7 @@ def test_criterion_5_xi_grid_512():
     with workprec(512):
         result = rh_moment_pipeline(14, "auto", 5, 5)
     elapsed = time.perf_counter() - started
-    counts = result.grid.counts()
+    counts = result.tail.grid.counts()
     ok = counts["negative"] == 0 and elapsed <= 300
     record("5 xi-grid-512", ok,
            f"negative={counts['negative']}, uncertain={counts['zero-uncertain']}, "
@@ -266,7 +266,7 @@ def test_criterion_7_grh_grids():
     ok = True
     details = []
     for q, res in results.items():
-        counts = res.grid.counts() if res.grid is not None else None
+        counts = res.tail.grid.counts() if res.tail is not None else None
         holds = res.eq331_status.startswith("holds")
         clean = counts is not None and counts["negative"] == 0
         ok = ok and holds and clean

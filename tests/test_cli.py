@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -74,6 +75,24 @@ def test_synthetic_malformed_fixture(tmp_path, capsys):
     code, _, err = run(["synthetic", str(bad)], capsys)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("line", ["3 inf", "inf", "nan"])
+def test_synthetic_non_finite_fixture(tmp_path, capsys, line):
+    # mpf parses these; "3 inf" used to pass as the real zero 3
+    fixture = tmp_path / "bad.zeros"
+    fixture.write_text(f"2\n{line}\n")
+    code, out, err = run(["synthetic", str(fixture)], capsys)
+    assert code == 1 and out == ""
+    assert "line 2: non-finite" in err
+
+
+def test_synthetic_names_the_zero_by_input_index(tmp_path, capsys):
+    fixture = tmp_path / "negative.zeros"
+    fixture.write_text("3\n5\n-2\n")
+    code, _, err = run(["synthetic", str(fixture)], capsys)
+    assert code == 1
+    assert "zero at index 2 has nonpositive real part" in err
 
 
 def test_synthetic_missing_file(capsys):
@@ -181,6 +200,28 @@ def test_dirichlet_q4_runs_clean(capsys):
     # root number +1 keeps the kernel even, so the center coefficient
     # survives and mu stays 0
     assert report["mu"] == 0
+
+
+def test_dirichlet_failed_hypothesis_has_a_null_tail(monkeypatch, capsys):
+    # a ratio its radius cannot separate from 0: no zero, scale or grid
+    from momentsieve import dirichlet
+    computed = dirichlet.char_coeffs
+
+    def blurred(chi, N):
+        coeffs = computed(chi, N)
+        radii = list(coeffs.b_radii)
+        radii[2] = 2 * abs(coeffs.b[2])
+        return dataclasses.replace(coeffs, b_radii=tuple(radii))
+
+    monkeypatch.setattr(dirichlet, "char_coeffs", blurred)
+    code, out, _ = run(["dirichlet", "--q", "3", "--N", "6", "--nmax", "2",
+                        "--kmax", "2", "--bits", "96"], capsys)
+    assert code == 3
+    report = json.loads(out)
+    assert report["verdict"] == "hypothesis fails"
+    assert report["eq331_status"] == "fails at n = 2"
+    for key in ("s1", "s1_radius", "L", "moments", "grid"):
+        assert report[key] is None
 
 
 def test_dirichlet_nonprimitive_rejected(capsys):

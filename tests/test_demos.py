@@ -1,6 +1,8 @@
-"""Each walkthrough in ``demos/`` runs to the end in a fresh process."""
+"""Each walkthrough in ``demos/`` and the README quick start run to the end
+in a fresh process."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +13,29 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=300)
+
+
 def test_demos_exist():
     assert len(DEMOS) >= 3
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True,
-                          text=True, timeout=300)
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "no violation up to (8,8)" in proc.stdout
+    assert "no violation up to (4,4)" in proc.stdout

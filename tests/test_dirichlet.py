@@ -342,15 +342,15 @@ def test_q4_coefficients(coeffs4, chi4):
                  mpf(10) ** -40)
 
 
-def assert_matches_direct_series(coeffs, chi):
+def assert_matches_direct_series(coeffs, chi, bits):
     """a_n(chi) and a_n(conj chi) against kernels on the direct series.
 
     The eq-3.24 residuals hold by construction, as char_coeffs takes one
     side of the pair from the other by that relation; this comparison
     does not.
+    ``bits`` is the precision the coefficients were computed at.
     Exact symmetry zeros (below the floor) are compared absolutely.
     """
-    bits = coeffs.bits
     for values, c in ((coeffs.a, chi), (coeffs.a_bar, chi.conjugate())):
         direct = direct_char_coeffs(c, len(values) - 1)
         floor = mpf(2) ** -(bits // 2) * max(abs(v) for v in direct)
@@ -361,11 +361,12 @@ def assert_matches_direct_series(coeffs, chi):
 
 def test_eq_324_residuals(coeffs3, coeffs4, coeffs5, chi3, chi4, chi5):
     for coeffs, chi in ((coeffs3, chi3), (coeffs4, chi4), (coeffs5, chi5)):
-        floor = mpf(2) ** -(coeffs.bits // 2) * max(abs(v) for v in coeffs.a)
+        # the coeffs fixtures are computed at 256 bits
+        floor = mpf(2) ** -128 * max(abs(v) for v in coeffs.a)
         for n, res in enumerate(coeffs.eq_residuals):
             if abs(coeffs.a[n]) > floor:
-                assert res <= mpf(2) ** -(coeffs.bits - 24) * abs(coeffs.a[n])
-        assert_matches_direct_series(coeffs, chi)
+                assert res <= mpf(2) ** -(256 - 24) * abs(coeffs.a[n])
+        assert_matches_direct_series(coeffs, chi, 256)
 
 
 def test_eq_324_residuals_larger_moduli():
@@ -381,7 +382,7 @@ def test_eq_324_residuals_larger_moduli():
             for n, res in enumerate(coeffs.eq_residuals):
                 if abs(coeffs.a[n]) > floor:
                     assert res <= mpf(2) ** -(192 - 24) * abs(coeffs.a[n])
-            assert_matches_direct_series(coeffs, chi)
+            assert_matches_direct_series(coeffs, chi, 192)
 
 
 def test_b0_identity(coeffs3, coeffs4, coeffs5, chi3, chi4, chi5):
@@ -545,16 +546,17 @@ def test_grh_pipeline_q3(chi3):
         result = grh_moment_pipeline(chi3, 6, "auto", 2, 2)
     assert result.eq331_status == "holds for n <= 6"
     assert result.verdict.startswith("no violation")
-    counts = result.grid.counts()
+    counts = result.tail.grid.counts()
     assert counts["negative"] == 0 and counts["zero-uncertain"] == 0
     # n = 0 case of the recursion, stated directly from the ratios
     r = result.b_ratios
-    assert close(result.moments.m[0], r[1] ** 2 - 2 * r[2], mpf(2) ** -130)
+    m0 = result.tail.moments.m[0]
+    assert close(m0, r[1] ** 2 - 2 * r[2], mpf(2) ** -130)
     # doubled zeros of the squared factor: m_0 = 2 sum t^-4 over heights
     with workprec(96):
         heights = [b.refined_root for b in z_brackets(chi3, 24)]
     truncated = 2 * mpf(mpmath.fsum(t ** -4 for t in heights))
-    assert abs(result.moments.m[0] - truncated) < mpf(10) ** -4
+    assert abs(m0 - truncated) < mpf(10) ** -4
 
 
 def test_grh_pipeline_q5_complex(chi5):
@@ -562,7 +564,7 @@ def test_grh_pipeline_q5_complex(chi5):
         result = grh_moment_pipeline(chi5, 5, "auto", 1, 1)
     assert result.eq331_status == "holds for n <= 5"
     assert result.verdict.startswith("no violation")
-    assert close(result.s1, mpf("4.13290"), mpf(10) ** -3)
+    assert close(result.tail.s1, mpf("4.13290"), mpf(10) ** -3)
 
 
 def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
@@ -579,10 +581,9 @@ def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
     monkeypatch.setattr(dirichlet, "char_coeffs", blurred)
     with workprec(96):
         result = grh_moment_pipeline(chi3, 6, "auto", 2, 2)
-    assert result.grid is None
+    assert result.tail is None
     assert result.eq331_status == "fails at n = 2"
     assert result.verdict == "hypothesis fails"
-    assert result.s1 is None and result.s1_radius is None
 
 
 def test_grh_pipeline_rejects_nonprimitive():

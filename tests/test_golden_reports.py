@@ -4,9 +4,11 @@ Each command runs in a fresh ``python -m momentsieve`` process: the kernel
 caches of one in-process call can change the digits of a later one, so a
 report is reproducible only per process.  Run this file as a script to
 rewrite ``tests/golden/`` from the current code; it prints the name of
-each file whose bytes changed, and every changed byte should be intended.
+each file whose bytes changed and, for a JSON report, the top-level keys
+added, removed or changed.  Every changed byte should be intended.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +49,25 @@ def run(command: str):
     return proc.returncode, proc.stdout
 
 
+def key_changes(old: bytes, new: bytes):
+    """Top-level keys of two JSON reports: (added, removed, changed)."""
+    before, after = json.loads(old), json.loads(new)
+    return (sorted(after.keys() - before.keys()),
+            sorted(before.keys() - after.keys()),
+            sorted(k for k in before.keys() & after.keys()
+                   if before[k] != after[k]))
+
+
+def test_every_golden_has_a_command():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
+
+
+def test_key_changes():
+    assert key_changes(b'{"a": 1, "b": [2], "c": 3}',
+                       b'{"b": [2, 3], "c": 3, "d": null}') \
+        == (["d"], ["a"], ["b"])
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_golden(name):
     command, exit_code = COMMANDS[name]
@@ -62,6 +83,13 @@ if __name__ == "__main__":
         if code != exit_code:
             sys.exit(f"{command}: exit {code}, expected {exit_code}")
         path = GOLDEN / name
-        if not path.exists() or path.read_bytes() != out:
-            print(name)
-            path.write_bytes(out)
+        stored = path.read_bytes() if path.exists() else None
+        if stored == out:
+            continue
+        print(name if stored is not None else f"{name} (new)")
+        if stored is not None and name.endswith(".json"):
+            for label, keys in zip(("added", "removed", "changed"),
+                                   key_changes(stored, out)):
+                if keys:
+                    print(f"  {label}: {', '.join(keys)}")
+        path.write_bytes(out)

@@ -4,7 +4,12 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from momentsieve.moments import build_grid, moments_by_recursion, normalize
+from momentsieve.moments import (
+    build_grid,
+    moments_by_determinant,
+    moments_by_recursion,
+    normalize,
+)
 from momentsieve.numkernel import (
     BASE_INTERVALS,
     AccuracyError,
@@ -283,7 +288,7 @@ def test_bracket_zeros_evaluation_count(monkeypatch):
 def test_pipeline_first_zero_to_full_precision():
     with workprec(256):
         result = rh_moment_pipeline(12, "auto", 4, 4)
-        assert abs(result.s1 - mpmath.zetazero(1).imag) <= mpf(10) ** -70
+        assert abs(result.tail.s1 - mpmath.zetazero(1).imag) <= mpf(10) ** -70
         assert result.brackets[0].hi - result.brackets[0].lo \
             <= mpf(2) ** -128
 
@@ -334,20 +339,41 @@ def test_tail_bound_behaviour():
 def test_pipeline_small_grid():
     with workprec(160):
         result = rh_moment_pipeline(10, "auto", 3, 3)
-    assert close(result.s1, mpf("14.134725"), mpf(10) ** -5)
-    assert close(result.L, auto_scale(result.s1), mpf(2) ** -140)
-    counts = result.grid.counts()
+        series = normalize(result.coefficients.a, result.coefficients.radii)
+        dets = [moments_by_determinant(series, l) for l in range(9)]
+    tail = result.tail
+    assert close(tail.s1, mpf("14.134725"), mpf(10) ** -5)
+    assert close(tail.L, auto_scale(tail.s1), mpf(2) ** -140)
+    counts = tail.grid.counts()
     assert counts["negative"] == 0 and counts["zero-uncertain"] == 0
     # determinant cross-check at the promised relative depth
-    for l, res in enumerate(result.det_residuals):
-        assert res <= mpf(10) ** -20 * max(1, abs(result.moments.m[l]))
+    for l, det in enumerate(dets):
+        assert abs(tail.moments.m[l] - det) \
+            <= mpf(10) ** -20 * max(1, abs(tail.moments.m[l]))
+
+
+def test_pipelines_solve_no_determinant(monkeypatch):
+    # the determinant path is a test reference: neither pipeline calls it
+    from momentsieve import dirichlet, moments, riemann
+
+    def refuse(*args):
+        raise AssertionError("moments_by_determinant called")
+
+    for module in (moments, riemann, dirichlet):
+        monkeypatch.setattr(module, "moments_by_determinant", refuse)
+    with workprec(160):
+        xi = rh_moment_pipeline(10, "auto", 3, 3)
+        grh = dirichlet.grh_moment_pipeline(
+            dirichlet.characters_mod(3)[1], 6, "auto", 2, 2)
+    assert xi.tail.grid.verdict.startswith("no violation")
+    assert grh.verdict.startswith("no violation")
 
 
 def test_pipeline_deeper_grid_with_explicit_scale():
     # L = 0.006 > s_1^-2 ~ 0.005005, all cells nonnegative on an 8x8 grid
     with workprec(192):
         result = rh_moment_pipeline(18, mpf("0.006"), 8, 8)
-    counts = result.grid.counts()
+    counts = result.tail.grid.counts()
     assert counts["negative"] == 0 and counts["zero-uncertain"] == 0
 
 
@@ -356,7 +382,7 @@ def test_low_precision_grid_is_uncertain_not_wrong():
     # cells must come out zero-uncertain, and no certified sign may
     # contradict the same grid from 512-bit moments at the same L
     with workprec(64):
-        low = rh_moment_pipeline(22, "auto", 2, 18)
+        low = rh_moment_pipeline(22, "auto", 2, 18).tail
     assert low.grid.counts()["zero-uncertain"] > 0
     with workprec(512):
         coeffs = xi_coefficients(22)
