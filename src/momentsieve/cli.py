@@ -245,7 +245,6 @@ def cmd_dirichlet(args, bits: int) -> Report:
         "mu": coeffs.mu,
         "b_ratios": [decimal_str(r, bits) for r in result.b_ratios],
         "eq331_status": result.eq331_status,
-        "eq324_max_residual": decimal_str(max(coeffs.eq_residuals), bits),
         **_tail_report(result.tail, bits),
         "verdict": result.verdict,
     }

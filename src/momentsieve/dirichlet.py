@@ -314,11 +314,15 @@ def gauss_sum(chi: DirichletCharacter) -> mpc:
 
 
 def epsilon_factor(chi: DirichletCharacter) -> mpc:
-    """Root number epsilon(chi) = tau(chi) / (i^kappa sqrt(q))."""
-    kappa = chi.parity
-    denom = mpmath.sqrt(mpf(chi.q))
-    tau = gauss_sum(chi)
-    return tau / (mpc(0, 1) ** kappa * denom)
+    """Root number epsilon(chi) = tau(chi) / (i^kappa sqrt(q)), cached."""
+    return _epsilon_factor_cached(chi, mp.prec)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _epsilon_factor_cached(chi: DirichletCharacter, prec: int) -> mpc:
+    with workprec(prec):
+        denom = mpmath.sqrt(mpf(chi.q))
+        return gauss_sum(chi) / (mpc(0, 1) ** chi.parity * denom)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +341,17 @@ def _require_analytic(chi: DirichletCharacter):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _chi_split_table(q: int, exponents: Tuple[int, ...], prec: int):
-    """Per-residue (re, im) mpf pairs, None on non-units; for hot loops."""
+    """Per-residue (re, im) mpf pairs, None on non-units; for hot loops.
+
+    Of a pair {chi, conj chi} only the lower-index character's values are
+    computed; the other's table is their exact conjugate, so that
+    phi(y, conj chi) = conj phi(y, chi) bit for bit (see _char_kernel).
+    """
     chi = DirichletCharacter(q, exponents)
+    bar = chi.conjugate()
+    if bar.index < chi.index:
+        return tuple(None if v is None else (v[0], -v[1])
+                     for v in _chi_split_table(q, bar.exponents, prec))
     with workprec(prec):
         table = [chi(n) for n in range(q)]
     return tuple(None if v == 0 else (v.real, v.imag) for v in table)
@@ -408,11 +421,13 @@ def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
     ``base`` is the pair's lower-index character, so the kernel does not
     depend on which one asked first, and e' = epsilon(conj base), computed
     once, at the nodes' precision.  By :func:`phi_char`, phi(-y, base) =
-    t'/e' with t' = phi(y, conj base), so with t = phi(y, base) the node
-    y > 0 carries E = t + t'/e' and F = i (t - t'/e'), and y = 0 carries
-    (2t, 0) (see :class:`CachedKernelQuadrature`), on [0, y_max'] with
-    y_max' >= y_max and the majorant of :func:`_folded_log_majorant`; a
-    real base sums one series.  As epsilon(base) e' = 1, conj base has the
+    t'/e' with t' = phi(y, conj base).  For real y every term of the series
+    is chi(n) times a positive real, so t' = conj t with t = phi(y, base),
+    bit for bit by :func:`_chi_split_table`, and each node sums one series.
+    The node y > 0 carries E = t + t'/e' and F = i (t - t'/e'), and y = 0
+    carries (2t, 0) (see :class:`CachedKernelQuadrature`), on [0, y_max']
+    with y_max' >= y_max and the majorant of :func:`_folded_log_majorant`;
+    for a real base t' = t.  As epsilon(base) e' = 1, conj base has the
     parts e' (E, -F), so it needs no kernel of its own.
     """
     base = min(chi, chi.conjugate(), key=lambda c: c.index)
@@ -426,8 +441,7 @@ def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
             t = phi_char(y, base)
             if y == 0:  # E = 2 K(0), F = 0, as phi_char(0, chi) has it
                 return 2 * t, mpc(0)
-            minus = (t if base_bar == base else phi_char(y, base_bar)) \
-                / eps_bar
+            minus = (t if base.is_real else mpc(t.real, -t.imag)) / eps_bar
             diff = t - minus
             return t + minus, mpc(-diff.imag, diff.real)
 
@@ -464,11 +478,9 @@ class CharCoefficients:
     at roundoff level far below genuine coefficients).  ``b[n]`` is
     sum_(j=0..2n) a_(j+mu)(chi) a_(2n-j+mu)(conj chi), defined while
     2n + mu <= N.  One side of the pair is integrated and the other is
-    (-1)^n epsilon(conj chi) times it (eq. 3.24), so ``eq_residuals``,
-    |a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)|, only measures the
-    rounding of that product.  ``b_radii[n]`` bounds the error of b[n]:
-    the radius of each a_n, the quadrature's error radius over n! plus
-    rounding, carried through the convolution.
+    (-1)^n epsilon(conj chi) times it (eq. 3.24).  ``b_radii[n]`` bounds
+    the error of b[n]: the radius of each a_n, the quadrature's error
+    radius over n! plus rounding, carried through the convolution.
     """
 
     a: Tuple[mpc, ...]
@@ -476,7 +488,6 @@ class CharCoefficients:
     mu: int
     b: Tuple[mpc, ...]
     b_radii: Tuple[mpf, ...]
-    eq_residuals: Tuple[mpf, ...]
 
 
 def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
@@ -509,10 +520,6 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
         mirror = [(-1) ** n * eps_mirror * v for n, v in enumerate(a)]
         a, a_bar = (a, mirror) if chi == base else (mirror, a)
 
-    eps_bar = epsilon_factor(chi.conjugate())
-    residuals = tuple(abs(a_bar[n] - (-1) ** n * eps_bar * a[n])
-                      for n in range(N + 1))
-
     floor = mpf(2) ** (-(prec // 2)) * max(abs(v) for v in a)
     mu = next((n for n, v in enumerate(a) if abs(v) > floor), None)
     if mu is None:
@@ -536,7 +543,7 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
             for x, rx, y, ry in pairs))
     return CharCoefficients(
         a=tuple(a), a_bar=tuple(a_bar), mu=mu, b=tuple(b),
-        b_radii=tuple(b_radii), eq_residuals=residuals)
+        b_radii=tuple(b_radii))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,9 @@ MAX_LEVELS = 12
 #: intervals of the level-0 trapezoidal rule on [0, b]
 BASE_INTERVALS = 8
 
+#: results each :class:`CachedKernelQuadrature` keeps; the oldest goes first
+MEMO_SIZE = 1024
+
 #: half-width a of the strip |Im x| < a in which the error bound needs every
 #: kernel and integrand analytic; the theta kernels are analytic for
 #: |Im x| < pi/4
@@ -294,6 +297,13 @@ class CachedKernelQuadrature:
     point.  This is the workhorse behind Taylor coefficient batches and
     zero bracketing, where the kernel (a theta-type series) is far more
     expensive than the polynomial or oscillatory factor.
+
+    :meth:`moments` and :meth:`fourier` run at the kernel's precision,
+    their arguments converted there, and keep their last
+    :data:`MEMO_SIZE` results keyed on those arguments, so a repeated call
+    (the conjugate character of a pair, a zero scan over the same points)
+    returns the first call's result; a kernel that needs a larger b is a
+    new object with an empty memo.
     """
 
     def __init__(self, kernel, b, log_majorant):
@@ -313,6 +323,7 @@ class CachedKernelQuadrature:
         self._fixed = []
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
+        self._memo = {}  # converted arguments -> Integral, oldest first
 
     def _step(self, level: int) -> mpf:
         return self.b / (BASE_INTERVALS << level)
@@ -402,12 +413,27 @@ class CachedKernelQuadrature:
                 guard + log_r] + extra))
         return out
 
-    def _level(self, columns, target, fixed: bool = False) -> int:
-        """The smallest level >= 1 whose radii meet ``target``."""
+    def _target(self, target) -> mpf:
+        """``target`` as an mpf, :func:`default_target` if None."""
         target = default_target(self.prec) if target is None \
             else to_mpf(target)
         if not target > 0:
             raise DomainError(f"target must be > 0, got {target}")
+        return target
+
+    def _memoized(self, key, compute) -> Integral:
+        """``compute()``, or its result stored under ``key``."""
+        found = self._memo.get(key)
+        if found is None:
+            found = compute()
+            if len(self._memo) >= MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = found
+        return found
+
+    def _level(self, columns, target, fixed: bool = False) -> int:
+        """The smallest level >= 1 whose radii meet ``target``."""
+        target = self._target(target)
         log_target = float(mpmath.log(target))
         for level in range(1, MAX_LEVELS + 1):
             log_radii = self._log_radii(columns, level)
@@ -441,11 +467,16 @@ class CachedKernelQuadrature:
         level l - 1 is 2 h_l^(n+1) times the same dot product over levels
         0..l-1 alone.
         """
-        degrees = tuple(degrees)
-        columns = [(0, n) for n in degrees]
-        level = self._level(columns, target)
-        below, sums = self._moment_sums(degrees, level)
-        return self._integral(columns, level, below, sums, True)
+        with workprec(self.prec):
+            degrees, target = tuple(degrees), self._target(target)
+            columns = [(0, n) for n in degrees]
+
+            def compute():
+                level = self._level(columns, target)
+                below, sums = self._moment_sums(degrees, level)
+                return self._integral(columns, level, below, sums, True)
+
+            return self._memoized(("moments", degrees, target), compute)
 
     def _moment_sums(self, degrees, level: int):
         """:meth:`moments`' sums of levels level-1 and level, per degree."""
@@ -520,12 +551,18 @@ class CachedKernelQuadrature:
 
             e u_l max(1, b) sum_(lv <= l) ((3 n_lv + 2) A_lv + P_lv n_lv / 2).
         """
-        s = to_mpf(s)
-        columns = [(abs(s), 0)] + ([(abs(s), 1)] if derivative else [])
-        level = self._level(columns, target, fixed=True)
-        below, sums = self._fixed_sums(s, level, derivative)
-        return self._integral(columns, level, below, sums, derivative,
-                              fixed=True)
+        with workprec(self.prec):
+            s, target = to_mpf(s), self._target(target)
+            columns = [(abs(s), 0)] + ([(abs(s), 1)] if derivative else [])
+
+            def compute():
+                level = self._level(columns, target, fixed=True)
+                below, sums = self._fixed_sums(s, level, derivative)
+                return self._integral(columns, level, below, sums,
+                                      derivative, fixed=True)
+
+            return self._memoized(("fourier", s, target, derivative),
+                                  compute)
 
     def _turns(self, s, lv: int):
         """2^F (cos s x, sin s x) at level ``lv``'s nodes x, as integers.

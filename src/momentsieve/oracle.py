@@ -61,8 +61,8 @@ def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:
     Non-real entries are matched to a conjugate partner within a relative
     tolerance of 2^-(prec-16); missing partners are added.  Each pair is
     stored as (z, conj(z)) exactly, so downstream imaginary parts cancel
-    analytically.  A zero of nonpositive real part is rejected by its
-    index in ``raw``.
+    analytically.  A zero that is not finite or has a nonpositive real
+    part is rejected by its index in ``raw``.
     """
     tol = _imag_threshold()
     reals: List[mpf] = []
@@ -70,6 +70,8 @@ def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:
     lower: List[mpc] = []
     for i, z in enumerate(raw):
         z = to_mpc(z)
+        if not mpmath.isfinite(z):
+            raise DomainError(f"zero at index {i} is not finite: {z}")
         if z == 0:
             raise DomainError(f"zero at index {i} is 0")
         if not z.real > 0:

@@ -90,6 +90,13 @@ def levels_covered_two_levels_up(kernel, targets, degree=None, s=None):
     return levels
 
 
+def eq_324_residuals(coeffs, chi):
+    """|a_n(conj chi) - (-1)^n epsilon(conj chi) a_n(chi)| for each n."""
+    eps_bar = dirichlet.epsilon_factor(chi.conjugate())
+    return [abs(w - (-1) ** n * eps_bar * v)
+            for n, (v, w) in enumerate(zip(coeffs.a, coeffs.a_bar))]
+
+
 def direct_char_coeffs(chi, N):
     """a_0..a_N(chi) from the direct theta series over the whole interval.
 

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from momentsieve import dirichlet
+from momentsieve import cli, dirichlet
 from momentsieve.dirichlet import (
     _unit_group,
     char_coeffs,
@@ -27,7 +27,8 @@ from momentsieve.numkernel import (
     sign_changes,
 )
 
-from conftest import close, direct_char_coeffs, levels_covered_two_levels_up
+from conftest import (
+    close, direct_char_coeffs, eq_324_residuals, levels_covered_two_levels_up)
 
 
 def z_brackets(chi, s_max):
@@ -363,7 +364,9 @@ def test_eq_324_residuals(coeffs3, coeffs4, coeffs5, chi3, chi4, chi5):
     for coeffs, chi in ((coeffs3, chi3), (coeffs4, chi4), (coeffs5, chi5)):
         # the coeffs fixtures are computed at 256 bits
         floor = mpf(2) ** -128 * max(abs(v) for v in coeffs.a)
-        for n, res in enumerate(coeffs.eq_residuals):
+        with workprec(256):
+            residuals = eq_324_residuals(coeffs, chi)
+        for n, res in enumerate(residuals):
             if abs(coeffs.a[n]) > floor:
                 assert res <= mpf(2) ** -(256 - 24) * abs(coeffs.a[n])
         assert_matches_direct_series(coeffs, chi, 256)
@@ -379,7 +382,7 @@ def test_eq_324_residuals_larger_moduli():
             chi = next((c for c in cands if not c.is_real), cands[0])
             coeffs = char_coeffs(chi, 4)
             floor = mpf(2) ** -96 * max(abs(v) for v in coeffs.a)
-            for n, res in enumerate(coeffs.eq_residuals):
+            for n, res in enumerate(eq_324_residuals(coeffs, chi)):
                 if abs(coeffs.a[n]) > floor:
                     assert res <= mpf(2) ** -(192 - 24) * abs(coeffs.a[n])
             assert_matches_direct_series(coeffs, chi, 192)
@@ -414,10 +417,10 @@ def test_b_ratios_real_for_complex_character(coeffs5):
         assert abs(r.imag) <= mpf(2) ** -200 * (1 + abs(r))
 
 
-def test_pair_sums_each_series_once_per_node(monkeypatch):
-    # chi and conj chi share one folded kernel: each node y > 0 sums the
-    # series of both characters once, and the conjugate's coefficients
-    # come from the same integrals
+def test_pair_sums_one_series_per_node(monkeypatch):
+    # chi and conj chi share one folded kernel: each node y >= 0 sums the
+    # series of chi alone, once, as phi(y, conj chi) is its conjugate, and
+    # the conjugate's coefficients come from the same integrals
     chi, chi_bar = characters_mod(5)[1], characters_mod(5)[3]
     assert chi.conjugate() == chi_bar
     calls = []
@@ -443,8 +446,55 @@ def test_pair_sums_each_series_once_per_node(monkeypatch):
     assert len(kernels) == 1
     nodes = {y for y, _ in calls}
     assert calls and all(y >= 0 for y in nodes)
-    assert len(calls) <= 2 * len(nodes)
-    assert len(set(calls)) == len(calls)
+    assert all(c == chi for _, c in calls)
+    assert len(calls) == len(nodes)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_conjugate_series_is_exact_conjugate(bits):
+    # the split table of conj chi is the exact conjugate of that of chi, so
+    # the kernel's conj t equals the series of conj chi bit for bit
+    with workprec(bits):
+        for q in (5, 7, 13):
+            chi = characters_mod(q)[1]
+            assert not chi.is_real and chi.conjugate().index > chi.index
+            for y in (mpf(0), mpf("0.03125"), mpf("0.4"), mpf(1), mpf(2)):
+                t = phi_char(y, chi)
+                t_bar = phi_char(y, chi.conjugate())
+                assert t_bar.real == t.real and t_bar.imag == -t.imag, (q, y)
+
+
+def test_sweep_reuses_the_pair_kernel(monkeypatch):
+    # the benchmark's dirichlet-sweep in one process: 130 theta series in
+    # all, and chi_5.3, the mirror of chi_5.1, takes every integral from
+    # the memo of the pair's kernel
+    calls = {"phi_char": 0, "_fixed_sums": 0, "_moment_sums": 0}
+    phi = dirichlet.phi_char
+
+    def counting_phi(y, c):
+        calls["phi_char"] += 1
+        return phi(y, c)
+
+    def counting(name):
+        method = getattr(CachedKernelQuadrature, name)
+
+        def wrapped(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapped
+
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    monkeypatch.setattr(dirichlet, "phi_char", counting_phi)
+    for name in ("_fixed_sums", "_moment_sums"):
+        monkeypatch.setattr(CachedKernelQuadrature, name, counting(name))
+    argv = "dirichlet --q 5 --N 6 --nmax 2 --kmax 2 --L auto --bits 128"
+    sums = []
+    for index in (1, 2, 3):
+        before = calls["_fixed_sums"] + calls["_moment_sums"]
+        assert cli.main([*argv.split(), "--index", str(index)]) == 0
+        sums.append(calls["_fixed_sums"] + calls["_moment_sums"] - before)
+    assert calls["phi_char"] == 130
+    assert sums[0] and sums[1] and sums[2] == 0
 
 
 def test_b_radii_cover_a_double_precision_reference(chi5):

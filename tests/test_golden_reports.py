@@ -2,7 +2,11 @@
 
 Each command runs in a fresh ``python -m momentsieve`` process: the kernel
 caches of one in-process call can change the digits of a later one, so a
-report is reproducible only per process.  Run this file as a script to
+report is reproducible only per process.  The three ``dirichlet --q 5``
+commands also run in order in one process, as the ``dirichlet-sweep``
+benchmark runs them, and must give the same bytes: they share one kernel,
+and its memoized integrals must not make a report depend on what ran
+before it.  Run this file as a script to
 rewrite ``tests/golden/`` from the current code; it prints the name of
 each file whose bytes changed and, for a JSON report, the top-level keys
 added, removed or changed.  Every changed byte should be intended.
@@ -49,6 +53,26 @@ def run(command: str):
     return proc.returncode, proc.stdout
 
 
+def run_in_one_process(commands):
+    """(exit code, stdout) of each command, run in order by one process."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from momentsieve.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        out.append((main(argv), buf.getvalue()))\n"
+        "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         json.dumps([command.split() for command in commands])],
+        cwd=ROOT, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+        timeout=300, check=True)
+    return [(code, out.encode()) for code, out in json.loads(proc.stdout)]
+
+
 def key_changes(old: bytes, new: bytes):
     """Top-level keys of two JSON reports: (added, removed, changed)."""
     before, after = json.loads(old), json.loads(new)
@@ -74,6 +98,14 @@ def test_report_matches_golden(name):
     code, out = run(command)
     assert code == exit_code
     assert out == (GOLDEN / name).read_bytes()
+
+
+def test_sweep_in_one_process_matches_goldens():
+    names = [f"dirichlet_q5_i{i}.json" for i in (1, 2, 3)]
+    results = run_in_one_process([COMMANDS[name][0] for name in names])
+    for name, (code, out) in zip(names, results):
+        assert code == COMMANDS[name][1], name
+        assert out == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

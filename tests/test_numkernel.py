@@ -361,6 +361,38 @@ def test_fourier_matches_cos_sin_sums():
     assert (value, radius) == (got.value[0], got.radius[0])
 
 
+def test_memo_hit_matches_a_fresh_kernel(monkeypatch):
+    # a repeated call, after other calls have built finer levels, returns
+    # the stored result without summing again, and that result is the
+    # first call on a fresh kernel of the same precision and cutoff
+    with workprec(128):
+        kernel, fresh = folded_complex_kernel(), folded_complex_kernel()
+    s, coarse = mpf("1.7"), mpf(2) ** -40
+    first = (kernel.fourier(s, coarse, derivative=True),
+             kernel.moments((0, 1, 2), coarse))
+    kernel.fourier(s)
+    kernel.moments((0, 1, 2))
+    for name in ("_fixed_sums", "_moment_sums"):
+        monkeypatch.setattr(kernel, name, None)  # a hit sums nothing
+    again = (kernel.fourier(s, coarse, derivative=True),
+             kernel.moments(range(3), coarse))
+    assert again[0] is first[0] and again[1] is first[1]
+    assert again == (fresh.fourier(s, coarse, derivative=True),
+                     fresh.moments((0, 1, 2), coarse))
+
+
+def test_memo_keeps_the_newest_results():
+    with workprec(64):
+        kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 14,
+                                        gaussian_majorant)
+    target = mpf(2) ** -20
+    for k in range(2000):
+        kernel.fourier(mpf(k) / 256, target)
+    assert len(kernel._memo) <= numkernel.MEMO_SIZE == 1024
+    assert ("fourier", mpf(1999) / 256, target, False) in kernel._memo
+    assert ("fourier", mpf(0), target, False) not in kernel._memo
+
+
 # --- sign certification -------------------------------------------------------
 
 def test_certify_trivial_signs():

@@ -46,6 +46,12 @@ def test_zero_set_rejects_bad_zeros():
         ZeroSet.from_zeros([0])
     with pytest.raises(DomainError, match="nonpositive real part"):
         ZeroSet.from_zeros([mpc(-1, 3)])
+    # from library callers as from fixtures: an infinite or NaN zero is
+    # rejected by its index, not kept as a zero or paired with its conjugate
+    for raw, index in (([mpf(2), mpf("inf")], 1), ([mpc(2, "nan")], 0),
+                       ([mpc(1, 1), mpc("inf", 1)], 1), ([mpf("nan")], 0)):
+        with pytest.raises(DomainError, match=f"index {index} is not finite"):
+            ZeroSet.from_zeros(raw)
 
 
 def test_admissibility_examples():
