@@ -16,8 +16,9 @@ Provided here:
   target is built; :func:`default_target` is the target unless a caller
   passes one.  A kernel value may be a pair of parts, which folds a
   kernel on [-b, b] onto [0, b].  The polynomial moments
-  :meth:`CachedKernelQuadrature.moments` are one exactly rounded
-  ``mpmath.fdot`` per level with integer powers of the node indices; the
+  :meth:`CachedKernelQuadrature.moments` are one exact integer sum per
+  level, of the kernel values at their least exponent times integer
+  powers of the node indices, rounded once; the
   oscillatory integrals take the fixed-point path
   :meth:`CachedKernelQuadrature.fourier`: cos and sin at each level's
   equispaced nodes by integer angle addition (the trigonometric
@@ -46,6 +47,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, Union
 
 from mpmath import mp, mpf, mpc, workprec
+from mpmath.libmp import from_man_exp
 import mpmath
 
 __all__ = [
@@ -192,12 +194,31 @@ def default_target(prec: int) -> mpf:
 
 
 def _to_fixed(x, bits: int) -> int:
-    """x 2^bits rounded to the nearest integer, for a real number x."""
+    """x 2^bits rounded to the nearest integer, for a real number x.
+
+    An infinite or NaN x raises :class:`ConsistencyError`.
+    """
     sign, man, exp, _ = mpf(x)._mpf_
+    if exp and not man:
+        raise ConsistencyError(f"non-finite value {x} in a fixed-point sum")
     shift = exp + bits
+    if shift + man.bit_length() < 0:  # below half a unit
+        return 0
     n = man << shift if shift >= 0 \
         else (man + (1 << (-shift - 1))) >> -shift
     return -n if sign else n
+
+
+def _exact(values):
+    """Integers W and one exponent e with W_k 2^e = values[k] exactly.
+
+    e is the least exponent of the nonzero ``mpf`` values, which are
+    finite: :meth:`CachedKernelQuadrature._ensure_level` checks them.
+    """
+    raw = [v._mpf_ for v in values]
+    e = min((exp for _, man, exp, _ in raw if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0
+            for sign, man, exp, _ in raw], e
 
 
 def _log_sum_exp(logs) -> float:
@@ -268,7 +289,10 @@ class CachedKernelQuadrature:
       half weight at b and the nodes the rule drops past b; f must
       decrease past b;
     * R_p = int_0^inf m(x, 0) w(x) dx scales the rounding of the level
-      sums at the guard precision, 16 bits of slack included.
+      sums and of the kernel values at the guard precision, 16 bits of
+      slack included.  The theta kernels' values lose about log2 B bits,
+      with e^(-B) their leading factor: 10 to 12 bits at the cutoffs of
+      256 to 1024 bits.
 
     The kernel passes ``log m`` as ``log_majorant(x, t)`` in floats.  The
     integrals are summed once per kernel and degree p, at the first
@@ -461,9 +485,10 @@ class CachedKernelQuadrature:
 
         A node of level lv is x = j h_lv = J h_l with the integer
         J = j 2^(l - lv), so the sum of level l is h_l^(n+1) times one
-        exactly rounded dot product (``mpmath.fdot``) of the weighted kernel
-        values of levels 0..l with the integers J^n (Ogita, Rump & Oishi,
-        SIAM J. Sci. Comput. 26, 2005).  As h_(l-1) = 2 h_l, the sum of
+        exactly rounded dot product of the weighted kernel values of levels
+        0..l with the integers J^n (as ``mpmath.fdot`` would round it;
+        Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), summed on
+        integers by :meth:`_moment_sums`.  As h_(l-1) = 2 h_l, the sum of
         level l - 1 is 2 h_l^(n+1) times the same dot product over levels
         0..l-1 alone.
         """
@@ -479,25 +504,61 @@ class CachedKernelQuadrature:
             return self._memoized(("moments", degrees, target), compute)
 
     def _moment_sums(self, degrees, level: int):
-        """:meth:`moments`' sums of levels level-1 and level, per degree."""
-        with workprec(self.prec + _QUAD_GUARD):
+        """:meth:`moments`' sums of levels level-1 and level, per degree.
+
+        Each kernel part's weighted values of levels 0..level are, per
+        component (real, and imaginary for a complex part), the integers
+        W_k 2^e at their least exponent e, exactly; the terms W_k J_k^n
+        step from one wanted degree to the next by one multiply with the
+        small integer J_k^(n - n_prev).  The two level sums of a degree are
+        then exact integer sums, each rounded once to the guard precision
+        by ``from_man_exp``: what ``mpmath.fdot`` gives for the same terms,
+        except where its ``mpf_sum`` would drop a term more than 2 prec
+        bits below the sum, which the exact sums keep.
+        """
+        bits = self.prec + _QUAD_GUARD
+        with workprec(bits):
             self._ensure_level(level)
             if len(self._levels[0]) == 1 and any(n % 2 for n in degrees):
                 raise DomainError(
                     "odd moments need a folded kernel; a one-part kernel "
                     "is even")
+            nodes = [j << (level - lv) for lv in range(level + 1)
+                     for j in self._fixed[lv][0]]
+            split = sum(len(js) for js, *_ in self._fixed[:level])
+
+            def level_sums(terms, e):
+                """The sums of levels level-1 and level of terms 2^e."""
+                low = sum(terms[:split])
+                return [mp.make_mpf(from_man_exp(v, e, bits, "n"))
+                        for v in (low, low + sum(terms[split:]))]
+
+            steps = {}  # d -> J^d at every node
+            rounded = {}  # n -> (level-1 sum, level sum) of the dot product
+            for part in sorted({n % 2 for n in degrees}):
+                values = [v for lv in range(level + 1)
+                          for v in self._levels[lv][part]]
+                complex_ = any(isinstance(v, mpc) for v in values)
+                components = [_exact([v.real for v in values]),
+                              _exact([v.imag for v in values])] \
+                    if complex_ else [_exact(values)]
+                at = 0
+                for n in sorted({n for n in degrees if n % 2 == part}):
+                    if n > at:
+                        if n - at not in steps:
+                            steps[n - at] = [j ** (n - at) for j in nodes]
+                        for terms, _ in components:
+                            terms[:] = map(mul, terms, steps[n - at])
+                        at = n
+                    pair = [level_sums(*c) for c in components]
+                    rounded[n] = [mpc(*z) for z in zip(*pair)] \
+                        if complex_ else pair[0]
 
             h, below, sums = self._step(level), [], []
-            split = sum(len(js) for js, *_ in self._fixed[:level])
             for n in degrees:
-                # mp.convert takes an integer exactly, where mpf() rounds it
-                terms = [(w, mp.convert((j << (level - lv)) ** n))
-                         for lv in range(level + 1)
-                         for w, j in zip(self._levels[lv][n % 2],
-                                         self._fixed[lv][0])]
                 scale = -h ** (n + 1) if n % 2 else h ** (n + 1)
-                below.append(2 * scale * mpmath.fdot(terms[:split]))
-                sums.append(scale * mpmath.fdot(terms))
+                below.append(2 * scale * rounded[n][0])
+                sums.append(scale * rounded[n][1])
             return below, sums
 
     def fourier(self, s, target=None, derivative: bool = False) -> Integral:

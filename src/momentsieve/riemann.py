@@ -62,6 +62,7 @@ from .numkernel import (
     sign_changes,
     sign_target,
     to_mpf,
+    _to_fixed,
 )
 from .oracle import save_zeros
 
@@ -85,11 +86,24 @@ __all__ = [
 def phi(u, n_terms: int = 100000) -> mpf:
     """The positive kernel Phi(u), summed until the tail is negligible.
 
-    Phi is even, so the argument is reduced to |u|.  Terms are positive and
-    decreasing for u >= 0; summation stops once the next term falls below
-    2^-(prec+8) of the partial sum.  Exhausting ``n_terms`` first raises
+    Phi is even, so the argument is reduced to |u|.  With b = pi e^(2u),
+
+        Phi(u) = 2 pi e^(5u/2 - b) S,
+        S = sum_(n>=1) n^2 (2 b n^2 - 3) e^(-(n^2-1) b),
+
+    whose terms are positive (2b - 3 > 0) and decreasing.  S is summed on
+    Python integers at scale 2^-(prec+16), its first term 2b - 3 (a
+    fixed-point b times 1), each e^(-(n^2-1) b) from the last by the
+    two-multiplication recurrence with truncating shifts, and converted to
+    ``mpf`` once.  Summation stops once a term falls below 2^-(prec+8) of
+    the partial sum.  Exhausting ``n_terms`` first raises
     :class:`AccuracyError`; a nonpositive result (impossible analytically)
     raises :class:`ConsistencyError`.
+
+    Accuracy: e^(-b), taken of a b rounded to prec bits, is off by about
+    b 2^-prec relative, so the value loses about log2 b bits, 10.3 bits
+    at u = 3; the fixed point adds a few units of 2^-prec.  That is what
+    the 16 slack bits of :class:`CachedKernelQuadrature` cover.
 
     Domain: |u| <= 32, far past every kernel cutoff.  Beyond it
     Phi(u) < 2^-(10^28), and exp(-pi e^(2u)) would need an argument
@@ -100,30 +114,30 @@ def phi(u, n_terms: int = 100000) -> mpf:
     u = abs(to_mpf(u))
     if u > 32:
         raise DomainError("Phi(u) is evaluated for |u| <= 32 only")
-    # e^(5u/2), e^(9u/2) and e^(2u) as powers of one e^(u/2)
+    prec = mp.prec
+    bits = prec + 16
+    # e^(5u/2) and e^(2u) as powers of one e^(u/2)
     e1 = mpmath.exp(u / 2)
     e2 = e1 * e1
     e4 = e2 * e2
-    g5 = e4 * e1
-    g9 = g5 * e4
     pi = mpmath.pi
     b = pi * e4
-    # e^(-n^2 b) by the two-multiplication recurrence, not one exp per term
-    p = mpmath.exp(-b)
-    ratio = p * p
-    q = p * ratio  # e^(-(2n+1) b) at n = 1
-    stop = mpf(2) ** (-(mp.prec + 8))
-    s = mpf(0)
+    x = mpmath.exp(-b)
+    # e^(-(n^2-1) b) by the recurrence p *= q, q *= x^2 from q = x^3
+    x2 = mpmath.fmul(x, x, exact=True)
+    p, q, ratio = 1 << bits, _to_fixed(x2 * x, bits), _to_fixed(x2, bits)
+    b2, three = 2 * _to_fixed(b, bits), 3 << bits
+    s = 0
     for n in range(1, n_terms + 1):
         n2 = n * n
-        term = (4 * n2 * n2 * pi * pi * g9 - 6 * n2 * pi * g5) * p
+        term = n2 * (n2 * b2 - three) * p >> bits
         s += term
-        if term < stop * s:
+        if term << (prec + 8) < s:
             if not s > 0:
                 raise ConsistencyError(f"Phi({u}) evaluated nonpositive: {s}")
-            return s
-        p *= q
-        q *= ratio
+            return 2 * pi * (e4 * e1) * x * mpmath.ldexp(mpf(s), -bits)
+        p = p * q >> bits
+        q = q * ratio >> bits
     raise AccuracyError(
         f"Phi series did not converge within {n_terms} terms at u = {u}")
 

@@ -34,6 +34,9 @@ COMMANDS = {
     **{f"dirichlet_q5_i{i}.json": (
         f"dirichlet --q 5 --index {i} --N 6 --nmax 2 --kmax 2 --bits 128", 0)
        for i in (1, 2, 3)},
+    # a complex pair at depth, beyond the q = 5 characters
+    "dirichlet_q7_i1.json": (
+        "dirichlet --q 7 --index 1 --N 10 --nmax 3 --kmax 3 --bits 256", 0),
     "dirichlet_q4.csv": (
         "dirichlet --q 4 --N 6 --nmax 2 --kmax 2 --bits 96 --format csv", 0),
     "synthetic_real_23.json": (

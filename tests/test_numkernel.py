@@ -130,6 +130,17 @@ def test_unreachable_target_fails_before_any_level(monkeypatch):
     assert calls == []
 
 
+def test_non_finite_kernel_value_is_an_error():
+    # a NaN kernel value at the node x = 7 of level 0 must not enter the
+    # fixed-point or the exact integer sums as 0
+    kernel = CachedKernelQuadrature(
+        lambda x: mpf("nan") if x == 7 else mpmath.exp(-x * x), 14,
+        gaussian_majorant)
+    for call in (lambda: kernel.moments((0,)), lambda: kernel.fourier(1)):
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            call()
+
+
 def test_non_even_integrand_is_inconsistent():
     # exp(-(x-1)^2) is not even about 0, so the rule converges only like
     # h^2: the levels differ by far more than their radii allow
@@ -236,23 +247,130 @@ def test_tuple_integrand_reports_each_column_difference():
 def test_zero_multipliers_are_left_out_of_the_sums(monkeypatch):
     # on a folded kernel x^2 reads only the part E and x only F, as
     # char_coeffs's moments do: the part whose multiplier is 0 is never
-    # summed, and each degree's two level sums are one fdot each over the
-    # nodes of the levels up to them
+    # summed, and each summed column, written as exact integers once per
+    # call, holds the nodes of the levels up to the one used
     f, majorant, b, _ = battery()[3]
     kernel = CachedKernelQuadrature(f, b, majorant)
-    pairs = []
-    fdot = mpmath.fdot
+    columns = []
+    exact = numkernel._exact
 
-    def counting(terms):
-        terms = list(terms)
-        pairs.append(len(terms))
-        return fdot(terms)
+    def recording(values):
+        columns.append(list(values))
+        return exact(values)
 
-    monkeypatch.setattr(numkernel.mpmath, "fdot", counting)
-    kernel.moments((2, 1))
-    nodes = [len(kernel._fixed[lv][0]) for lv in range(len(kernel._levels))]
-    below, top = sum(nodes[:-1]), sum(nodes)
-    assert pairs == [below, top] * 2
+    monkeypatch.setattr(numkernel, "_exact", recording)
+    for degree, part in ((2, 0), (1, 1)):
+        columns.clear()
+        kernel.moments((degree,))
+        level = kernel._level([(0, degree)], None)
+        values = [v for lv in range(level + 1)
+                  for v in kernel._levels[lv][part]]
+        # E is real here and F = i (K(x) - K(-x)) complex
+        assert columns == ([values] if part == 0 else
+                           [[v.real for v in values],
+                            [v.imag for v in values]])
+
+
+def phi_series(u, bits):
+    """Phi(u) of the riemann module docstring, term by term at ``bits``."""
+    with workprec(bits):
+        u, pi = mpf(u), mpmath.pi
+        g5, g9 = mpmath.exp(5 * u / 2), mpmath.exp(9 * u / 2)
+        b = pi * mpmath.exp(2 * u)
+        total, n = mpf(0), 1
+        while True:
+            term = (4 * n ** 4 * pi ** 2 * g9 - 6 * n ** 2 * pi * g5) \
+                * mpmath.exp(-n * n * b)
+            total += term
+            if term < total * mpf(2) ** -bits:
+                return total
+            n += 1
+
+
+def theta_series(y, chi, bits):
+    """phi(y, chi) of the dirichlet module docstring, term by term at
+    ``bits``."""
+    with workprec(bits):
+        y, kappa = mpf(y), chi.parity
+        B = mpmath.pi * mpmath.exp(2 * y) / chi.q
+        total, peak, n = mpc(0), mpf(0), 1
+        while True:
+            mag = n ** kappa * mpmath.exp(-n * n * B + (kappa + 0.5) * y)
+            total += chi(n) * mag
+            peak = max(peak, mag)
+            if n > chi.q and mag < peak * mpf(2) ** -bits:
+                return 2 * total
+            n += 1
+
+
+@pytest.mark.parametrize("q, bits", [
+    (1, 64), (1, 256), (1, 1024),
+    (5, 128), (5, 256), (7, 128), (7, 256), (13, 128), (13, 256)])
+def test_kernel_values_carry_the_slack_bits(q, bits):
+    # the rounding term 2^-(prec + guard - 16) R_p of the class docstring
+    # assumes the kernel values at the nodes lose fewer than 16 of their
+    # P = prec + guard bits: every node up to level 4 of the Phi kernel
+    # (q = 1) or of chi_q.1's kernel, at the cutoff of 24 Xi or 20
+    # Dirichlet coefficients, lies within 2^-(P-14) relative of the series
+    # summed term by term at 2P + 64 bits
+    from momentsieve import dirichlet, riemann
+    P = bits + numkernel._QUAD_GUARD
+    if q == 1:
+        kernel, reference = riemann.phi, phi_series
+        cutoff = riemann.kernel_cutoff(bits, 1, 4.5 + 2 * 24)
+    else:
+        chi = dirichlet.characters_mod(q)[1]
+        kernel = lambda y: dirichlet.phi_char(y, chi)
+        reference = lambda y, b: theta_series(y, chi, b)
+        cutoff = riemann.kernel_cutoff(bits, q, chi.parity + 0.5 + 20)
+    count = numkernel.BASE_INTERVALS << 4
+    with workprec(P):
+        nodes = [j * (cutoff / count) for j in range(count + 1)]
+        values = [kernel(y) for y in nodes]
+    for y, value in zip(nodes, values):
+        want = reference(y, 2 * P + 64)
+        with workprec(2 * P + 64):
+            assert abs(value - want) <= mpf(2) ** -(P - 14) * abs(want), y
+
+
+def fdot_moment_sums(kernel, degrees, level):
+    """:meth:`CachedKernelQuadrature._moment_sums` by ``mpmath.fdot``: per
+    degree, the levels' weighted kernel values times the integers J^n."""
+    with workprec(kernel.prec + numkernel._QUAD_GUARD):
+        h, below, sums = kernel._step(level), [], []
+        split = sum(len(js) for js, *_ in kernel._fixed[:level])
+        for n in degrees:
+            terms = [(w, mp.convert((j << (level - lv)) ** n))
+                     for lv in range(level + 1)
+                     for w, j in zip(kernel._levels[lv][n % 2],
+                                     kernel._fixed[lv][0])]
+            scale = -h ** (n + 1) if n % 2 else h ** (n + 1)
+            below.append(2 * scale * mpmath.fdot(terms[:split]))
+            sums.append(scale * mpmath.fdot(terms))
+        return below, sums
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_integer_moment_sums_equal_fdot(bits):
+    # the exact integer sums, each rounded once, against fdot over the same
+    # terms: equal bit for bit and of the same type, for every battery
+    # kernel and a complex folded one, even and odd degrees out of order
+    # and repeated, at the first levels
+    cases = battery()
+    with workprec(bits):
+        kernels = [CachedKernelQuadrature(f, b, majorant)
+                   for f, majorant, b, _ in cases]
+        kernels.append(folded_complex_kernel())
+    for kernel in kernels:
+        kernel._ensure_level(3)
+        folded = len(kernel._levels[0]) == 2
+        degrees = (5, 0, 2, 1, 2, 9, 30) if folded else (6, 0, 2, 2, 40)
+        for level in (1, 2, 3):
+            got = kernel._moment_sums(degrees, level)
+            want = fdot_moment_sums(kernel, degrees, level)
+            assert got == want
+            assert [type(v) for column in got for v in column] \
+                == [type(v) for column in want for v in column]
 
 
 def fourier_references(kernel, s, levels):
