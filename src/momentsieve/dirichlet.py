@@ -455,7 +455,8 @@ _char_kernel_cache: dict = {}
 
 
 def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
-    """(kernel, base, e') for the pair {chi, conj chi}, cached per precision.
+    """(kernel, base, e') for the pair {chi, conj chi}, cached per
+    (base, prec, y_max).
 
     ``base`` is the pair's lower-index character, so the kernel does not
     depend on which one asked first, and e' = epsilon(conj base), computed
@@ -464,14 +465,15 @@ def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
     is chi(n) times a positive real, so t' = conj t with t = phi(y, base),
     bit for bit by :func:`_chi_fixed_table`, and each node sums one series.
     The node y > 0 carries E = t + t'/e' and F = i (t - t'/e'), and y = 0
-    carries (2t, 0) (see :class:`CachedKernelQuadrature`), on [0, y_max']
-    with y_max' >= y_max and the majorant of :func:`_folded_log_majorant`;
-    for a real base t' = t.  As epsilon(base) e' = 1, conj base has the
-    parts e' (E, -F), so it needs no kernel of its own.
+    carries (2t, 0) (see :class:`CachedKernelQuadrature`), on [0, y_max]
+    with the majorant of :func:`_folded_log_majorant`; for a real base
+    t' = t.  As epsilon(base) e' = 1, conj base has the parts e' (E, -F),
+    so it needs no kernel of its own.  No kernel is replaced, so a value
+    does not depend on the cutoffs that were requested before it.
     """
     base = min(chi, chi.conjugate(), key=lambda c: c.index)
-    found = _char_kernel_cache.get((base, prec))
-    if found is None or found[0].b < y_max:
+    found = _char_kernel_cache.get((base, prec, y_max))
+    if found is None:
         base_bar = base.conjugate()
         with workprec(prec + _QUAD_GUARD):
             eps_bar = epsilon_factor(base_bar)
@@ -484,8 +486,10 @@ def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
             diff = t - minus
             return t + minus, mpc(-diff.imag, diff.real)
 
-        found = _char_kernel_cache[(base, prec)] = (CachedKernelQuadrature(
-            parts, y_max, _folded_log_majorant(base.q, base.parity)), eps_bar)
+        found = _char_kernel_cache[(base, prec, y_max)] = (
+            CachedKernelQuadrature(
+                parts, y_max, _folded_log_majorant(base.q, base.parity)),
+            eps_bar)
     return found[0], base, found[1]
 
 
@@ -590,23 +594,28 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
 # Evaluation on the critical line and zero bracketing
 
 def xi_char_eval(s, chi: DirichletCharacter,
-                 target: Optional[mpf] = None, derivative: bool = False):
+                 target: Optional[mpf] = None, derivative: bool = False,
+                 cutoff: Optional[mpf] = None):
     """xi(1/2 + is, chi) = int e^(isy) phi(y, chi) dy for real s.
 
     ``target`` is the absolute quadrature error goal (None: the default).
-    With ``derivative``, returns the value and its s-derivative
+    ``cutoff`` is the kernel's y_max (None:
+    ``kernel_cutoff(prec, q, kappa + 1/2)``, the integrand's own); a
+    pipeline passes its coefficients' cutoff, so that one kernel serves
+    the run.  With ``derivative``, returns the value and its s-derivative
     i int y e^(isy) phi(y, chi) dy from the same kernel values.  On the
     folded kernel both are integrated by
     :meth:`CachedKernelQuadrature.fourier` with the real multipliers
     (cos sy, sin sy) and (-y sin sy, y cos sy), taken by integer angle
-    addition from two ``cos_sin`` calls per trapezoidal level.  For conj
-    base (see :func:`_char_kernel`) they are e' xi(1/2 - is, base) and
-    its s-derivative.
+    addition from one ``cos_sin`` call per evaluation.  For conj base (see
+    :func:`_char_kernel`) they are e' xi(1/2 - is, base) and its
+    s-derivative.
     """
     _require_analytic(chi)
     prec = mp.prec
-    kernel, base, eps_mirror = _char_kernel(
-        chi, prec, kernel_cutoff(prec, chi.q, chi.parity + 0.5))
+    if cutoff is None:
+        cutoff = kernel_cutoff(prec, chi.q, chi.parity + 0.5)
+    kernel, base, eps_mirror = _char_kernel(chi, prec, cutoff)
     if chi == base:
         value = kernel.fourier(s, target, derivative).value
         return tuple(map(mpc, value)) if derivative else mpc(value)
@@ -617,24 +626,26 @@ def xi_char_eval(s, chi: DirichletCharacter,
 
 
 def z_char_eval(s, chi: DirichletCharacter,
-                target: Optional[mpf] = None, derivative: bool = False):
+                target: Optional[mpf] = None, derivative: bool = False,
+                cutoff: Optional[mpf] = None):
     """Phase-corrected real factor epsilon(chi)^(-1/2) xi(1/2+is, chi).
 
     Analytically real for real s; its sign changes are the zero heights of
     the chi factor of f.  The imaginary residue must stay at the level of
     the quadrature target (None: the default) or a ConsistencyError is
-    raised.  With ``derivative``, returns (Z(s), Z'(s)); Z' only steers the
-    safeguarded Newton steps of zero location, so its real part is taken
-    unchecked.
+    raised.  ``cutoff`` is that of :func:`xi_char_eval`.  With
+    ``derivative``, returns (Z(s), Z'(s)); Z' only steers the safeguarded
+    Newton steps of zero location, so its real part is taken unchecked.
     """
     prec = mp.prec
     if target is None:
         target = default_target(prec)
     phase = _phase(chi, prec)
     if derivative:
-        value, slope = (v / phase for v in xi_char_eval(s, chi, target, True))
+        value, slope = (v / phase for v in xi_char_eval(
+            s, chi, target, derivative=True, cutoff=cutoff))
     else:
-        value = xi_char_eval(s, chi, target) / phase
+        value = xi_char_eval(s, chi, target, cutoff=cutoff) / phase
     tol = 64 * target + mpf(2) ** (-(prec - 24)) * abs(value)
     if abs(value.imag) > tol:
         raise ConsistencyError(
@@ -646,10 +657,13 @@ def z_char_eval(s, chi: DirichletCharacter,
 SCAN_MAX = mpf(40)
 
 
-def first_zero_height(chi: DirichletCharacter) -> ZeroBracket:
+def first_zero_height(chi: DirichletCharacter,
+                      cutoff: Optional[mpf] = None) -> ZeroBracket:
     """Bracket of the smallest positive zero height s_1(chi) of f(s, chi).
 
     The zero lies below SCAN_MAX; s_1 is the bracket's refined root.
+    Every evaluation takes the kernel cutoff ``cutoff`` (see
+    :func:`xi_char_eval`).
 
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
@@ -663,8 +677,8 @@ def first_zero_height(chi: DirichletCharacter) -> ZeroBracket:
     top = SCAN_MAX
     for c in [chi] if chi.is_real else [chi, chi.conjugate()]:
         cell = next(sign_changes(
-            lambda s: z_char_eval(s, c, fine), 0, top,
-            rough=lambda s: z_char_eval(s, c, rough)), None)
+            lambda s: z_char_eval(s, c, fine, cutoff=cutoff), 0, top,
+            rough=lambda s: z_char_eval(s, c, rough, cutoff=cutoff)), None)
         if cell is not None:
             found.append((c, cell))
             top = cell[1]
@@ -674,8 +688,9 @@ def first_zero_height(chi: DirichletCharacter) -> ZeroBracket:
     lowest = found[-1][1][0]
     return min(
         (bisect_sign_change(
-            lambda s: z_char_eval(s, c, fine), *cell,
-            fdf=lambda s: z_char_eval(s, c, fine, derivative=True))
+            lambda s: z_char_eval(s, c, fine, cutoff=cutoff), *cell,
+            fdf=lambda s: z_char_eval(s, c, fine, derivative=True,
+                                      cutoff=cutoff))
          for c, cell in found if cell[0] == lowest),
         key=lambda b: b.refined_root)
 
@@ -711,7 +726,9 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
     The positivity of b_n/b_0 is a hypothesis of the criterion, not a
     consequence: unless every ratio is certified positive against its
     radius, the pipeline halts with verdict "hypothesis fails" instead of
-    building a grid.
+    building a grid.  The zero scan takes the kernel cutoff of the last
+    coefficients, so one kernel of the pair serves the run, and the result
+    does not depend on what ran before it in the process.
     """
     if not chi.is_primitive:
         raise DomainError(
@@ -740,7 +757,9 @@ def grh_moment_pipeline(chi: DirichletCharacter, N: int, L,
         if bad is not None:
             return None
         series = SeriesPrefix(tuple(ratios), tuple(radii))
-        return series, first_zero_height(chi)
+        depth = len(coeffs.a) - 1
+        return series, first_zero_height(chi, kernel_cutoff(
+            mp.prec, chi.q, chi.parity + 0.5 + depth))
 
     tail = moment_tail(N, L, n_max, k_max, source)
     status = f"fails at n = {bad}" if tail is None else f"holds for n <= {N}"

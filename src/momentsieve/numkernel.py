@@ -20,13 +20,14 @@ Provided here:
   level, of the kernel values at their least exponent times integer
   powers of the node indices, rounded once; the
   oscillatory integrals take the fixed-point path
-  :meth:`CachedKernelQuadrature.fourier`: cos and sin at each level's
-  equispaced nodes by integer angle addition (the trigonometric
-  recurrence, Numerical Recipes 5.4) from two ``cos_sin`` calls per
-  level, and each level sum one exact integer dot product, the inner loop
-  on Python integers as in Johansson's fixed-point elementary functions
-  (ARITH 22, 2015), with a proved bound on the fixed-point error in the
-  radius.
+  :meth:`CachedKernelQuadrature.fourier`: cos and sin at every node of
+  the finest level's equispaced grid by one integer angle-addition sweep
+  (the trigonometric recurrence, Numerical Recipes 5.4) from one
+  ``cos_sin`` call per evaluation, the coarser levels reading every
+  other node, and each level sum one exact integer dot product, the
+  inner loop on Python integers as in Johansson's fixed-point elementary
+  functions (ARITH 22, 2015), with a proved bound on the fixed-point
+  error in the radius.
 * zero location: :func:`sign_changes` scans for sign changes at step
   :data:`SCAN_STEP` and needs only certified signs, then
   :func:`bisect_sign_change` refines each: Newton steps
@@ -347,7 +348,14 @@ class CachedKernelQuadrature:
         self._fixed = []
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
-        self._memo = {}  # converted arguments -> Integral, oldest first
+        # the radius terms that do not depend on s: level -> log of the
+        # discretisation factor, (level, sweep) -> log of fourier's
+        # fixed-point bound
+        self._log_discs = {}
+        self._fixed_radii = {}
+        # converted arguments -> Integral, and ("log", target) -> its float
+        # log, oldest first
+        self._memo = {}
 
     def _step(self, level: int) -> mpf:
         return self.b / (BASE_INTERVALS << level)
@@ -416,17 +424,24 @@ class CachedKernelQuadrature:
             max(u, v) for u, v in zip(f, f[1:]))
         return upper(grid(a, 0.0)), log_tail, upper(grid(0.0, 0.0))
 
-    def _log_radii(self, growth, level: int, fixed: bool = False):
+    def _log_radii(self, growth, level: int, sweep: Optional[int] = None):
         """log of the error radius of level ``level``, one per column.
 
-        ``fixed`` adds the error bound of :meth:`fourier`'s fixed-point
-        sums, which needs the kernel values of every level up to
-        ``level``; the rest is a-priori.
+        ``sweep`` adds the error bound of :meth:`fourier`'s fixed-point
+        sum of the level taken in the sweep of level ``sweep``, which needs
+        the kernel values of every level up to ``level``; the rest is
+        a-priori.  The discretisation term and the fixed-point bound of a
+        level are computed once per kernel.
         """
-        x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << level) / float(self.b)
-        log_disc = math.log(2) - x - math.log1p(-math.exp(-x))
+        log_disc = self._log_discs.get(level)
+        if log_disc is None:
+            x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << level) \
+                / float(self.b)
+            log_disc = self._log_discs[level] = \
+                math.log(2) - x - math.log1p(-math.exp(-x))
         guard = -(self.prec + _QUAD_GUARD - 16) * _LN2
-        extra = [self._log_fixed_radius(level)] if fixed else []
+        extra = [] if sweep is None else \
+            [self._log_fixed_radius(level, sweep)]
         out = []
         for sigma, p in growth:
             if p not in self._majorants:
@@ -445,7 +460,7 @@ class CachedKernelQuadrature:
             raise DomainError(f"target must be > 0, got {target}")
         return target
 
-    def _memoized(self, key, compute) -> Integral:
+    def _memoized(self, key, compute):
         """``compute()``, or its result stored under ``key``."""
         found = self._memo.get(key)
         if found is None:
@@ -458,12 +473,13 @@ class CachedKernelQuadrature:
     def _level(self, columns, target, fixed: bool = False) -> int:
         """The smallest level >= 1 whose radii meet ``target``."""
         target = self._target(target)
-        log_target = float(mpmath.log(target))
+        log_target = self._memoized(("log", target),
+                                    lambda: float(mpmath.log(target)))
         for level in range(1, MAX_LEVELS + 1):
             log_radii = self._log_radii(columns, level)
             if fixed and max(log_radii) <= log_target:
                 # builds the level: only once the a-priori part fits
-                log_radii = self._log_radii(columns, level, fixed)
+                log_radii = self._log_radii(columns, level, level)
             if max(log_radii) <= log_target:
                 return level
         raise AccuracyError(
@@ -576,41 +592,51 @@ class CachedKernelQuadrature:
         :meth:`moments`; only the sums are taken in fixed point.  With
         F = prec + guard bits and e = 2^-F, the weighted kernel parts w
         are stored once, at level build, as the integers W = round(w/e).
-        A level's nodes are x_k = (j_0 + k dj) u, k < n, with u its step:
-        the angles s x_0 and s dj u are exact dyadic products, and their
-        cos and sin, from one ``cos_sin`` each at F + 16 bits, are rounded
-        to integers C_0, S_0 and c, d within 1 of 2^F times the true
-        values.  With z_k = C_k + i S_k every other node takes the integer
-        angle addition
+        The result's level l has the grid x_J = J h, J = 0..n, with h its
+        step and n = 8 2^l, and the node j of a level lv <= l is
+        J = j 2^(l - lv) on it.  One sweep covers that grid: the angle s h
+        is an exact dyadic product, and its cos and sin, from one
+        ``cos_sin`` at F + 16 bits (none at s = 0), are rounded to
+        integers c, d within 1 of 2^F times the true values.  From the
+        exact z_0 = 2^F, with z_J = C_J + i S_J,
 
-            z_(k+1) = floor(z_k (c + i d) / 2^F), componentwise,
+            z_(J+1) = floor(z_J (c + i d) / 2^F), componentwise,
 
-        and each column of the level is one exact integer dot product of
-        the W with these integers (times the node index j for the
-        derivative), all levels being converted to ``mpf`` once.  The
+        and each column of level lv is one exact integer dot product of the
+        W with every 2^(l - lv)-th of these integers (times the node index
+        j for the derivative), all levels being converted to ``mpf`` once.
+        The sums of levels l - 1 and l both come from this one sweep.  The
         error bound :meth:`_log_fixed_radius`, added to the radius inside
         the level choice, covers the fixed point:
 
-        * Recurrence.  Let e_k = z_k - 2^F e^(i s x_k), so |e_0| <= sqrt 2.
-          Then z_k (c + i d) / 2^F = (2^F e^(i s x_k) + e_k)(e^(i s dj u)
-          + r) with |r| <= sqrt 2 e, and the floor is off by at most
-          sqrt 2, so |e_(k+1)| <= (1 + sqrt 2 e) |e_k| + 2 sqrt 2 and
-          |e_k| <= (1 + sqrt 2 e)^k (1 + 2k) sqrt 2 <= 3 (k + 1), as
-          k < 2^16.  The step angle is exact, so there is no phase drift
-          from a rounded angle, which would reach |s| b e over a level;
-          the rounding of its cos and sin is r, counted at every step.
+        * Recurrence.  Let e_J = z_J - 2^F e^(i s J h), so e_0 = 0.  Then
+          z_J (c + i d) / 2^F = (2^F e^(i s J h) + e_J)(e^(i s h) + r)
+          with |r| <= sqrt 2 e, and the floor is off by less than sqrt 2,
+          so |e_(J+1)| <= (1 + sqrt 2 e) |e_J| + 2 sqrt 2 and
+          |e_J| <= 2 sqrt 2 J (1 + sqrt 2 e)^J <= 3 J <= 3 (J + 1), as
+          J <= n < 2^16 and e <= 2^-32.  The step angle is exact, so there
+          is no phase drift from a rounded angle, which would reach
+          |s| b e over the grid; the rounding of its cos and sin is r,
+          counted at every step.
         * Conversion.  |W e - w| <= e/2 for each of the P components.
-        * Dot product.  Exact; per level and column its error is at most
-          sum_k |W_k| e 3 (k + 1) e + P n e / 2 <= e (3 n A + P n / 2),
-          with A = e sum |W| over the components, known exactly, and
-          times x <= b for the derivative's multipliers.
+        * Dot product.  Exact; per level lv and column its error is at
+          most sum_k |W_k| e 3 n e + P n_lv e / 2 <= e (3 n A + P n_lv / 2),
+          with n_lv the level's node count and A = e sum |W| over the
+          components, known exactly, and times x <= b for the
+          derivative's multipliers.
         * Rounding.  Each total is rounded once at F bits, relative
-          error e, and the multipliers are at most 2 max(1, b).
+          error e, and the multipliers are at most 2 max(1, b).  The
+          total is an integer times a power of the step u, which is
+          dyadic (b over a power of 2), so one ``from_man_exp`` of the
+          integer times the mantissa of u^k rounds it.
 
-        The sum of level l is u_l times the node sums of levels 0..l, so
-        its fixed-point error is at most
+        The sum of level l' <= l is u_l' times the node sums of levels
+        0..l', so its fixed-point error in the sweep of level l is at most
 
-            e u_l max(1, b) sum_(lv <= l) ((3 n_lv + 2) A_lv + P_lv n_lv / 2).
+            e u_l' max(1, b) sum_(lv <= l') ((3 n + 2) A_lv + P_lv n_lv / 2),
+
+        with n = 8 2^l the sweep's last index: for the level below the
+        result that is twice its own grid's.
         """
         with workprec(self.prec):
             s, target = to_mpf(s), self._target(target)
@@ -625,23 +651,24 @@ class CachedKernelQuadrature:
             return self._memoized(("fourier", s, target, derivative),
                                   compute)
 
-    def _turns(self, s, lv: int):
-        """2^F (cos s x, sin s x) at level ``lv``'s nodes x, as integers.
+    def _turns(self, s, level: int):
+        """2^F (cos s x, sin s x) at the nodes x = J h, J = 0..n, of the
+        grid of level ``level``, as integers; F = prec + guard bits.
 
-        One ``cos_sin`` at the first node and one at the node spacing; the
-        rest by angle addition with truncating shifts (see
-        :meth:`fourier`).  F = prec + guard bits.
+        One angle-addition sweep with truncating shifts from the exact pair
+        (2^F, 0), its step from one ``cos_sin`` of s h and none at s = 0
+        (see :meth:`fourier`).
         """
         bits = self.prec + _QUAD_GUARD
-        js = self._fixed[lv][0]
-        with workprec(bits + 16):
-            angle = mpmath.fmul(s, self._step(lv), exact=True)
-            first, step = (mpmath.fmul(angle, j, exact=True)
-                           for j in (js[0], js[1] - js[0]))
-            c, sn = (_to_fixed(v, bits) for v in mpmath.cos_sin(first))
-            dc, ds = (_to_fixed(v, bits) for v in mpmath.cos_sin(step))
+        if s:
+            with workprec(bits + 16):
+                dc, ds = (_to_fixed(v, bits) for v in mpmath.cos_sin(
+                    mpmath.fmul(s, self._step(level), exact=True)))
+        else:
+            dc, ds = 1 << bits, 0
+        c, sn = 1 << bits, 0
         cs, ss = [c], [sn]
-        for _ in range(len(js) - 1):
+        for _ in range(BASE_INTERVALS << level):
             c, sn = (c * dc - sn * ds) >> bits, (sn * dc + c * ds) >> bits
             cs.append(c)
             ss.append(sn)
@@ -651,16 +678,21 @@ class CachedKernelQuadrature:
         """:meth:`fourier`'s sums of levels level-1 and level, per column."""
         self._ensure_level(level)
         bits = self.prec + _QUAD_GUARD
+        cs, ss = self._turns(s, level)
         # per level and column, the integer sums (real, imaginary) at scale
         # 2^(-2 bits); the derivative's in units of the level's step
         per_level = []
         for lv in range(level + 1):
-            cs, ss = self._turns(s, lv)
+            js, components, _ = self._fixed[lv]
+            # node j of level lv is node j 2^(level - lv) of the sweep
+            at = slice(js.start << (level - lv), None,
+                       js.step << (level - lv))
+            turns = cs[at], ss[at]
             sums = [[0, 0], [0, 0]]
-            for part, imaginary, w, wj in self._fixed[lv][1]:
-                sums[0][imaginary] += sum(map(mul, w, (cs, ss)[part]))
+            for part, imaginary, w, wj in components:
+                sums[0][imaginary] += sum(map(mul, w, turns[part]))
                 if derivative:
-                    d = sum(map(mul, wj, (ss, cs)[part]))
+                    d = sum(map(mul, wj, turns[1 - part]))
                     sums[1][imaginary] += d if part else -d
             per_level.append(sums)
         complex_ = any(imaginary for lv in range(level + 1)
@@ -668,45 +700,58 @@ class CachedKernelQuadrature:
 
         def level_sums(top):
             # each column is h_top (value) or h_top^2 (derivative) times its
-            # integers; a node j h_lv is j 2^(top - lv) h_top, so the
-            # derivative's sums of level lv shift by top - lv
-            h = self._step(top)
-            units = (h, mpmath.fmul(h, h, exact=True))
+            # integers, rounded once; a node j h_lv is j 2^(top - lv) h_top,
+            # so the derivative's sums of level lv shift by top - lv
+            _, man, exp, _ = self._step(top)._mpf_
             out = []
             for col in range(1 + derivative):
-                parts = [mpmath.ldexp(+mpmath.fmul(sum(
+                parts = [mp.make_mpf(from_man_exp(sum(
                     per_level[lv][col][i] << col * (top - lv)
-                    for lv in range(top + 1)), units[col], exact=True),
-                    -2 * bits) for i in (0, 1)]
+                    for lv in range(top + 1)) * man ** (col + 1),
+                    (col + 1) * exp - 2 * bits, bits, "n")) for i in (0, 1)]
                 out.append(mpc(*parts) if complex_ else parts[0])
             return out
 
         with workprec(bits):
             return level_sums(level - 1), level_sums(level)
 
-    def _log_fixed_radius(self, level: int) -> float:
+    def _log_fixed_radius(self, level: int,
+                          sweep: Optional[int] = None) -> float:
         """log of :meth:`fourier`'s fixed-point error bound at ``level``.
 
-        Evaluated in floats from exact integers and doubled, as the
-        a-priori terms are.
+        The bound of the level's sum taken in the sweep of level ``sweep``
+        (None: its own), evaluated in floats from exact integers and
+        doubled, as the a-priori terms are.  It reads only levels
+        0..``level``, which never change once built, so it is computed
+        once per (level, sweep), after building the level.
         """
-        self._ensure_level(level)
-        bits = self.prec + _QUAD_GUARD
-        # the bound's sum, in units of e^2 = 2^(-2 bits)
-        total = sum((3 * len(js) + 2) * scale
-                    + (len(components) * len(js) << (bits - 1))
-                    for js, components, scale in self._fixed[:level + 1])
-        h = float(self._step(level))
-        return math.log(2 * h * max(1.0, float(self.b))) \
-            + math.log(total) - 2 * bits * _LN2 if total else -math.inf
+        sweep = level if sweep is None else sweep
+        found = self._fixed_radii.get((level, sweep))
+        if found is None:
+            self._ensure_level(level)
+            bits = self.prec + _QUAD_GUARD
+            n = BASE_INTERVALS << sweep
+            # the bound's sum, in units of e^2 = 2^(-2 bits)
+            total = sum((3 * n + 2) * scale
+                        + (len(components) * len(js) << (bits - 1))
+                        for js, components, scale in self._fixed[:level + 1])
+            h = float(self._step(level))
+            found = self._fixed_radii[(level, sweep)] = \
+                math.log(2 * h * max(1.0, float(self.b))) \
+                + math.log(total) - 2 * bits * _LN2 if total else -math.inf
+        return found
 
     def _integral(self, columns, level, below, sums, vector,
                   fixed=False) -> Integral:
-        """The :class:`Integral` of the level sums, with the consistency check."""
+        """The :class:`Integral` of the level sums, with the consistency check.
+
+        ``fixed``: the sums come from :meth:`fourier`'s sweep of ``level``.
+        """
+        sweep = level if fixed else None
         radii = [mpmath.exp(r)
-                 for r in self._log_radii(columns, level, fixed)]
+                 for r in self._log_radii(columns, level, sweep)]
         lower = [mpmath.exp(r)
-                 for r in self._log_radii(columns, level - 1, fixed)]
+                 for r in self._log_radii(columns, level - 1, sweep)]
         for s, t, r, r_below in zip(sums, below, radii, lower):
             d = abs(s - t)
             if d > r + r_below:

@@ -11,7 +11,7 @@ and Xi(s) = xi(1/2 + is) = 2 int_0^inf Phi(u) cos(us) du.  Because Phi
 decays doubly exponentially, both integrals are truncated at a closed-form
 u_max where the integrand drops below the working epsilon, and all of them
 share the Phi values at the quadrature nodes (one kernel build serves every
-coefficient and every Xi evaluation at a given precision).
+coefficient and every Xi evaluation at a given precision and cutoff).
 
 Substituting z = -s^2 turns Xi into an entire function of z with positive
 coefficients a_n/a_0 whose zeros are -s_rho^2 over the Xi zeros s_rho, so
@@ -180,14 +180,14 @@ _kernel_cache: dict = {}
 
 
 def _phi_kernel(u_max: mpf, prec: int) -> CachedKernelQuadrature:
-    """Cached Phi kernel on [0, u_max'] with u_max' >= u_max, one per precision.
+    """The Phi kernel on [0, u_max] at ``prec`` bits, cached per (prec, u_max).
 
-    A request past the cached cutoff replaces the kernel; the integrands
-    are negligible on the extra stretch, where the tail bound covers them.
+    No kernel is replaced, so a value does not depend on the cutoffs that
+    were requested before it.
     """
-    found = _kernel_cache.get(prec)
-    if found is None or found.b < u_max:
-        found = _kernel_cache[prec] = CachedKernelQuadrature(
+    found = _kernel_cache.get((prec, u_max))
+    if found is None:
+        found = _kernel_cache[(prec, u_max)] = CachedKernelQuadrature(
             phi, u_max, _phi_log_majorant)
     return found
 
@@ -229,19 +229,24 @@ def xi_coefficients(N: int) -> XiCoefficients:
     return XiCoefficients(tuple(a), tuple(radii))
 
 
-def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
+def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False,
+            cutoff: Optional[mpf] = None):
     """Xi(s) = 2 int_0^umax Phi(u) cos(us) du for real s.
 
     ``target`` is the absolute error goal (None: the default); the
-    integrals, half the values, are taken to half of it.  With
-    ``derivative``, returns (Xi(s), Xi'(s)) with
+    integrals, half the values, are taken to half of it.  ``cutoff`` is
+    umax (None: ``kernel_cutoff(prec, 1, 4.5)``, the integrand's own); a
+    pipeline passes its coefficients' cutoff, so that one kernel serves
+    the run.  With ``derivative``, returns (Xi(s), Xi'(s)) with
     Xi'(s) = -2 int_0^umax u Phi(u) sin(us) du, integrated together on the
     same Phi values by :meth:`CachedKernelQuadrature.fourier`, which takes
-    cos and sin at the nodes by integer angle addition, from two
-    ``cos_sin`` calls per trapezoidal level.
+    cos and sin at the nodes by integer angle addition, from one
+    ``cos_sin`` call per evaluation.
     """
     prec = mp.prec
-    kernel = _phi_kernel(kernel_cutoff(prec, 1, 4.5), prec)
+    if cutoff is None:
+        cutoff = kernel_cutoff(prec, 1, 4.5)
+    kernel = _phi_kernel(cutoff, prec)
     half = (default_target(prec) if target is None else to_mpf(target)) / 2
     value = kernel.fourier(s, half, derivative).value
     if derivative:
@@ -249,7 +254,7 @@ def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False):
     return require_finite(2 * value, "Xi(s)")
 
 
-def bracket_zeros(s_max) -> List[ZeroBracket]:
+def bracket_zeros(s_max, cutoff: Optional[mpf] = None) -> List[ZeroBracket]:
     """Sign-change brackets of Xi on [0, s_max], refined to width 2^-(prec/2).
 
     The scan is :func:`numkernel.sign_changes` on signs of Xi at the loose
@@ -257,15 +262,16 @@ def bracket_zeros(s_max) -> List[ZeroBracket]:
     :func:`numkernel.bisect_sign_change`, with safeguarded Newton steps on
     Xi and Xi' at the :func:`numkernel.scan_target`, before the scan goes
     on.  The scan step is safe up to heights of a few hundred.  An empty
-    list is a valid result.
+    list is a valid result.  Every evaluation takes the kernel cutoff
+    ``cutoff`` (see :func:`xi_eval`).
     """
     prec = mp.prec
     fine, rough = scan_target(prec), sign_target(prec)
-    xi = lambda s: xi_eval(s, fine)
-    xi_dxi = lambda s: xi_eval(s, fine, derivative=True)
+    xi = lambda s: xi_eval(s, fine, cutoff=cutoff)
+    xi_dxi = lambda s: xi_eval(s, fine, derivative=True, cutoff=cutoff)
+    rough_xi = lambda s: xi_eval(s, rough, cutoff=cutoff)
     return [bisect_sign_change(xi, *cell, fdf=xi_dxi)
-            for cell in sign_changes(xi, 0, s_max,
-                                     rough=lambda s: xi_eval(s, rough))]
+            for cell in sign_changes(xi, 0, s_max, rough=rough_xi)]
 
 
 def zero_sum_tail_bound(T, k: int) -> mpf:
@@ -363,16 +369,16 @@ def rh_moment_pipeline(N: int, L, n_max: int, k_max: int) -> XiPipelineResult:
     Brackets the Xi zeros below :data:`SCAN_MAX`, computes a_0..a_N and
     hands the normalized series and the bracket of s_1 to
     :func:`moment_tail`, which resolves ``L`` and certifies the
-    (n_max, k_max) grid.
+    (n_max, k_max) grid.  The run has one kernel cutoff, the
+    coefficients', so one Phi kernel serves the zero scan too, and the
+    result does not depend on what ran before it in the process.
     """
     coeffs = brackets = None
 
     def source():
         nonlocal coeffs, brackets
-        # the coefficients' kernel has the larger cutoff: built first, it
-        # serves the zero scan too
-        _phi_kernel(kernel_cutoff(mp.prec, 1, 4.5 + 2 * N), mp.prec)
-        brackets = tuple(bracket_zeros(SCAN_MAX))
+        brackets = tuple(bracket_zeros(
+            SCAN_MAX, kernel_cutoff(mp.prec, 1, 4.5 + 2 * N)))
         if not brackets:
             raise DomainError(f"no Xi zero located below {SCAN_MAX}")
         coeffs = xi_coefficients(N)

@@ -617,6 +617,17 @@ def test_grh_pipeline_q5_complex(chi5):
     assert close(result.tail.s1, mpf("4.13290"), mpf(10) ** -3)
 
 
+def test_grh_pipeline_scans_on_the_coefficients_kernel(chi5, monkeypatch):
+    # at 96 bits the zero scan's own cutoff (2.5) lies below that of the 7
+    # coefficients a_0..a_6 (2.75): the run builds one kernel of the pair,
+    # at the latter, and both factors' scans use it
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    with workprec(96):
+        result = grh_moment_pipeline(chi5, 3, "auto", 1, 0)
+    assert result.coefficients.mu == 0
+    assert list(dirichlet._char_kernel_cache) == [(chi5, 96, mpf("2.75"))]
+
+
 def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
     # a ratio b_n/b_0 that its radius cannot separate from 0 is no certified
     # positive ratio: the pipeline stops before the grid

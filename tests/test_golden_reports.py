@@ -1,12 +1,13 @@
 """Reports of fixed commands match the stored reports byte for byte.
 
-Each command runs in a fresh ``python -m momentsieve`` process: the kernel
-caches of one in-process call can change the digits of a later one, so a
-report is reproducible only per process.  The three ``dirichlet --q 5``
-commands also run in order in one process, as the ``dirichlet-sweep``
-benchmark runs them, and must give the same bytes: they share one kernel,
-and its memoized integrals must not make a report depend on what ran
-before it.  Run this file as a script to
+Each command runs in a fresh ``python -m momentsieve`` process.  The three
+``dirichlet --q 5`` commands also run in order in one process, as the
+``dirichlet-sweep`` benchmark runs them, and must give the same bytes:
+they share one kernel, and its memoized integrals must not make a report
+depend on what ran before it.  Neither may a kernel cached for another
+cutoff: a command that needs a larger cutoff, run first in the same
+process, must leave the reports of a smaller one unchanged.  Run this
+file as a script to
 rewrite ``tests/golden/`` from the current code; it prints the name of
 each file whose bytes changed and, for a JSON report, the top-level keys
 added, removed or changed.  Every changed byte should be intended.
@@ -29,6 +30,9 @@ COMMANDS = {
         "xi --N 12 --nmax 4 --kmax 4 --bits 256", 0),
     "xi_n24_1024.json": (
         "xi --N 24 --nmax 10 --kmax 10 --bits 1024", 0),
+    # the deepest trapezoidal levels any command reaches
+    "xi_n40_2048.json": (
+        "xi --N 40 --nmax 18 --kmax 18 --bits 2048", 0),
     # inconclusive: 64-bit moments leave deep cells within their radii
     "xi_n22_64.json": ("xi --N 22 --nmax 2 --kmax 18 --bits 64", 3),
     **{f"dirichlet_q5_i{i}.json": (
@@ -101,6 +105,19 @@ def test_report_matches_golden(name):
     code, out = run(command)
     assert code == exit_code
     assert out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("commands", [
+    ("xi --N 30 --nmax 3 --kmax 3 --bits 256",
+     "xi --N 8 --nmax 3 --kmax 3 --bits 256"),
+    ("dirichlet --q 5 --index 1 --N 20 --nmax 2 --kmax 2 --bits 128",
+     "dirichlet --q 5 --index 1 --N 6 --nmax 2 --kmax 2 --bits 128"),
+], ids=["xi", "dirichlet"])
+def test_larger_cutoff_first_leaves_reports_unchanged(commands):
+    # each report of the sequence, run in one process, is the report of
+    # its command in a fresh process
+    for command, (code, out) in zip(commands, run_in_one_process(commands)):
+        assert (code, out) == run(command), command
 
 
 def test_sweep_in_one_process_matches_goldens():

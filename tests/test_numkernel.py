@@ -440,24 +440,23 @@ def test_fixed_point_sums_within_their_bound(bits, levels):
 @pytest.mark.parametrize("bits, level", [(64, MAX_LEVELS),
                                          (256, MAX_LEVELS), (1056, 8)])
 def test_angle_addition_stays_within_its_lemma(bits, level):
-    # node by node, the integers of the recurrence are within 3 (k + 1) of
-    # 2^F (cos, sin)(s x_k) at the k-th node of a level, F = prec + guard:
-    # the lemma behind the fixed-point bound, down to a level of the
-    # longest progression
+    # node by node, the integers of the one sweep over a level's grid are
+    # within 3 (J + 1) of 2^F (cos, sin)(s J h) at its J-th node,
+    # F = prec + guard: the lemma behind the fixed-point bound, from the
+    # exact start (2^F, 0) to the last node of the longest grid
     with workprec(bits):
         kernel = CachedKernelQuadrature(lambda x: 1, 14, gaussian_majorant)
-    kernel._ensure_level(level)
     fixed = bits + numkernel._QUAD_GUARD
     s = mpf("-23.7")
-    for lv in (0, 1, level):
-        h = kernel.b / (numkernel.BASE_INTERVALS << lv)
-        nodes = [j * h for j in kernel._fixed[lv][0]]
-        with workprec(fixed + 64):
-            want = [mpmath.cos_sin(s * x) for x in nodes]
-        for k, (c, sn, (wc, ws)) in enumerate(zip(*kernel._turns(s, lv),
-                                                  want)):
-            assert abs(c - mpmath.ldexp(wc, fixed)) <= 3 * (k + 1), (lv, k)
-            assert abs(sn - mpmath.ldexp(ws, fixed)) <= 3 * (k + 1), (lv, k)
+    h = kernel.b / (numkernel.BASE_INTERVALS << level)
+    cs, ss = kernel._turns(s, level)
+    assert len(cs) == len(ss) == (numkernel.BASE_INTERVALS << level) + 1
+    assert (cs[0], ss[0]) == (1 << fixed, 0)
+    with workprec(fixed + 64):
+        for J, (c, sn) in enumerate(zip(cs, ss)):
+            wc, ws = mpmath.cos_sin(s * J * h)
+            assert abs(c - mpmath.ldexp(wc, fixed)) <= 3 * (J + 1), J
+            assert abs(sn - mpmath.ldexp(ws, fixed)) <= 3 * (J + 1), J
 
 
 def test_fourier_matches_cos_sin_sums():
@@ -497,6 +496,56 @@ def test_memo_hit_matches_a_fresh_kernel(monkeypatch):
     assert again[0] is first[0] and again[1] is first[1]
     assert again == (fresh.fourier(s, coarse, derivative=True),
                      fresh.moments((0, 1, 2), coarse))
+
+
+def stale_radius_kernels(kind):
+    """Two fresh kernels of one definition, with their working precision:
+    the 256-bit Phi kernel of the xi runs, or the 128-bit folded kernel of
+    chi_5.1's pair at the cutoff of its zero scan."""
+    from momentsieve import dirichlet, riemann
+    if kind == "phi":
+        with workprec(256):
+            cutoff = riemann.kernel_cutoff(256, 1, 28.5)
+            return [CachedKernelQuadrature(riemann.phi, cutoff,
+                                           riemann._phi_log_majorant)
+                    for _ in range(2)], 256
+    chi = dirichlet.characters_mod(5)[1]
+    cutoff = riemann.kernel_cutoff(128, 5, chi.parity + 0.5)
+    kernels = []
+    for _ in range(2):
+        dirichlet._char_kernel_cache.clear()
+        with workprec(128):
+            kernels.append(dirichlet._char_kernel(chi, 128, cutoff)[0])
+    return kernels, 128
+
+
+@pytest.mark.parametrize("kind", ["phi", "chi5"])
+def test_cached_radius_terms_do_not_go_stale(kind, monkeypatch):
+    # one kernel takes a sign-scan value (level 3), a value at the default
+    # target (a finer level), then a sign-scan value with its derivative
+    # (a coarser level again); each result, and every level's radii with
+    # the fixed-point bounds of both sweeps, are those of a fresh kernel
+    from momentsieve import dirichlet
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    (kernel, reference), bits = stale_radius_kernels(kind)
+    calls = [(mpf("4.5"), numkernel.sign_target(bits), False),
+             (mpf("30.25"), None, False),
+             (mpf("4.125"), numkernel.sign_target(bits), True)]
+    levels = []
+    for s, target, derivative in calls:
+        got = kernel.fourier(s, target, derivative)
+        fresh = stale_radius_kernels(kind)[0][0]
+        assert got == fresh.fourier(s, target, derivative), (s, target)
+        columns = [(s, 0)] + ([(s, 1)] if derivative else [])
+        levels.append(kernel._level(columns, target, fixed=True))
+    assert levels[0] == 3 and levels[1] > levels[2]
+    top = max(levels)
+    reference._ensure_level(top)
+    columns = [(mpf("4.5"), 0), (mpf("4.5"), 1)]
+    for lv in range(1, top + 1):
+        for sweep in (lv, lv + 1):
+            assert kernel._log_radii(columns, lv, sweep) \
+                == reference._log_radii(columns, lv, sweep), (lv, sweep)
 
 
 def test_memo_keeps_the_newest_results():

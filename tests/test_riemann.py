@@ -162,7 +162,8 @@ def test_xi_command_node_counts(monkeypatch, capsys):
     # and every sign-scan value stops at 65 nodes: the error bound picks
     # one level fewer than a test on the difference of two levels would.
     # The nodes are counted where the integer angle addition visits them,
-    # and each level takes two cos_sin calls, at its first node and step
+    # in one sweep over the grid of the evaluation's level, and each
+    # evaluation takes at most one cos_sin call, at the sweep's step
     from momentsieve import cli, numkernel, riemann
     monkeypatch.setattr(riemann, "_kernel_cache", {})
     phi, xi_eval, cos_sin = riemann.phi, riemann.xi_eval, mpmath.cos_sin
@@ -173,19 +174,19 @@ def test_xi_command_node_counts(monkeypatch, capsys):
         kernel_values.append(u)
         return phi(u)
 
-    def counting_turns(self, s, lv):
-        cs, ss = turns(self, s, lv)
-        levels.append((lv, len(cs)))
+    def counting_turns(self, s, level):
+        cs, ss = turns(self, s, level)
+        levels.append((level, len(cs)))
         return cs, ss
 
     def counting_cos_sin(x):
         trig[0] += 1
         return cos_sin(x)
 
-    def counting_xi_eval(s, target=None, derivative=False):
+    def counting_xi_eval(s, target=None, derivative=False, cutoff=None):
         levels.clear()
         trig[0] = 0
-        value = xi_eval(s, target, derivative)
+        value = xi_eval(s, target, derivative, cutoff)
         evaluations.append((target, sum(n for _, n in levels),
                             max(lv for lv, _ in levels), trig[0]))
         return value
@@ -204,7 +205,7 @@ def test_xi_command_node_counts(monkeypatch, capsys):
     assert max(sign_scan) <= 65
     for _, nodes, level, calls in evaluations:
         assert nodes == (BASE_INTERVALS << level) + 1
-        assert calls <= 2 * (level + 1)
+        assert calls <= 1
 
 
 def test_series_vanishes_at_first_zero(coeffs12, brackets30):
@@ -283,6 +284,16 @@ def test_bracket_zeros_evaluation_count(monkeypatch):
     assert len(brackets) == 1
     assert len(quadratures) <= 50
     assert len(kernel_values) <= 129
+
+
+def test_pipeline_scans_on_the_coefficients_kernel(monkeypatch):
+    # at 96 bits the zero scan's own cutoff (1.75) lies below that of 7
+    # coefficients (2.0): the run builds one Phi kernel, at the latter
+    from momentsieve import riemann
+    monkeypatch.setattr(riemann, "_kernel_cache", {})
+    with workprec(96):
+        rh_moment_pipeline(6, "auto", 2, 2)
+    assert list(riemann._kernel_cache) == [(96, mpf(2))]
 
 
 def test_pipeline_first_zero_to_full_precision():
