@@ -45,6 +45,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf, mpc, workprec
+from mpmath.libmp import (
+    from_int, mpc_add, mpc_div, mpc_sub, mpf_div, mpf_exp, mpf_mul,
+    mpf_neg, mpf_pi, mpf_pos, mpf_shift, round_nearest)
 import mpmath
 
 from .moments import (
@@ -67,8 +70,8 @@ from .numkernel import (
     log_theta_majorant,
     scan_target,
     sign_changes,
-    sign_target,
     to_mpf,
+    _raw_to_fixed,
     _to_fixed,
 )
 from .riemann import MomentTail, kernel_cutoff, moment_tail
@@ -390,7 +393,11 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
     chi(1) = 1, with chi(n) from :func:`_chi_fixed_table` and each
     e^(-(n^2-1) B) from the last by the two-multiplication recurrence with
     truncating shifts; the products chi(n) n^kappa e^(-(n^2-1) B) are
-    summed exactly and converted to ``mpf`` once.  The term magnitude
+    summed exactly and converted to ``mpf`` once, and the floating-point
+    factors are taken on raw ``mpmath.libmp`` tuples, each operation
+    rounded to prec bits to the nearest as the ``mpf`` expressions
+    e^(y/2), pi (e^(2y)) / q and 2 e^((kappa+1/2) y) e^(-B) times the
+    sums would round it.  The term magnitude
     decays like a Gaussian in n; summation stops when it falls below
     2^-(prec+8) of the largest magnitude seen (after at least one full
     period of chi).  The table of conj chi negates the imaginary parts
@@ -403,17 +410,20 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
     n_terms = 1000000  # give up after this many terms
     q = chi.q
     kappa = chi.parity
-    prec = mp.prec
+    prec, rnd = mp.prec, round_nearest
     bits = prec + 16
     values = _chi_fixed_table(q, chi.exponents, prec)
     # e^(2y) and e^((kappa+1/2) y) as powers of one e^(y/2)
-    e1 = mpmath.exp(y / 2)
-    e2 = e1 * e1
-    base = mpmath.pi * (e2 * e2) / q
-    x = mpmath.exp(-base)
+    e1 = mpf_exp(mpf_shift(mpf_pos(y._mpf_, prec, rnd), -1), prec, rnd)
+    e2 = mpf_mul(e1, e1, prec, rnd)
+    base = mpf_div(mpf_mul(mpf_pi(prec, rnd), mpf_mul(e2, e2, prec, rnd),
+                           prec, rnd), from_int(q), prec, rnd)
+    x = mpf_exp(mpf_neg(base), prec, rnd)
     # e^(-(n^2-1) B) by the recurrence p *= step, step *= x^2 from x^3
-    x2 = mpmath.fmul(x, x, exact=True)
-    p, step, ratio = 1 << bits, _to_fixed(x2 * x, bits), _to_fixed(x2, bits)
+    x2 = mpf_mul(x, x)
+    p = 1 << bits
+    step = _raw_to_fixed(mpf_mul(x2, x, prec, rnd), bits)
+    ratio = _raw_to_fixed(mpf_pos(x2, prec, rnd), bits)
     s_re = s_im = peak = 0
     for n in range(1, n_terms + 1):
         entry = values[n % q]
@@ -425,9 +435,12 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
             if mag > peak:
                 peak = mag
             elif n > q and mag << (prec + 8) < peak:
-                scale = 2 * (e1 * e2 if kappa else e1) * x
-                return mpc(*(mpmath.ldexp(mpf(v), -2 * bits)
-                             for v in (s_re, s_im))) * scale
+                scale = mpf_mul(mpf_shift(
+                    mpf_mul(e1, e2, prec, rnd) if kappa else e1, 1), x,
+                    prec, rnd)
+                return mp.make_mpc(tuple(mpf_mul(mpf_shift(
+                    from_int(v, prec, rnd), -2 * bits), scale, prec, rnd)
+                    for v in (s_re, s_im)))
         p = p * step >> bits
         step = step * ratio >> bits
     raise AccuracyError(
@@ -474,17 +487,23 @@ def _char_kernel(chi: DirichletCharacter, prec: int, y_max: mpf):
     base = min(chi, chi.conjugate(), key=lambda c: c.index)
     found = _char_kernel_cache.get((base, prec, y_max))
     if found is None:
-        base_bar = base.conjugate()
+        base_bar, real = base.conjugate(), base.is_real
         with workprec(prec + _QUAD_GUARD):
             eps_bar = epsilon_factor(base_bar)
 
         def parts(y):
+            # t'/e', t + t'/e' and i (t - t'/e') on raw mpmath.libmp
+            # tuples, rounded as the mpc expressions would round them
             t = phi_char(y, base)
             if y == 0:  # E = 2 K(0), F = 0, as phi_char(0, chi) has it
                 return 2 * t, mpc(0)
-            minus = (t if base.is_real else mpc(t.real, -t.imag)) / eps_bar
-            diff = t - minus
-            return t + minus, mpc(-diff.imag, diff.real)
+            bits, rnd = mp.prec, round_nearest
+            t = t._mpc_
+            minus = mpc_div(t if real else (t[0], mpf_neg(t[1])),
+                            eps_bar._mpc_, bits, rnd)
+            diff = mpc_sub(t, minus, bits, rnd)
+            return (mp.make_mpc(mpc_add(t, minus, bits, rnd)),
+                    mp.make_mpc((mpf_neg(diff[1]), diff[0])))
 
         found = _char_kernel_cache[(base, prec, y_max)] = (
             CachedKernelQuadrature(
@@ -593,6 +612,15 @@ def char_coeffs(chi: DirichletCharacter, N: int) -> CharCoefficients:
 # ---------------------------------------------------------------------------
 # Evaluation on the critical line and zero bracketing
 
+def _eval_kernel(chi: DirichletCharacter, cutoff: Optional[mpf]):
+    """:func:`_char_kernel` of chi at the working precision and ``cutoff``
+    (None: ``kernel_cutoff(prec, q, kappa + 1/2)``, the integrand's own)."""
+    prec = mp.prec
+    if cutoff is None:
+        cutoff = kernel_cutoff(prec, chi.q, chi.parity + 0.5)
+    return _char_kernel(chi, prec, cutoff)
+
+
 def xi_char_eval(s, chi: DirichletCharacter,
                  target: Optional[mpf] = None, derivative: bool = False,
                  cutoff: Optional[mpf] = None):
@@ -612,10 +640,7 @@ def xi_char_eval(s, chi: DirichletCharacter,
     s-derivative.
     """
     _require_analytic(chi)
-    prec = mp.prec
-    if cutoff is None:
-        cutoff = kernel_cutoff(prec, chi.q, chi.parity + 0.5)
-    kernel, base, eps_mirror = _char_kernel(chi, prec, cutoff)
+    kernel, base, eps_mirror = _eval_kernel(chi, cutoff)
     if chi == base:
         value = kernel.fourier(s, target, derivative).value
         return tuple(map(mpc, value)) if derivative else mpc(value)
@@ -636,6 +661,8 @@ def z_char_eval(s, chi: DirichletCharacter,
     raised.  ``cutoff`` is that of :func:`xi_char_eval`.  With
     ``derivative``, returns (Z(s), Z'(s)); Z' only steers the safeguarded
     Newton steps of zero location, so its real part is taken unchecked.
+    Zero location calls it only where it needs more than a sign; the
+    scan's signs come from :func:`_z_char_sign`.
     """
     prec = mp.prec
     if target is None:
@@ -653,6 +680,34 @@ def z_char_eval(s, chi: DirichletCharacter,
     return (value.real, slope.real) if derivative else value.real
 
 
+def _z_char_sign(s, chi: DirichletCharacter, cutoff: Optional[mpf]):
+    """(Z(s, chi), radius) in floats, for the sign of Z alone.
+
+    The pair's :meth:`CachedKernelQuadrature.fourier_sign` at s, or at -s
+    times e' for conj base (see :func:`xi_char_eval`), divided by the
+    phase, in complex doubles.  The radius adds to the quadrature's the
+    rounding of e' and of the phase (2^-prec, or 2^-53 as doubles,
+    relative) and of the two complex operations, rounded outward.  An
+    imaginary residue beyond the radius raises :class:`ConsistencyError`,
+    as in :func:`z_char_eval`.  ``cutoff`` is that of
+    :func:`xi_char_eval`.
+    """
+    prec = mp.prec
+    kernel, base, eps_mirror = _eval_kernel(chi, cutoff)
+    if chi == base:
+        value, radius = kernel.fourier_sign(s)
+    else:
+        value, radius = kernel.fourier_sign(-to_mpf(s))
+        value *= complex(eps_mirror)
+    value /= complex(_phase(chi, prec))
+    rel = 2.0 ** (4 - min(prec, 53))
+    radius = (radius + abs(value) * rel) * (1 + rel)
+    if abs(value.imag) > radius:
+        raise ConsistencyError(
+            f"Z(s, {chi.label()}) has imaginary residue {value.imag}")
+    return value.real, radius
+
+
 #: the zero scan of :func:`first_zero_height` covers [0, SCAN_MAX]
 SCAN_MAX = mpf(40)
 
@@ -668,17 +723,20 @@ def first_zero_height(chi: DirichletCharacter,
     For complex chi the factors xi(., chi) and xi(., conj chi) vanish at
     mirrored heights, so both are scanned and the overall minimum returned.
     Each scan of the signs of Z stops at its first sign change, and the
-    second scan ends where the first one's step ends.  Only the lowest step
-    is refined, by safeguarded Newton steps on Z and Z' (both factors when
+    second scan ends where the first one's step ends.  A scan point takes
+    its sign from :func:`_z_char_sign` (64-bit fixed point, in floats)
+    where that certifies it, and from :func:`z_char_eval` at the
+    :func:`numkernel.scan_target` elsewhere.  Only the lowest step is
+    refined, by safeguarded Newton steps on Z and Z' (both factors when
     their first sign changes share the step).
     """
-    fine, rough = scan_target(mp.prec), sign_target(mp.prec)
+    fine = scan_target(mp.prec)
     found = []  # (factor, (lo, hi, Z(lo), Z(hi))) per first sign change
     top = SCAN_MAX
     for c in [chi] if chi.is_real else [chi, chi.conjugate()]:
         cell = next(sign_changes(
             lambda s: z_char_eval(s, c, fine, cutoff=cutoff), 0, top,
-            rough=lambda s: z_char_eval(s, c, rough, cutoff=cutoff)), None)
+            rough=lambda s: _z_char_sign(s, c, cutoff)), None)
         if cell is not None:
             found.append((c, cell))
             top = cell[1]

@@ -27,10 +27,15 @@ Provided here:
   other node, and each level sum one exact integer dot product, the
   inner loop on Python integers as in Johansson's fixed-point elementary
   functions (ARITH 22, 2015), with a proved bound on the fixed-point
-  error in the radius.
+  error in the radius.  :meth:`CachedKernelQuadrature.fourier_sign` is
+  the same path at :data:`SIGN_BITS` = 64 fraction bits and the loose
+  :func:`sign_target`, its value a float with a float radius: what a
+  sign needs.
 * zero location: :func:`sign_changes` scans for sign changes at step
-  :data:`SCAN_STEP` and needs only certified signs, then
-  :func:`bisect_sign_change` refines each: Newton steps
+  :data:`SCAN_STEP` and needs only certified signs, which a cheap
+  evaluation with a radius (such as ``fourier_sign``) gives wherever
+  the value exceeds it, then :func:`bisect_sign_change` refines each:
+  Newton steps
   safeguarded by bisection when a derivative is given, plain bisection
   otherwise, to a bracket of width ``2^-(prec/2)``.
 * :func:`certify_sign` - the one sign rule: a value known to within a
@@ -168,6 +173,9 @@ def certify_sign(value, *, radius) -> CertifiedSign:
 #: extra working bits inside quadrature loops
 _QUAD_GUARD = 32
 
+#: fraction bits of the sums of :meth:`CachedKernelQuadrature.fourier_sign`
+SIGN_BITS = 64
+
 #: trapezoidal levels (step halvings) available
 MAX_LEVELS = 12
 
@@ -199,9 +207,15 @@ def _to_fixed(x, bits: int) -> int:
 
     An infinite or NaN x raises :class:`ConsistencyError`.
     """
-    sign, man, exp, _ = mpf(x)._mpf_
+    return _raw_to_fixed(mpf(x)._mpf_, bits)
+
+
+def _raw_to_fixed(raw, bits: int) -> int:
+    """:func:`_to_fixed` of the ``mpmath.libmp`` tuple ``raw``, unrounded."""
+    sign, man, exp, _ = raw
     if exp and not man:
-        raise ConsistencyError(f"non-finite value {x} in a fixed-point sum")
+        raise ConsistencyError(
+            f"non-finite value {mpmath.mpf(raw)} in a fixed-point sum")
     shift = exp + bits
     if shift + man.bit_length() < 0:  # below half a unit
         return 0
@@ -250,12 +264,15 @@ def log_theta_majorant(log_coeff, c: float) -> float:
 
 
 class Integral(NamedTuple):
-    """What :meth:`CachedKernelQuadrature.moments` and ``fourier`` return.
+    """What :meth:`CachedKernelQuadrature.moments`, ``fourier`` and
+    ``fourier_sign`` return.
 
     ``radius`` bounds the error of the sum at the guard precision, of
     which ``value`` is the rounding to the working precision (one more
     relative 2^-prec).  For several degrees, or a value with its
-    derivative, each field is the tuple of their columns.
+    derivative, each field is the tuple of their columns.  From
+    ``fourier_sign`` both fields are floats (the value complex on a
+    folded kernel), and the radius covers the value's rounding too.
     """
 
     value: object
@@ -346,10 +363,13 @@ class CachedKernelQuadrature:
         # nonzero real or imaginary part of the weighted kernel part as the
         # integers W at scale 2^-(prec + guard), (part, imaginary, W, W j)
         self._fixed = []
+        # bits -> the levels of _fixed with each W rounded to that many
+        # fraction bits, for fourier_sign
+        self._rounded = {}
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
         # the radius terms that do not depend on s: level -> log of the
-        # discretisation factor, (level, sweep) -> log of fourier's
+        # discretisation factor, (level, sweep, bits) -> log of fourier's
         # fixed-point bound
         self._log_discs = {}
         self._fixed_radii = {}
@@ -361,6 +381,8 @@ class CachedKernelQuadrature:
         return self.b / (BASE_INTERVALS << level)
 
     def _ensure_level(self, level: int):
+        if level < len(self._levels):
+            return
         bits = self.prec + _QUAD_GUARD
         with workprec(bits):
             while len(self._levels) <= level:
@@ -388,6 +410,31 @@ class CachedKernelQuadrature:
                 self._fixed.append((js, components, sum(
                     abs(wk) for *_, w, _ in components for wk in w)))
                 self._levels.append(parts)
+
+    def _fixed_at(self, bits: int, level: int):
+        """Levels 0..``level`` of ``_fixed`` at ``bits`` <= prec + guard
+        fraction bits.
+
+        Narrower integers W are rounded once from the guard precision, to
+        the nearest with halves up, and cached per level; every component
+        is kept, so the count P of the fixed-point bound is the same.
+        """
+        self._ensure_level(level)
+        shift = self.prec + _QUAD_GUARD - bits
+        if not shift:
+            return self._fixed
+        rounded = self._rounded.setdefault(bits, [])
+        half = 1 << (shift - 1)
+        while len(rounded) <= level:
+            js, components, _ = self._fixed[len(rounded)]
+            narrow = []
+            for part, imaginary, w, _ in components:
+                w = [(wk + half) >> shift for wk in w]
+                narrow.append((part, imaginary, w,
+                               [wk * j for wk, j in zip(w, js)]))
+            rounded.append((js, narrow, sum(
+                abs(wk) for *_, w, _ in narrow for wk in w)))
+        return rounded
 
     def _majorant_integrals(self, p: int):
         """(log M_p, log tail_p, log R_p) of the class docstring."""
@@ -424,14 +471,16 @@ class CachedKernelQuadrature:
             max(u, v) for u, v in zip(f, f[1:]))
         return upper(grid(a, 0.0)), log_tail, upper(grid(0.0, 0.0))
 
-    def _log_radii(self, growth, level: int, sweep: Optional[int] = None):
+    def _log_radii(self, growth, level: int, sweep: Optional[int] = None,
+                   bits: Optional[int] = None):
         """log of the error radius of level ``level``, one per column.
 
         ``sweep`` adds the error bound of :meth:`fourier`'s fixed-point
-        sum of the level taken in the sweep of level ``sweep``, which needs
-        the kernel values of every level up to ``level``; the rest is
-        a-priori.  The discretisation term and the fixed-point bound of a
-        level are computed once per kernel.
+        sum of the level taken in the sweep of level ``sweep`` at ``bits``
+        fraction bits (None: prec + guard), which needs the kernel values
+        of every level up to ``level``; the rest is a-priori.  The
+        discretisation term and the fixed-point bound of a level are
+        computed once per kernel.
         """
         log_disc = self._log_discs.get(level)
         if log_disc is None:
@@ -441,7 +490,7 @@ class CachedKernelQuadrature:
                 math.log(2) - x - math.log1p(-math.exp(-x))
         guard = -(self.prec + _QUAD_GUARD - 16) * _LN2
         extra = [] if sweep is None else \
-            [self._log_fixed_radius(level, sweep)]
+            [self._log_fixed_radius(level, sweep, bits)]
         out = []
         for sigma, p in growth:
             if p not in self._majorants:
@@ -470,8 +519,13 @@ class CachedKernelQuadrature:
             self._memo[key] = found
         return found
 
-    def _level(self, columns, target, fixed: bool = False) -> int:
-        """The smallest level >= 1 whose radii meet ``target``."""
+    def _level(self, columns, target, fixed: bool = False,
+               bits: Optional[int] = None) -> int:
+        """The smallest level >= 1 whose radii meet ``target``.
+
+        ``fixed``: with the bound of the fixed-point sums at ``bits``
+        fraction bits (None: prec + guard).
+        """
         target = self._target(target)
         log_target = self._memoized(("log", target),
                                     lambda: float(mpmath.log(target)))
@@ -479,7 +533,7 @@ class CachedKernelQuadrature:
             log_radii = self._log_radii(columns, level)
             if fixed and max(log_radii) <= log_target:
                 # builds the level: only once the a-priori part fits
-                log_radii = self._log_radii(columns, level, level)
+                log_radii = self._log_radii(columns, level, level, bits)
             if max(log_radii) <= log_target:
                 return level
         raise AccuracyError(
@@ -589,16 +643,19 @@ class CachedKernelQuadrature:
         result is the pair of columns.
 
         The levels, kernel values and a-priori radius are those of
-        :meth:`moments`; only the sums are taken in fixed point.  With
-        F = prec + guard bits and e = 2^-F, the weighted kernel parts w
-        are stored once, at level build, as the integers W = round(w/e).
-        The result's level l has the grid x_J = J h, J = 0..n, with h its
-        step and n = 8 2^l, and the node j of a level lv <= l is
-        J = j 2^(l - lv) on it.  One sweep covers that grid: the angle s h
-        is an exact dyadic product, and its cos and sin, from one
-        ``cos_sin`` at F + 16 bits (none at s = 0), are rounded to
-        integers c, d within 1 of 2^F times the true values.  From the
-        exact z_0 = 2^F, with z_J = C_J + i S_J,
+        :meth:`moments`; only the sums are taken in fixed point, by one
+        code path at two widths: F = prec + guard fraction bits here, and
+        F = :data:`SIGN_BITS` (or prec + guard, if fewer) in
+        :meth:`fourier_sign`.  Let e = 2^-F.  The weighted kernel parts w
+        are stored once, at level build, as the integers
+        W = round(w 2^(prec + guard)), and rounded once more to F bits,
+        also once per level, for the narrower width.  The result's level l
+        has the grid x_J = J h, J = 0..n, with h its step and n = 8 2^l,
+        and the node j of a level lv <= l is J = j 2^(l - lv) on it.  One
+        sweep covers that grid: the angle s h is an exact dyadic product,
+        and its cos and sin, from one ``cos_sin`` at F + 16 bits (none at
+        s = 0), are rounded to integers c, d within 1 of 2^F times the
+        true values.  From the exact z_0 = 2^F, with z_J = C_J + i S_J,
 
             z_(J+1) = floor(z_J (c + i d) / 2^F), componentwise,
 
@@ -607,7 +664,7 @@ class CachedKernelQuadrature:
         j for the derivative), all levels being converted to ``mpf`` once.
         The sums of levels l - 1 and l both come from this one sweep.  The
         error bound :meth:`_log_fixed_radius`, added to the radius inside
-        the level choice, covers the fixed point:
+        the level choice, covers the fixed point at either width:
 
         * Recurrence.  Let e_J = z_J - 2^F e^(i s J h), so e_0 = 0.  Then
           z_J (c + i d) / 2^F = (2^F e^(i s J h) + e_J)(e^(i s h) + r)
@@ -618,9 +675,11 @@ class CachedKernelQuadrature:
           is no phase drift from a rounded angle, which would reach
           |s| b e over the grid; the rounding of its cos and sin is r,
           counted at every step.
-        * Conversion.  |W e - w| <= e/2 for each of the P components.
+        * Conversion.  |W e - w| <= c e for each of the P components, with
+          c = 1/2 at F = prec + guard, and c = 1 at a narrower F, where W
+          was rounded twice: e/2 + 2^-(prec + guard)/2 <= e.
         * Dot product.  Exact; per level lv and column its error is at
-          most sum_k |W_k| e 3 n e + P n_lv e / 2 <= e (3 n A + P n_lv / 2),
+          most sum_k |W_k| e 3 n e + P n_lv c e <= e (3 n A + P n_lv c),
           with n_lv the level's node count and A = e sum |W| over the
           components, known exactly, and times x <= b for the
           derivative's multipliers.
@@ -628,12 +687,14 @@ class CachedKernelQuadrature:
           error e, and the multipliers are at most 2 max(1, b).  The
           total is an integer times a power of the step u, which is
           dyadic (b over a power of 2), so one ``from_man_exp`` of the
-          integer times the mantissa of u^k rounds it.
+          integer times the mantissa of u^k rounds it.  (:meth:`fourier_sign`
+          rounds it to a float instead, and adds that rounding to its
+          radius.)
 
         The sum of level l' <= l is u_l' times the node sums of levels
         0..l', so its fixed-point error in the sweep of level l is at most
 
-            e u_l' max(1, b) sum_(lv <= l') ((3 n + 2) A_lv + P_lv n_lv / 2),
+            e u_l' max(1, b) sum_(lv <= l') ((3 n + 2) A_lv + P_lv n_lv c),
 
         with n = 8 2^l the sweep's last index: for the level below the
         result that is twice its own grid's.
@@ -651,15 +712,58 @@ class CachedKernelQuadrature:
             return self._memoized(("fourier", s, target, derivative),
                                   compute)
 
-    def _turns(self, s, level: int):
+    def fourier_sign(self, s) -> Integral:
+        """``int K(x) e^(isx) dx`` for real ``s`` in floats, for its sign.
+
+        The :class:`Integral`'s value is a Python float, or a complex on a
+        folded kernel, and its float radius bounds the whole error of that
+        value.  It is :meth:`fourier` at the target :func:`sign_target`
+        with sums at F = :data:`SIGN_BITS` fraction bits (prec + guard, if
+        fewer): the level is the smallest whose a-priori radius plus the
+        fixed-point bound at F bits meets the target, and each total of
+        the sweep is rounded once to a float, within 2^-53 relative and
+        2^-1075 absolute per component.  The radius is the a-priori
+        radius plus the fixed-point bound plus that rounding, all rounded
+        outward.  The sums of levels l - 1 and l must differ by at most
+        the sum of their float radii, or :class:`ConsistencyError` is
+        raised, as by :meth:`fourier`.  Results are memoized as
+        :meth:`fourier`'s are.
+        """
+        with workprec(self.prec):
+            s = to_mpf(s)
+
+            def compute():
+                bits = min(SIGN_BITS, self.prec + _QUAD_GUARD)
+                columns = [(abs(s), 0)]
+                level = self._level(columns, sign_target(self.prec),
+                                    fixed=True, bits=bits)
+                totals, complex_ = self._fixed_totals(s, level, False, bits)
+                values, radii = [], []
+                for top, ((re, im), exp) in zip((level - 1, level),
+                                                (t[0] for t in totals)):
+                    value = math.ldexp(float(re), exp)
+                    if complex_:
+                        value = complex(value, math.ldexp(float(im), exp))
+                    log_radius, = self._log_radii(columns, top, level, bits)
+                    values.append(value)
+                    radii.append((math.exp(log_radius) + abs(value) * 2 ** -52
+                                  + 2 ** -1074) * (1 + 2 ** -50))
+                _check_levels(level, abs(values[1] - values[0]),
+                              radii[0] + radii[1])
+                return Integral(values[1], radii[1])
+
+            return self._memoized(("sign", s), compute)
+
+    def _turns(self, s, level: int, bits: Optional[int] = None):
         """2^F (cos s x, sin s x) at the nodes x = J h, J = 0..n, of the
-        grid of level ``level``, as integers; F = prec + guard bits.
+        grid of level ``level``, as integers; F = ``bits`` (None:
+        prec + guard).
 
         One angle-addition sweep with truncating shifts from the exact pair
         (2^F, 0), its step from one ``cos_sin`` of s h and none at s = 0
         (see :meth:`fourier`).
         """
-        bits = self.prec + _QUAD_GUARD
+        bits = self.prec + _QUAD_GUARD if bits is None else bits
         if s:
             with workprec(bits + 16):
                 dc, ds = (_to_fixed(v, bits) for v in mpmath.cos_sin(
@@ -668,22 +772,27 @@ class CachedKernelQuadrature:
             dc, ds = 1 << bits, 0
         c, sn = 1 << bits, 0
         cs, ss = [c], [sn]
+        put_c, put_s = cs.append, ss.append
         for _ in range(BASE_INTERVALS << level):
             c, sn = (c * dc - sn * ds) >> bits, (sn * dc + c * ds) >> bits
-            cs.append(c)
-            ss.append(sn)
+            put_c(c)
+            put_s(sn)
         return cs, ss
 
-    def _fixed_sums(self, s, level: int, derivative: bool):
-        """:meth:`fourier`'s sums of levels level-1 and level, per column."""
-        self._ensure_level(level)
-        bits = self.prec + _QUAD_GUARD
-        cs, ss = self._turns(s, level)
+    def _fixed_totals(self, s, level: int, derivative: bool, bits: int):
+        """The sums of levels level-1 and level of :meth:`fourier`'s sweep
+        at ``bits`` fraction bits, exactly, and whether they are complex.
+
+        Per level and column the sum is (R + i I) 2^x, given as
+        ((R, I), x) with integers R, I.
+        """
+        levels = self._fixed_at(bits, level)
+        cs, ss = self._turns(s, level, bits)
         # per level and column, the integer sums (real, imaginary) at scale
         # 2^(-2 bits); the derivative's in units of the level's step
         per_level = []
         for lv in range(level + 1):
-            js, components, _ = self._fixed[lv]
+            js, components, _ = levels[lv]
             # node j of level lv is node j 2^(level - lv) of the sweep
             at = slice(js.start << (level - lv), None,
                        js.step << (level - lv))
@@ -696,47 +805,63 @@ class CachedKernelQuadrature:
                     sums[1][imaginary] += d if part else -d
             per_level.append(sums)
         complex_ = any(imaginary for lv in range(level + 1)
-                       for _, imaginary, *_ in self._fixed[lv][1])
+                       for _, imaginary, *_ in levels[lv][1])
 
-        def level_sums(top):
+        def totals(top):
             # each column is h_top (value) or h_top^2 (derivative) times its
-            # integers, rounded once; a node j h_lv is j 2^(top - lv) h_top,
-            # so the derivative's sums of level lv shift by top - lv
+            # integers; a node j h_lv is j 2^(top - lv) h_top, so the
+            # derivative's sums of level lv shift by top - lv
             _, man, exp, _ = self._step(top)._mpf_
+            return [(tuple(sum(
+                per_level[lv][col][i] << col * (top - lv)
+                for lv in range(top + 1)) * man ** (col + 1) for i in (0, 1)),
+                (col + 1) * exp - 2 * bits) for col in range(1 + derivative)]
+
+        return (totals(level - 1), totals(level)), complex_
+
+    def _fixed_sums(self, s, level: int, derivative: bool):
+        """:meth:`fourier`'s sums of levels level-1 and level, per column,
+        each rounded once to prec + guard bits."""
+        bits = self.prec + _QUAD_GUARD
+        totals, complex_ = self._fixed_totals(s, level, derivative, bits)
+
+        def rounded(columns):
             out = []
-            for col in range(1 + derivative):
-                parts = [mp.make_mpf(from_man_exp(sum(
-                    per_level[lv][col][i] << col * (top - lv)
-                    for lv in range(top + 1)) * man ** (col + 1),
-                    (col + 1) * exp - 2 * bits, bits, "n")) for i in (0, 1)]
+            for pair, exp in columns:
+                parts = [mp.make_mpf(from_man_exp(v, exp, bits, "n"))
+                         for v in pair]
                 out.append(mpc(*parts) if complex_ else parts[0])
             return out
 
         with workprec(bits):
-            return level_sums(level - 1), level_sums(level)
+            return tuple(rounded(columns) for columns in totals)
 
-    def _log_fixed_radius(self, level: int,
-                          sweep: Optional[int] = None) -> float:
+    def _log_fixed_radius(self, level: int, sweep: Optional[int] = None,
+                          bits: Optional[int] = None) -> float:
         """log of :meth:`fourier`'s fixed-point error bound at ``level``.
 
         The bound of the level's sum taken in the sweep of level ``sweep``
-        (None: its own), evaluated in floats from exact integers and
-        doubled, as the a-priori terms are.  It reads only levels
-        0..``level``, which never change once built, so it is computed
-        once per (level, sweep), after building the level.
+        (None: its own) at ``bits`` fraction bits (None: prec + guard),
+        evaluated in floats from exact integers and doubled, as the
+        a-priori terms are.  It reads only levels 0..``level``, which never
+        change once built, so it is computed once per (level, sweep, bits),
+        after building the level.
         """
+        full = self.prec + _QUAD_GUARD
         sweep = level if sweep is None else sweep
-        found = self._fixed_radii.get((level, sweep))
+        bits = full if bits is None else bits
+        found = self._fixed_radii.get((level, sweep, bits))
         if found is None:
-            self._ensure_level(level)
-            bits = self.prec + _QUAD_GUARD
+            levels = self._fixed_at(bits, level)
             n = BASE_INTERVALS << sweep
+            # the conversion's c e per node and component, in units of e^2
+            conversion = bits - 1 if bits == full else bits
             # the bound's sum, in units of e^2 = 2^(-2 bits)
             total = sum((3 * n + 2) * scale
-                        + (len(components) * len(js) << (bits - 1))
-                        for js, components, scale in self._fixed[:level + 1])
+                        + (len(components) * len(js) << conversion)
+                        for js, components, scale in levels[:level + 1])
             h = float(self._step(level))
-            found = self._fixed_radii[(level, sweep)] = \
+            found = self._fixed_radii[(level, sweep, bits)] = \
                 math.log(2 * h * max(1.0, float(self.b))) \
                 + math.log(total) - 2 * bits * _LN2 if total else -math.inf
         return found
@@ -753,17 +878,22 @@ class CachedKernelQuadrature:
         lower = [mpmath.exp(r)
                  for r in self._log_radii(columns, level - 1, sweep)]
         for s, t, r, r_below in zip(sums, below, radii, lower):
-            d = abs(s - t)
-            if d > r + r_below:
-                raise ConsistencyError(
-                    f"trapezoidal levels {level - 1} and {level} differ by "
-                    f"{mpmath.nstr(d, 5)}, beyond their error radii "
-                    f"{mpmath.nstr(r + r_below, 5)}: the integrand is not "
-                    "even and analytic in the strip, or the majorant does "
-                    "not bound the kernel")
+            _check_levels(level, abs(s - t), r + r_below)
         unpack = tuple if vector else (lambda parts: parts[0])
         with workprec(self.prec):
             return Integral(unpack([+s for s in sums]), unpack(radii))
+
+
+def _check_levels(level: int, difference, radius):
+    """Raise :class:`ConsistencyError` if the sums of levels level-1 and
+    level differ by more than the sum ``radius`` of their radii."""
+    if difference > radius:
+        raise ConsistencyError(
+            f"trapezoidal levels {level - 1} and {level} differ by "
+            f"{mpmath.nstr(mpf(difference), 5)}, beyond their error radii "
+            f"{mpmath.nstr(mpf(radius), 5)}: the integrand is not even and "
+            "analytic in the strip, or the majorant does not bound the "
+            "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +916,13 @@ def scan_target(prec: int) -> mpf:
 
 
 def sign_target(prec: int) -> mpf:
-    """Quadrature target 2^-(prec/2) for a scan value whose sign alone is used.
+    """Quadrature target 2^-min(prec/2, 40) for a scan value whose sign
+    alone is used: that of :meth:`CachedKernelQuadrature.fourier_sign`.
 
-    :func:`sign_changes` takes the sign only when :func:`certify_sign`
-    certifies it against this radius.
+    Above 80 bits it stops at 2^-40, well within what the 64 fraction bits
+    of those sums carry.
     """
-    return mpf(2) ** (-(prec // 2))
+    return mpf(2) ** -min(prec // 2, 40)
 
 
 @dataclass(frozen=True)
@@ -872,19 +1003,21 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
 
     The scan visits lo, lo + SCAN_STEP, ..., hi lazily: a caller that stops
     after one sign change evaluates no scan point beyond it.  It needs only
-    signs.  ``rough(x)``, when given, is a cheaper evaluation of ``f``
-    within :func:`sign_target` of it; a scan point takes the value
-    ``rough(x)`` when :func:`certify_sign` certifies its sign against that
-    radius and is re-evaluated by ``f`` otherwise.  An even number of zeros
-    within one step, or a zero exactly on a scan point, yield nothing.  A
-    step that rounds back to its start raises :class:`DomainError`.
+    signs, and the values it yields may come from ``rough``.
+    ``rough(x)``, when given, is a cheaper evaluation of ``f`` as a pair
+    ``(value, radius)``, the radius bounding the whole error of the value
+    (as :meth:`CachedKernelQuadrature.fourier_sign` gives it); a scan
+    point takes ``value`` when :func:`certify_sign` certifies its sign
+    against ``radius``, and is re-evaluated by ``f`` otherwise.  An even
+    number of zeros within one step, or a zero exactly on a scan point,
+    yield nothing.  A step that rounds back to its start raises
+    :class:`DomainError`.
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
 
     def scan(x):
         if rough is not None:
-            value = rough(x)
-            radius = sign_target(mp.prec)
+            value, radius = rough(x)
             if certify_sign(value, radius=radius).sign != UNCERTAIN:
                 return value
         return f(x)

@@ -35,6 +35,9 @@ from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_int, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_shift,
+    round_nearest)
 import mpmath
 
 from .moments import (
@@ -60,9 +63,8 @@ from .numkernel import (
     require_finite,
     scan_target,
     sign_changes,
-    sign_target,
     to_mpf,
-    _to_fixed,
+    _raw_to_fixed,
 )
 from .oracle import save_zeros
 
@@ -96,7 +98,11 @@ def phi(u, n_terms: int = 100000) -> mpf:
     fixed-point b times 1), each e^(-(n^2-1) b) from the last by the
     two-multiplication recurrence with truncating shifts, and converted to
     ``mpf`` once.  Summation stops once a term falls below 2^-(prec+8) of
-    the partial sum.  Exhausting ``n_terms`` first raises
+    the partial sum.  The floating-point factors are taken on raw
+    ``mpmath.libmp`` tuples, each operation rounded to prec bits to the
+    nearest as the ``mpf`` expression
+    2 pi (e^(2u) e^(u/2)) e^(-b) (S 2^-(prec+16)) would round it, with
+    one ``mpf`` made at the end.  Exhausting ``n_terms`` first raises
     :class:`AccuracyError`; a nonpositive result (impossible analytically)
     raises :class:`ConsistencyError`.
 
@@ -114,19 +120,21 @@ def phi(u, n_terms: int = 100000) -> mpf:
     u = abs(to_mpf(u))
     if u > 32:
         raise DomainError("Phi(u) is evaluated for |u| <= 32 only")
-    prec = mp.prec
+    prec, rnd = mp.prec, round_nearest
     bits = prec + 16
     # e^(5u/2) and e^(2u) as powers of one e^(u/2)
-    e1 = mpmath.exp(u / 2)
-    e2 = e1 * e1
-    e4 = e2 * e2
-    pi = mpmath.pi
-    b = pi * e4
-    x = mpmath.exp(-b)
+    e1 = mpf_exp(mpf_shift(u._mpf_, -1), prec, rnd)
+    e2 = mpf_mul(e1, e1, prec, rnd)
+    e4 = mpf_mul(e2, e2, prec, rnd)
+    pi = mpf_pi(prec, rnd)
+    b = mpf_mul(pi, e4, prec, rnd)
+    x = mpf_exp(mpf_neg(b), prec, rnd)
     # e^(-(n^2-1) b) by the recurrence p *= q, q *= x^2 from q = x^3
-    x2 = mpmath.fmul(x, x, exact=True)
-    p, q, ratio = 1 << bits, _to_fixed(x2 * x, bits), _to_fixed(x2, bits)
-    b2, three = 2 * _to_fixed(b, bits), 3 << bits
+    x2 = mpf_mul(x, x)
+    p = 1 << bits
+    q = _raw_to_fixed(mpf_mul(x2, x, prec, rnd), bits)
+    ratio = _raw_to_fixed(mpf_pos(x2, prec, rnd), bits)
+    b2, three = 2 * _raw_to_fixed(b, bits), 3 << bits
     s = 0
     for n in range(1, n_terms + 1):
         n2 = n * n
@@ -135,7 +143,11 @@ def phi(u, n_terms: int = 100000) -> mpf:
         if term << (prec + 8) < s:
             if not s > 0:
                 raise ConsistencyError(f"Phi({u}) evaluated nonpositive: {s}")
-            return 2 * pi * (e4 * e1) * x * mpmath.ldexp(mpf(s), -bits)
+            value = mpf_mul(mpf_shift(pi, 1), mpf_mul(e4, e1, prec, rnd),
+                            prec, rnd)
+            value = mpf_mul(value, x, prec, rnd)
+            return mp.make_mpf(mpf_mul(
+                value, mpf_shift(from_int(s, prec, rnd), -bits), prec, rnd))
         p = p * q >> bits
         q = q * ratio >> bits
     raise AccuracyError(
@@ -241,12 +253,12 @@ def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False,
     Xi'(s) = -2 int_0^umax u Phi(u) sin(us) du, integrated together on the
     same Phi values by :meth:`CachedKernelQuadrature.fourier`, which takes
     cos and sin at the nodes by integer angle addition, from one
-    ``cos_sin`` call per evaluation.
+    ``cos_sin`` call per evaluation.  Zero location calls it only where
+    it needs more than a sign: the scan's signs come from
+    :meth:`CachedKernelQuadrature.fourier_sign` (see :func:`bracket_zeros`).
     """
     prec = mp.prec
-    if cutoff is None:
-        cutoff = kernel_cutoff(prec, 1, 4.5)
-    kernel = _phi_kernel(cutoff, prec)
+    kernel = _xi_kernel(cutoff)
     half = (default_target(prec) if target is None else to_mpf(target)) / 2
     value = kernel.fourier(s, half, derivative).value
     if derivative:
@@ -254,22 +266,35 @@ def xi_eval(s, target: Optional[mpf] = None, derivative: bool = False,
     return require_finite(2 * value, "Xi(s)")
 
 
+def _xi_kernel(cutoff: Optional[mpf]) -> CachedKernelQuadrature:
+    """The Phi kernel of :func:`xi_eval` at the working precision."""
+    prec = mp.prec
+    if cutoff is None:
+        cutoff = kernel_cutoff(prec, 1, 4.5)
+    return _phi_kernel(cutoff, prec)
+
+
 def bracket_zeros(s_max, cutoff: Optional[mpf] = None) -> List[ZeroBracket]:
     """Sign-change brackets of Xi on [0, s_max], refined to width 2^-(prec/2).
 
-    The scan is :func:`numkernel.sign_changes` on signs of Xi at the loose
-    :func:`numkernel.sign_target`; each sign change is refined by
-    :func:`numkernel.bisect_sign_change`, with safeguarded Newton steps on
-    Xi and Xi' at the :func:`numkernel.scan_target`, before the scan goes
-    on.  The scan step is safe up to heights of a few hundred.  An empty
-    list is a valid result.  Every evaluation takes the kernel cutoff
-    ``cutoff`` (see :func:`xi_eval`).
+    The scan is :func:`numkernel.sign_changes` on signs of Xi, each taken
+    from twice :meth:`CachedKernelQuadrature.fourier_sign` (a float with
+    its radius, summed at 64 fraction bits) where that certifies it, and
+    from :func:`xi_eval` at the :func:`numkernel.scan_target` elsewhere.
+    Each sign change is refined by :func:`numkernel.bisect_sign_change`,
+    with safeguarded Newton steps on Xi and Xi' at the scan target, before
+    the scan goes on.  The scan step is safe up to heights of a few
+    hundred.  An empty list is a valid result.  Every evaluation takes the
+    kernel cutoff ``cutoff`` (see :func:`xi_eval`).
     """
-    prec = mp.prec
-    fine, rough = scan_target(prec), sign_target(prec)
+    fine, kernel = scan_target(mp.prec), _xi_kernel(cutoff)
     xi = lambda s: xi_eval(s, fine, cutoff=cutoff)
     xi_dxi = lambda s: xi_eval(s, fine, derivative=True, cutoff=cutoff)
-    rough_xi = lambda s: xi_eval(s, rough, cutoff=cutoff)
+
+    def rough_xi(s):
+        value, radius = kernel.fourier_sign(s)
+        return 2 * value, 2 * radius
+
     return [bisect_sign_change(xi, *cell, fdf=xi_dxi)
             for cell in sign_changes(xi, 0, s_max, rough=rough_xi)]
 

@@ -11,7 +11,11 @@ from mpmath import mp, mpf, mpc
 
 from momentsieve import dirichlet
 from momentsieve.moments import MomentSequence
-from momentsieve.numkernel import CachedKernelQuadrature, DomainError
+from momentsieve.numkernel import (
+    CachedKernelQuadrature,
+    DomainError,
+    _to_fixed,
+)
 from momentsieve.oracle import ZeroSet, _pair_conjugates, moments_from_zeros
 from momentsieve.riemann import kernel_cutoff
 
@@ -116,6 +120,75 @@ def direct_char_coeffs(chi, N):
     # an odd moment of the folded kernel is i times what moments returns
     return [mpc(v) * (mpc(0, 1) if n % 2 else 1) / mpmath.factorial(n)
             for n, v in enumerate(kernel.moments(range(N + 1)).value)]
+
+
+def mpf_phi(u):
+    """Phi(u) as ``riemann.phi`` sums it, its floating-point factors taken
+    by ``mpf`` expressions: the reference for the raw ``mpmath.libmp``
+    arithmetic of ``riemann.phi``, which must match it bit for bit."""
+    u = abs(mpf(u))
+    prec = mp.prec
+    bits = prec + 16
+    e1 = mpmath.exp(u / 2)
+    e2 = e1 * e1
+    e4 = e2 * e2
+    pi = mpmath.pi
+    b = pi * e4
+    x = mpmath.exp(-b)
+    x2 = mpmath.fmul(x, x, exact=True)
+    p, q, ratio = 1 << bits, _to_fixed(x2 * x, bits), _to_fixed(x2, bits)
+    b2, three = 2 * _to_fixed(b, bits), 3 << bits
+    s = 0
+    for n in range(1, 100000):
+        n2 = n * n
+        term = n2 * (n2 * b2 - three) * p >> bits
+        s += term
+        if term << (prec + 8) < s:
+            return 2 * pi * (e4 * e1) * x * mpmath.ldexp(mpf(s), -bits)
+        p = p * q >> bits
+        q = q * ratio >> bits
+
+
+def mpf_theta_series(y, chi):
+    """``dirichlet._theta_series`` with its floating-point factors taken by
+    ``mpf`` and ``mpc`` expressions: the reference for its raw
+    ``mpmath.libmp`` arithmetic, which must match it bit for bit."""
+    q, kappa = chi.q, chi.parity
+    prec = mp.prec
+    bits = prec + 16
+    values = dirichlet._chi_fixed_table(q, chi.exponents, prec)
+    e1 = mpmath.exp(y / 2)
+    e2 = e1 * e1
+    base = mpmath.pi * (e2 * e2) / q
+    x = mpmath.exp(-base)
+    x2 = mpmath.fmul(x, x, exact=True)
+    p, step, ratio = 1 << bits, _to_fixed(x2 * x, bits), _to_fixed(x2, bits)
+    s_re = s_im = peak = 0
+    for n in range(1, 1000000):
+        entry = values[n % q]
+        if entry is not None:
+            c_re, c_im = entry
+            mag = n * p if kappa else p
+            s_re += c_re * mag
+            s_im += c_im * mag
+            if mag > peak:
+                peak = mag
+            elif n > q and mag << (prec + 8) < peak:
+                scale = 2 * (e1 * e2 if kappa else e1) * x
+                return mpc(*(mpmath.ldexp(mpf(v), -2 * bits)
+                             for v in (s_re, s_im))) * scale
+        p = p * step >> bits
+        step = step * ratio >> bits
+
+
+def mpc_fold(t, eps_bar, real):
+    """The parts (t + t'/e', i (t - t'/e')) of a node y > 0 of the pair
+    kernel of ``dirichlet._char_kernel`` by ``mpc`` expressions, with
+    t' = t or conj t: the reference for its raw ``mpmath.libmp``
+    arithmetic, which must match it bit for bit."""
+    minus = (t if real else mpc(t.real, -t.imag)) / eps_bar
+    diff = t - minus
+    return t + minus, mpc(-diff.imag, diff.real)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from momentsieve.dirichlet import (
     z_char_eval,
 )
 from momentsieve.numkernel import (
+    BASE_INTERVALS,
     CachedKernelQuadrature,
     DomainError,
     bisect_sign_change,
@@ -28,7 +29,8 @@ from momentsieve.numkernel import (
 )
 
 from conftest import (
-    close, direct_char_coeffs, eq_324_residuals, levels_covered_two_levels_up)
+    close, direct_char_coeffs, eq_324_residuals, levels_covered_two_levels_up,
+    mpc_fold, mpf_theta_series)
 
 
 def z_brackets(chi, s_max):
@@ -464,11 +466,70 @@ def test_conjugate_series_is_exact_conjugate(bits):
                 assert t_bar.real == t.real and t_bar.imag == -t.imag, (q, y)
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_theta_node_values_match_the_mpf_expression(bits, monkeypatch):
+    # every primitive character mod 5 and 13, at every node of levels
+    # 0..4 of its kernel, at the kernel's precision: the series, and the
+    # parts of the pair's kernel
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    for q in (5, 13):
+        for chi in characters_mod(q)[1:]:
+            y_max = dirichlet.kernel_cutoff(bits, q, chi.parity + 0.5)
+            kernel, base, eps_bar = dirichlet._char_kernel(chi, bits, y_max)
+            h = y_max / (BASE_INTERVALS << 4)
+            with workprec(bits + 32):
+                for j in range((BASE_INTERVALS << 4) + 1):
+                    t = dirichlet._theta_series(j * h, chi)
+                    assert t._mpc_ == mpf_theta_series(j * h, chi)._mpc_, \
+                        (bits, chi.label(), j)
+                    if chi == base and j:
+                        folded = [v._mpc_ for v in kernel._kernel(j * h)]
+                        assert folded == [v._mpc_ for v in mpc_fold(
+                            t, eps_bar, chi.is_real)], (bits, chi.label(), j)
+
+
+def test_sweep_zero_scans_take_signs_from_fourier_sign(monkeypatch):
+    # the benchmark's dirichlet-sweep in one process: the zero scans take
+    # every sign they can from fourier_sign, on 33 nodes at most, and call
+    # z_char_eval 24 times in all, for the Newton steps and probes
+    fourier_sign = CachedKernelQuadrature.fourier_sign
+    turns = CachedKernelQuadrature._turns
+    z_char = dirichlet.z_char_eval
+    signs, nodes, z_calls = [], [], []
+
+    def counting_turns(self, s, level, bits=None):
+        cs, ss = turns(self, s, level, bits)
+        nodes.append(len(cs))
+        return cs, ss
+
+    def counting_sign(self, s):
+        nodes.clear()
+        result = fourier_sign(self, s)
+        signs.append(sum(nodes))
+        return result
+
+    def counting_z(*args, **kwargs):
+        z_calls.append(args[0])
+        return z_char(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    monkeypatch.setattr(CachedKernelQuadrature, "_turns", counting_turns)
+    monkeypatch.setattr(CachedKernelQuadrature, "fourier_sign",
+                        counting_sign)
+    monkeypatch.setattr(dirichlet, "z_char_eval", counting_z)
+    argv = "dirichlet --q 5 --N 6 --nmax 2 --kmax 2 --L auto --bits 128"
+    for index in (1, 2, 3):
+        assert cli.main([*argv.split(), "--index", str(index)]) == 0
+    assert len(signs) >= 30
+    assert max(signs) <= 33
+    assert len(z_calls) <= 24
+
+
 def test_sweep_reuses_the_pair_kernel(monkeypatch):
     # the benchmark's dirichlet-sweep in one process: 130 theta series in
     # all, and chi_5.3, the mirror of chi_5.1, takes every integral from
     # the memo of the pair's kernel
-    calls = {"phi_char": 0, "_fixed_sums": 0, "_moment_sums": 0}
+    calls = {"phi_char": 0, "_fixed_totals": 0, "_moment_sums": 0}
     phi = dirichlet.phi_char
 
     def counting_phi(y, c):
@@ -485,14 +546,14 @@ def test_sweep_reuses_the_pair_kernel(monkeypatch):
 
     monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
     monkeypatch.setattr(dirichlet, "phi_char", counting_phi)
-    for name in ("_fixed_sums", "_moment_sums"):
+    for name in ("_fixed_totals", "_moment_sums"):
         monkeypatch.setattr(CachedKernelQuadrature, name, counting(name))
     argv = "dirichlet --q 5 --N 6 --nmax 2 --kmax 2 --L auto --bits 128"
     sums = []
     for index in (1, 2, 3):
-        before = calls["_fixed_sums"] + calls["_moment_sums"]
+        before = calls["_fixed_totals"] + calls["_moment_sums"]
         assert cli.main([*argv.split(), "--index", str(index)]) == 0
-        sums.append(calls["_fixed_sums"] + calls["_moment_sums"] - before)
+        sums.append(calls["_fixed_totals"] + calls["_moment_sums"] - before)
     assert calls["phi_char"] == 130
     assert sums[0] and sums[1] and sums[2] == 0
 

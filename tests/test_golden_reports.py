@@ -35,6 +35,11 @@ COMMANDS = {
         "xi --N 40 --nmax 18 --kmax 18 --bits 2048", 0),
     # inconclusive: 64-bit moments leave deep cells within their radii
     "xi_n22_64.json": ("xi --N 22 --nmax 2 --kmax 18 --bits 64", 3),
+    # below 80 bits, where the scan's sign target is 2^-(bits/2)
+    "xi_n8_24.json": ("xi --N 8 --nmax 2 --kmax 2 --bits 24", 3),
+    "xi_n8_48.json": ("xi --N 8 --nmax 2 --kmax 2 --bits 48", 0),
+    "dirichlet_q5_i1_32.json": (
+        "dirichlet --q 5 --index 1 --N 6 --nmax 2 --kmax 2 --bits 32", 0),
     **{f"dirichlet_q5_i{i}.json": (
         f"dirichlet --q 5 --index {i} --N 6 --nmax 2 --kmax 2 --bits 128", 0)
        for i in (1, 2, 3)},

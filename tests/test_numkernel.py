@@ -486,16 +486,16 @@ def test_memo_hit_matches_a_fresh_kernel(monkeypatch):
         kernel, fresh = folded_complex_kernel(), folded_complex_kernel()
     s, coarse = mpf("1.7"), mpf(2) ** -40
     first = (kernel.fourier(s, coarse, derivative=True),
-             kernel.moments((0, 1, 2), coarse))
+             kernel.moments((0, 1, 2), coarse), kernel.fourier_sign(s))
     kernel.fourier(s)
     kernel.moments((0, 1, 2))
-    for name in ("_fixed_sums", "_moment_sums"):
+    for name in ("_fixed_totals", "_moment_sums"):
         monkeypatch.setattr(kernel, name, None)  # a hit sums nothing
     again = (kernel.fourier(s, coarse, derivative=True),
-             kernel.moments(range(3), coarse))
-    assert again[0] is first[0] and again[1] is first[1]
+             kernel.moments(range(3), coarse), kernel.fourier_sign(s))
+    assert all(a is b for a, b in zip(again, first))
     assert again == (fresh.fourier(s, coarse, derivative=True),
-                     fresh.moments((0, 1, 2), coarse))
+                     fresh.moments((0, 1, 2), coarse), fresh.fourier_sign(s))
 
 
 def stale_radius_kernels(kind):
@@ -528,9 +528,10 @@ def test_cached_radius_terms_do_not_go_stale(kind, monkeypatch):
     from momentsieve import dirichlet
     monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
     (kernel, reference), bits = stale_radius_kernels(kind)
-    calls = [(mpf("4.5"), numkernel.sign_target(bits), False),
+    coarse = mpf(2) ** -(bits // 2)  # a target that lands on level 3
+    calls = [(mpf("4.5"), coarse, False),
              (mpf("30.25"), None, False),
-             (mpf("4.125"), numkernel.sign_target(bits), True)]
+             (mpf("4.125"), coarse, True)]
     levels = []
     for s, target, derivative in calls:
         got = kernel.fourier(s, target, derivative)
@@ -546,6 +547,71 @@ def test_cached_radius_terms_do_not_go_stale(kind, monkeypatch):
         for sweep in (lv, lv + 1):
             assert kernel._log_radii(columns, lv, sweep) \
                 == reference._log_radii(columns, lv, sweep), (lv, sweep)
+
+
+def sign_kernels(bits):
+    """The kernels of the zero scans at ``bits``, with their scan ends: Phi
+    at xi_eval's own cutoff on [0, 16], and the folded pair kernel of
+    chi_5.1 at z_char_eval's on [0, 10]."""
+    from momentsieve import dirichlet, riemann
+    with workprec(bits):
+        phi = CachedKernelQuadrature(
+            riemann.phi, riemann.kernel_cutoff(bits, 1, 4.5),
+            riemann._phi_log_majorant)
+        chi = dirichlet.characters_mod(5)[1]
+        dirichlet._char_kernel_cache.clear()
+        pair = dirichlet._char_kernel(chi, bits, riemann.kernel_cutoff(
+            bits, 5, chi.parity + 0.5))[0]
+    return [(phi, 16), (pair, 10)]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_sign_values_within_their_radii(bits, monkeypatch):
+    # at every scan point, the float sign value lies within its radius of
+    # the full-precision integral, and the radius within twice the target
+    from momentsieve import dirichlet
+    monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
+    target = float(numkernel.sign_target(bits))
+    for kernel, top in sign_kernels(bits):
+        for k in range(2 * top + 1):
+            s = mpf(k) / 2
+            value, radius = kernel.fourier_sign(s)
+            folded = len(kernel._levels[0]) == 2
+            assert type(value) is (complex if folded else float)
+            with workprec(bits):
+                exact = kernel.fourier(s, mpf(2) ** -(bits - 16)).value
+            assert abs(value - exact) <= radius, (bits, s)
+            assert radius <= 2 * target, (bits, s)
+
+
+def test_sign_target_stops_at_forty_bits():
+    assert numkernel.sign_target(48) == mpf(2) ** -24
+    assert numkernel.sign_target(79) == mpf(2) ** -39
+    assert numkernel.sign_target(256) == numkernel.sign_target(2048) \
+        == mpf(2) ** -40
+
+
+def sech_kernel(shift):
+    """sech(k x), k = 2 pi/3, on [0, 24] with its majorant e^shift times
+    too small; its poles at +-0.75 i lie just outside the strip, so the
+    strip bound is nearly tight."""
+    k = math.pi / 1.5
+    return CachedKernelQuadrature(
+        lambda x: mpmath.sech(k * x), 24,
+        lambda x, t: -math.log(math.sinh(k * x) ** 2
+                               + math.cos(k * t) ** 2) / 2 - shift)
+
+
+def test_sign_path_checks_its_levels():
+    # a majorant too small by e^10 makes the levels differ beyond their
+    # radii, in the sign path as in the full-precision one
+    with workprec(64):
+        value, radius = sech_kernel(0).fourier_sign(1)
+        # int_0^inf sech(k x) cos x dx = (pi/2k) sech(pi/2k)
+        assert abs(value - mpf(3) / 4 / mpmath.cosh(mpf(3) / 4)) <= radius
+        for evaluate in ("fourier_sign", "fourier"):
+            with pytest.raises(ConsistencyError, match="not even"):
+                getattr(sech_kernel(10), evaluate)(1)
 
 
 def test_memo_keeps_the_newest_results():
@@ -697,17 +763,24 @@ def test_newton_on_cos_needs_few_derivatives():
 
 
 def test_scan_reevaluates_uncertain_rough_signs():
-    # the rough value at 1.5 is 0, below the radius: only there does the
-    # scan call f, whose sign then exposes the change on [1.5, 2]
+    # the rough value at 1.5 has the wrong sign but lies within its
+    # radius, and at 2 it is exactly its radius: only there does the scan
+    # call f, whose signs then expose the change on [1.5, 2]
     fine = []
 
     def f(x):
         fine.append(x)
         return mpmath.cos(x)
 
-    rough = lambda x: mpf(0) if x == mpf(3) / 2 else mpmath.cos(x)
+    def rough(x):
+        if x == mpf(3) / 2:
+            return -0.01, 0.1
+        if x == 2:
+            return float(mpmath.cos(x)), abs(float(mpmath.cos(x)))
+        return float(mpmath.cos(x)), 1e-3
+
     cell = next(sign_changes(f, 0, 10, rough=rough))
-    assert fine == [mpf(3) / 2]
+    assert fine == [mpf(3) / 2, 2]
     assert cell[:2] == (mpf(3) / 2, 2)
     b = bisect_sign_change(f, *next(sign_changes(f, 0, 10, rough=rough)))
     assert b.lo < mpmath.pi / 2 < b.hi

@@ -15,7 +15,6 @@ from momentsieve.numkernel import (
     AccuracyError,
     DomainError,
     ZeroBracket,
-    sign_target,
 )
 from momentsieve.oracle import load_zeros
 from momentsieve.riemann import (
@@ -36,6 +35,7 @@ from conftest import (
     close,
     even_moments_from_zeros,
     levels_covered_two_levels_up,
+    mpf_phi,
 )
 
 
@@ -95,6 +95,17 @@ def test_phi_positive_on_log_grid():
     for i in range(25):
         u = mpf(4) * mpf(10) ** (-mpf(6) * (24 - i) / 24)
         assert phi(u) > 0
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_phi_node_values_match_the_mpf_expression(bits):
+    # every node of levels 0..4 of the kernel, at the kernel's precision
+    from momentsieve import riemann
+    h = riemann.kernel_cutoff(bits, 1, 4.5) / (BASE_INTERVALS << 4)
+    with workprec(bits + 32):
+        for j in range((BASE_INTERVALS << 4) + 1):
+            value = phi(j * h)
+            assert value._mpf_ == mpf_phi(j * h)._mpf_, (bits, j)
 
 
 def test_phi_term_budget():
@@ -158,24 +169,26 @@ def test_phi_radius_covers_two_levels_up(monkeypatch):
 
 
 def test_xi_command_node_counts(monkeypatch, capsys):
-    # a fresh 256-bit xi run builds the Phi kernel to 129 nodes at most,
-    # and every sign-scan value stops at 65 nodes: the error bound picks
-    # one level fewer than a test on the difference of two levels would.
-    # The nodes are counted where the integer angle addition visits them,
-    # in one sweep over the grid of the evaluation's level, and each
-    # evaluation takes at most one cos_sin call, at the sweep's step
+    # a fresh 256-bit xi run builds the Phi kernel to 129 nodes at most.
+    # The zero scan takes its signs from fourier_sign: at least 30 sign
+    # evaluations, each on the 33 nodes of level 2 at most, and at most 9
+    # full-precision xi_eval calls (Newton steps and probes).  The nodes
+    # are counted where the integer angle addition visits them, in one
+    # sweep over the grid of the evaluation's level, and each evaluation
+    # takes at most one cos_sin call, at the sweep's step
     from momentsieve import cli, numkernel, riemann
     monkeypatch.setattr(riemann, "_kernel_cache", {})
+    quadrature = numkernel.CachedKernelQuadrature
     phi, xi_eval, cos_sin = riemann.phi, riemann.xi_eval, mpmath.cos_sin
-    turns = numkernel.CachedKernelQuadrature._turns
-    kernel_values, evaluations, levels, trig = [], [], [], [0]
+    turns, fourier_sign = quadrature._turns, quadrature.fourier_sign
+    kernel_values, evaluations, signs, levels, trig = [], [], [], [], [0]
 
     def counting_phi(u):
         kernel_values.append(u)
         return phi(u)
 
-    def counting_turns(self, s, level):
-        cs, ss = turns(self, s, level)
+    def counting_turns(self, s, level, bits=None):
+        cs, ss = turns(self, s, level, bits)
         levels.append((level, len(cs)))
         return cs, ss
 
@@ -183,29 +196,57 @@ def test_xi_command_node_counts(monkeypatch, capsys):
         trig[0] += 1
         return cos_sin(x)
 
-    def counting_xi_eval(s, target=None, derivative=False, cutoff=None):
-        levels.clear()
-        trig[0] = 0
-        value = xi_eval(s, target, derivative, cutoff)
-        evaluations.append((target, sum(n for _, n in levels),
-                            max(lv for lv, _ in levels), trig[0]))
-        return value
+    def counted(into, evaluate):
+        def wrapper(*args, **kwargs):
+            levels.clear()
+            trig[0] = 0
+            value = evaluate(*args, **kwargs)
+            into.append((sum(n for _, n in levels),
+                         max(lv for lv, _ in levels), trig[0]))
+            return value
+        return wrapper
 
     monkeypatch.setattr(riemann, "phi", counting_phi)
-    monkeypatch.setattr(riemann, "xi_eval", counting_xi_eval)
-    monkeypatch.setattr(numkernel.CachedKernelQuadrature, "_turns",
-                        counting_turns)
+    monkeypatch.setattr(riemann, "xi_eval", counted(evaluations, xi_eval))
+    monkeypatch.setattr(quadrature, "fourier_sign",
+                        counted(signs, fourier_sign))
+    monkeypatch.setattr(quadrature, "_turns", counting_turns)
     monkeypatch.setattr(numkernel.mpmath, "cos_sin", counting_cos_sin)
     assert cli.main("xi --N 12 --nmax 4 --kmax 4 --bits 256".split()) == 0
     capsys.readouterr()
     assert len(kernel_values) <= 129
-    sign_scan = [n for target, n, _, _ in evaluations
-                 if target == sign_target(256)]
-    assert len(sign_scan) >= 30
-    assert max(sign_scan) <= 65
-    for _, nodes, level, calls in evaluations:
+    assert len(signs) >= 30
+    assert max(nodes for nodes, _, _ in signs) <= 33
+    assert len(evaluations) <= 9
+    for nodes, level, calls in signs + evaluations:
         assert nodes == (BASE_INTERVALS << level) + 1
         assert calls <= 1
+
+
+def test_scan_point_within_its_radius_falls_back_to_xi_eval(monkeypatch):
+    # a sign value inside its radius at s = 7 sends that scan point to
+    # xi_eval, and the brackets stay those of the plain scan
+    from momentsieve import numkernel, riemann
+    fourier_sign = numkernel.CachedKernelQuadrature.fourier_sign
+    xi_eval = riemann.xi_eval
+    fine = []
+
+    def widened(self, s):
+        value, radius = fourier_sign(self, s)
+        return value, abs(value) + 1 if s == 7 else radius
+
+    def counting_xi_eval(s, *args, **kwargs):
+        if not kwargs.get("derivative"):
+            fine.append(s)
+        return xi_eval(s, *args, **kwargs)
+
+    with workprec(128):
+        plain = bracket_zeros(16)
+        monkeypatch.setattr(numkernel.CachedKernelQuadrature,
+                            "fourier_sign", widened)
+        monkeypatch.setattr(riemann, "xi_eval", counting_xi_eval)
+        assert bracket_zeros(16) == plain
+    assert 7 in fine and all(s == 7 or s > 14 for s in fine)
 
 
 def test_series_vanishes_at_first_zero(coeffs12, brackets30):
