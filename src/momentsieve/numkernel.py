@@ -28,9 +28,9 @@ Provided here:
   inner loop on Python integers as in Johansson's fixed-point elementary
   functions (ARITH 22, 2015), with a proved bound on the fixed-point
   error in the radius.  :meth:`CachedKernelQuadrature.fourier_sign` is
-  the same path at :data:`SIGN_BITS` = 64 fraction bits and the loose
-  :func:`sign_target`, its value a float with a float radius: what a
-  sign needs.
+  the same path with its turns at :data:`SIGN_BITS` = 64 fraction bits,
+  against the same stored integers, and the loose :func:`sign_target`,
+  its value a float with a float radius: what a sign needs.
 * zero location: :func:`sign_changes` scans for sign changes at step
   :data:`SCAN_STEP` and needs only certified signs, which a cheap
   evaluation with a radius (such as ``fourier_sign``) gives wherever
@@ -236,6 +236,13 @@ def _exact(values):
             for sign, man, exp, _ in raw], e
 
 
+def _to_float(n: int, exp: int) -> float:
+    """n 2^exp as a float, n first cut to its 64 leading bits (within 2^-63
+    relative), as ``float`` of an integer past 2^1024 overflows."""
+    cut = max(n.bit_length() - 64, 0)
+    return math.ldexp(float(n >> cut), exp + cut)
+
+
 def _log_sum_exp(logs) -> float:
     logs = list(logs)
     top = max(logs)
@@ -272,7 +279,8 @@ class Integral(NamedTuple):
     relative 2^-prec).  For several degrees, or a value with its
     derivative, each field is the tuple of their columns.  From
     ``fourier_sign`` both fields are floats (the value complex on a
-    folded kernel), and the radius covers the value's rounding too.
+    folded kernel): the value is the exact fixed-point sum rounded to a
+    float, and the radius covers that rounding too.
     """
 
     value: object
@@ -334,11 +342,12 @@ class CachedKernelQuadrature:
 
     Kernel values at the nodes are computed lazily, once per level, at the
     precision current at construction plus the guard bits, and reused by
-    every call; each level also keeps them as integers for
-    :meth:`fourier`, which sums e^(isx) and its s-derivative in fixed
-    point.  This is the workhorse behind Taylor coefficient batches and
-    zero bracketing, where the kernel (a theta-type series) is far more
-    expensive than the polynomial or oscillatory factor.
+    every call; each level also keeps them as one table of integers for
+    :meth:`fourier` and :meth:`fourier_sign`, which sum e^(isx) and its
+    s-derivative in fixed point.  This is the workhorse behind Taylor
+    coefficient batches and zero bracketing, where the kernel (a
+    theta-type series) is far more expensive than the polynomial or
+    oscillatory factor.
 
     :meth:`moments` and :meth:`fourier` run at the kernel's precision,
     their arguments converted there, and keep their last
@@ -363,9 +372,6 @@ class CachedKernelQuadrature:
         # nonzero real or imaginary part of the weighted kernel part as the
         # integers W at scale 2^-(prec + guard), (part, imaginary, W, W j)
         self._fixed = []
-        # bits -> the levels of _fixed with each W rounded to that many
-        # fraction bits, for fourier_sign
-        self._rounded = {}
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
         # the radius terms that do not depend on s: level -> log of the
@@ -411,31 +417,6 @@ class CachedKernelQuadrature:
                     abs(wk) for *_, w, _ in components for wk in w)))
                 self._levels.append(parts)
 
-    def _fixed_at(self, bits: int, level: int):
-        """Levels 0..``level`` of ``_fixed`` at ``bits`` <= prec + guard
-        fraction bits.
-
-        Narrower integers W are rounded once from the guard precision, to
-        the nearest with halves up, and cached per level; every component
-        is kept, so the count P of the fixed-point bound is the same.
-        """
-        self._ensure_level(level)
-        shift = self.prec + _QUAD_GUARD - bits
-        if not shift:
-            return self._fixed
-        rounded = self._rounded.setdefault(bits, [])
-        half = 1 << (shift - 1)
-        while len(rounded) <= level:
-            js, components, _ = self._fixed[len(rounded)]
-            narrow = []
-            for part, imaginary, w, _ in components:
-                w = [(wk + half) >> shift for wk in w]
-                narrow.append((part, imaginary, w,
-                               [wk * j for wk, j in zip(w, js)]))
-            rounded.append((js, narrow, sum(
-                abs(wk) for *_, w, _ in narrow for wk in w)))
-        return rounded
-
     def _majorant_integrals(self, p: int):
         """(log M_p, log tail_p, log R_p) of the class docstring."""
         a, dx, b = STRIP, _MAJORANT_STEP, float(self.b)
@@ -476,11 +457,11 @@ class CachedKernelQuadrature:
         """log of the error radius of level ``level``, one per column.
 
         ``sweep`` adds the error bound of :meth:`fourier`'s fixed-point
-        sum of the level taken in the sweep of level ``sweep`` at ``bits``
-        fraction bits (None: prec + guard), which needs the kernel values
-        of every level up to ``level``; the rest is a-priori.  The
-        discretisation term and the fixed-point bound of a level are
-        computed once per kernel.
+        sum of the level taken in the sweep of level ``sweep`` with turns
+        at ``bits`` fraction bits (None: prec + guard), which needs the
+        kernel values of every level up to ``level``; the rest is
+        a-priori.  The discretisation term and the fixed-point bound of a
+        level are computed once per kernel.
         """
         log_disc = self._log_discs.get(level)
         if log_disc is None:
@@ -523,8 +504,8 @@ class CachedKernelQuadrature:
                bits: Optional[int] = None) -> int:
         """The smallest level >= 1 whose radii meet ``target``.
 
-        ``fixed``: with the bound of the fixed-point sums at ``bits``
-        fraction bits (None: prec + guard).
+        ``fixed``: with the bound of the fixed-point sums with turns at
+        ``bits`` fraction bits (None: prec + guard).
         """
         target = self._target(target)
         log_target = self._memoized(("log", target),
@@ -644,27 +625,28 @@ class CachedKernelQuadrature:
 
         The levels, kernel values and a-priori radius are those of
         :meth:`moments`; only the sums are taken in fixed point, by one
-        code path at two widths: F = prec + guard fraction bits here, and
-        F = :data:`SIGN_BITS` (or prec + guard, if fewer) in
-        :meth:`fourier_sign`.  Let e = 2^-F.  The weighted kernel parts w
-        are stored once, at level build, as the integers
-        W = round(w 2^(prec + guard)), and rounded once more to F bits,
-        also once per level, for the narrower width.  The result's level l
-        has the grid x_J = J h, J = 0..n, with h its step and n = 8 2^l,
-        and the node j of a level lv <= l is J = j 2^(l - lv) on it.  One
-        sweep covers that grid: the angle s h is an exact dyadic product,
-        and its cos and sin, from one ``cos_sin`` at F + 16 bits (none at
-        s = 0), are rounded to integers c, d within 1 of 2^F times the
-        true values.  From the exact z_0 = 2^F, with z_J = C_J + i S_J,
+        code path at two widths of the turns: F = prec + guard fraction
+        bits here, and F = :data:`SIGN_BITS` (or prec + guard, if fewer)
+        in :meth:`fourier_sign`.  Let E = 2^-(prec + guard) and e = 2^-F.
+        The weighted kernel parts w are stored once, at level build, as the
+        integers W = round(w / E), the one table that both widths read.
+        The result's level l has the grid x_J = J h, J = 0..n, with h its
+        step and n = 8 2^l, and the node j of a level lv <= l is
+        J = j 2^(l - lv) on it.  One sweep covers that grid: the angle s h
+        is an exact dyadic product, and its cos and sin, from one
+        ``cos_sin`` at F + 16 bits (none at s = 0), are rounded to integers
+        c, d within 1 of 2^F times the true values.  From the exact
+        z_0 = 2^F, with z_J = C_J + i S_J,
 
             z_(J+1) = floor(z_J (c + i d) / 2^F), componentwise,
 
         and each column of level lv is one exact integer dot product of the
         W with every 2^(l - lv)-th of these integers (times the node index
-        j for the derivative), all levels being converted to ``mpf`` once.
-        The sums of levels l - 1 and l both come from this one sweep.  The
-        error bound :meth:`_log_fixed_radius`, added to the radius inside
-        the level choice, covers the fixed point at either width:
+        j for the derivative), at scale E e, all levels being converted
+        once.  The sums of levels l - 1 and l both come from this one
+        sweep.  The error bound :meth:`_log_fixed_radius`, added to the
+        radius inside the level choice, covers the fixed point at either
+        width:
 
         * Recurrence.  Let e_J = z_J - 2^F e^(i s J h), so e_0 = 0.  Then
           z_J (c + i d) / 2^F = (2^F e^(i s J h) + e_J)(e^(i s h) + r)
@@ -674,27 +656,32 @@ class CachedKernelQuadrature:
           J <= n < 2^16 and e <= 2^-32.  The step angle is exact, so there
           is no phase drift from a rounded angle, which would reach
           |s| b e over the grid; the rounding of its cos and sin is r,
-          counted at every step.
-        * Conversion.  |W e - w| <= c e for each of the P components, with
-          c = 1/2 at F = prec + guard, and c = 1 at a narrower F, where W
-          was rounded twice: e/2 + 2^-(prec + guard)/2 <= e.
-        * Dot product.  Exact; per level lv and column its error is at
-          most sum_k |W_k| e 3 n e + P n_lv c e <= e (3 n A + P n_lv c),
-          with n_lv the level's node count and A = e sum |W| over the
-          components, known exactly, and times x <= b for the
-          derivative's multipliers.
-        * Rounding.  Each total is rounded once at F bits, relative
-          error e, and the multipliers are at most 2 max(1, b).  The
-          total is an integer times a power of the step u, which is
-          dyadic (b over a power of 2), so one ``from_man_exp`` of the
-          integer times the mantissa of u^k rounds it.  (:meth:`fourier_sign`
-          rounds it to a float instead, and adds that rounding to its
-          radius.)
+          counted at every step.  So the integer T of a turn t (cos or sin
+          of s x_J) has |T e - t| <= 3 n e.
+        * Conversion.  |W E - w| <= E/2 for each of the P components.
+        * Dot product.  Exact.  Per node and component,
+          W E T e - w t = W E (T e - t) + (W E - w) t, at most
+          |W| E 3 n e + E/2; the cross term (W E - w)(T e - t) needs no
+          term of its own, as the first product takes the stored |W|, not
+          |w|.  Per level lv and column the error is thus at most
+          E e (3 n sum |W| + P n_lv 2^(F-1)), with n_lv the level's node
+          count and sum |W| over the components known exactly, and times
+          x <= b for the derivative's multipliers.
+        * Rounding.  Each total is rounded once to prec + guard bits,
+          relative error E <= e, and its node sums are at most
+          2 max(1, b) E sum |W|, as |T e| <= 1 + 3 n e < 2: the 2 of
+          3 n + 2 below.  The total is
+          an integer times a power of the step u, which is dyadic (b over a
+          power of 2), so one ``from_man_exp`` of the integer times the
+          mantissa of u^k rounds it.  (:meth:`fourier_sign` rounds it to a
+          float instead, and adds that rounding to its radius; the term
+          is then slack.)
 
         The sum of level l' <= l is u_l' times the node sums of levels
         0..l', so its fixed-point error in the sweep of level l is at most
 
-            e u_l' max(1, b) sum_(lv <= l') ((3 n + 2) A_lv + P_lv n_lv c),
+            E e u_l' max(1, b) sum_(lv <= l') ((3 n + 2) sum_lv |W|
+                                               + P_lv n_lv 2^(F-1)),
 
         with n = 8 2^l the sweep's last index: for the level below the
         result that is twice its own grid's.
@@ -718,15 +705,18 @@ class CachedKernelQuadrature:
         The :class:`Integral`'s value is a Python float, or a complex on a
         folded kernel, and its float radius bounds the whole error of that
         value.  It is :meth:`fourier` at the target :func:`sign_target`
-        with sums at F = :data:`SIGN_BITS` fraction bits (prec + guard, if
-        fewer): the level is the smallest whose a-priori radius plus the
-        fixed-point bound at F bits meets the target, and each total of
-        the sweep is rounded once to a float, within 2^-53 relative and
-        2^-1075 absolute per component.  The radius is the a-priori
-        radius plus the fixed-point bound plus that rounding, all rounded
-        outward.  The sums of levels l - 1 and l must differ by at most
-        the sum of their float radii, or :class:`ConsistencyError` is
-        raised, as by :meth:`fourier`.  Results are memoized as
+        with turns at F = :data:`SIGN_BITS` fraction bits (prec + guard,
+        if fewer), against the kernel's one table of integers: the level
+        is the smallest whose a-priori radius plus the fixed-point bound at
+        F bits meets the target, and each exact total of the sweep is cut
+        to its 64 leading bits (``float`` of the whole integer overflows
+        past 2^1024, at 1024 bits and more) and rounded once to a float:
+        the cut (2^-63 relative) and the rounding together stay within
+        2^-52 relative and 2^-1075 absolute per component.  The radius is
+        the a-priori radius plus the fixed-point bound plus that rounding,
+        all rounded outward.  The sums of levels l - 1 and l must differ by
+        at most the sum of their float radii, or :class:`ConsistencyError`
+        is raised, as by :meth:`fourier`.  Results are memoized as
         :meth:`fourier`'s are.
         """
         with workprec(self.prec):
@@ -741,9 +731,9 @@ class CachedKernelQuadrature:
                 values, radii = [], []
                 for top, ((re, im), exp) in zip((level - 1, level),
                                                 (t[0] for t in totals)):
-                    value = math.ldexp(float(re), exp)
+                    value = _to_float(re, exp)
                     if complex_:
-                        value = complex(value, math.ldexp(float(im), exp))
+                        value = complex(value, _to_float(im, exp))
                     log_radius, = self._log_radii(columns, top, level, bits)
                     values.append(value)
                     radii.append((math.exp(log_radius) + abs(value) * 2 ** -52
@@ -781,18 +771,20 @@ class CachedKernelQuadrature:
 
     def _fixed_totals(self, s, level: int, derivative: bool, bits: int):
         """The sums of levels level-1 and level of :meth:`fourier`'s sweep
-        at ``bits`` fraction bits, exactly, and whether they are complex.
+        with turns at ``bits`` fraction bits, exactly, and whether they
+        are complex.
 
         Per level and column the sum is (R + i I) 2^x, given as
         ((R, I), x) with integers R, I.
         """
-        levels = self._fixed_at(bits, level)
+        self._ensure_level(level)
         cs, ss = self._turns(s, level, bits)
         # per level and column, the integer sums (real, imaginary) at scale
-        # 2^(-2 bits); the derivative's in units of the level's step
+        # 2^-(prec + guard + bits); the derivative's in units of the level's
+        # step
         per_level = []
         for lv in range(level + 1):
-            js, components, _ = levels[lv]
+            js, components, _ = self._fixed[lv]
             # node j of level lv is node j 2^(level - lv) of the sweep
             at = slice(js.start << (level - lv), None,
                        js.step << (level - lv))
@@ -805,7 +797,8 @@ class CachedKernelQuadrature:
                     sums[1][imaginary] += d if part else -d
             per_level.append(sums)
         complex_ = any(imaginary for lv in range(level + 1)
-                       for _, imaginary, *_ in levels[lv][1])
+                       for _, imaginary, *_ in self._fixed[lv][1])
+        frac = self.prec + _QUAD_GUARD + bits  # the sums' fraction bits
 
         def totals(top):
             # each column is h_top (value) or h_top^2 (derivative) times its
@@ -815,7 +808,7 @@ class CachedKernelQuadrature:
             return [(tuple(sum(
                 per_level[lv][col][i] << col * (top - lv)
                 for lv in range(top + 1)) * man ** (col + 1) for i in (0, 1)),
-                (col + 1) * exp - 2 * bits) for col in range(1 + derivative)]
+                (col + 1) * exp - frac) for col in range(1 + derivative)]
 
         return (totals(level - 1), totals(level)), complex_
 
@@ -841,29 +834,27 @@ class CachedKernelQuadrature:
         """log of :meth:`fourier`'s fixed-point error bound at ``level``.
 
         The bound of the level's sum taken in the sweep of level ``sweep``
-        (None: its own) at ``bits`` fraction bits (None: prec + guard),
-        evaluated in floats from exact integers and doubled, as the
-        a-priori terms are.  It reads only levels 0..``level``, which never
-        change once built, so it is computed once per (level, sweep, bits),
-        after building the level.
+        (None: its own) with turns at ``bits`` fraction bits (None:
+        prec + guard), evaluated in floats from exact integers and
+        doubled, as the a-priori terms are.  It reads only levels
+        0..``level``, which never change once built, so it is computed once
+        per (level, sweep, bits), after building the level.
         """
         full = self.prec + _QUAD_GUARD
         sweep = level if sweep is None else sweep
         bits = full if bits is None else bits
         found = self._fixed_radii.get((level, sweep, bits))
         if found is None:
-            levels = self._fixed_at(bits, level)
+            self._ensure_level(level)
             n = BASE_INTERVALS << sweep
-            # the conversion's c e per node and component, in units of e^2
-            conversion = bits - 1 if bits == full else bits
-            # the bound's sum, in units of e^2 = 2^(-2 bits)
+            # the bound's sum, in units of 2^-(prec + guard + bits)
             total = sum((3 * n + 2) * scale
-                        + (len(components) * len(js) << conversion)
-                        for js, components, scale in levels[:level + 1])
+                        + (len(components) * len(js) << (bits - 1))
+                        for js, components, scale in self._fixed[:level + 1])
             h = float(self._step(level))
             found = self._fixed_radii[(level, sweep, bits)] = \
-                math.log(2 * h * max(1.0, float(self.b))) \
-                + math.log(total) - 2 * bits * _LN2 if total else -math.inf
+                math.log(2 * h * max(1.0, float(self.b))) + math.log(total) \
+                - (full + bits) * _LN2 if total else -math.inf
         return found
 
     def _integral(self, columns, level, below, sums, vector,
@@ -920,7 +911,7 @@ def sign_target(prec: int) -> mpf:
     alone is used: that of :meth:`CachedKernelQuadrature.fourier_sign`.
 
     Above 80 bits it stops at 2^-40, well within what the 64 fraction bits
-    of those sums carry.
+    of those turns carry.
     """
     return mpf(2) ** -min(prec // 2, 40)
 
@@ -999,8 +990,10 @@ def bisect_sign_change(f, lo, hi, f_lo=None, f_hi=None, width=None,
 
 
 def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
-    """Yield ``(a, b, f(a), f(b))`` per scan step [a, b] with a sign change.
+    """Yield ``(a, b, f(a), f(b))`` per sign change between scan points.
 
+    b is a scan point and a the last one before it whose value is not 0,
+    so a zero exactly on a scan point between them lies inside [a, b].
     The scan visits lo, lo + SCAN_STEP, ..., hi lazily: a caller that stops
     after one sign change evaluates no scan point beyond it.  It needs only
     signs, and the values it yields may come from ``rough``.
@@ -1009,9 +1002,9 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
     (as :meth:`CachedKernelQuadrature.fourier_sign` gives it); a scan
     point takes ``value`` when :func:`certify_sign` certifies its sign
     against ``radius``, and is re-evaluated by ``f`` otherwise.  An even
-    number of zeros within one step, or a zero exactly on a scan point,
-    yield nothing.  A step that rounds back to its start raises
-    :class:`DomainError`.
+    number of zeros within one step, a double zero exactly on a scan
+    point, or a zero exactly at lo, yield nothing.  A step that rounds
+    back to its start raises :class:`DomainError`.
     """
     lo, hi = to_mpf(lo), to_mpf(hi)
 
@@ -1022,7 +1015,8 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
                 return value
         return f(x)
 
-    s_prev, v_prev = lo, scan(lo)
+    s_prev = a = lo
+    v_a = scan(lo)  # the value at a, the last scan point not at a zero
     while s_prev < hi:
         s = min(s_prev + SCAN_STEP, hi)
         if not s > s_prev:
@@ -1030,6 +1024,8 @@ def sign_changes(f, lo, hi, rough=None) -> Iterator[tuple]:
                 f"the scan step {SCAN_STEP} does not advance past {s_prev} "
                 f"at {mp.prec} bits")
         v = scan(s)
-        if v_prev * v < 0:
-            yield s_prev, s, v_prev, v
-        s_prev, v_prev = s, v
+        if v_a * v < 0:
+            yield a, s, v_a, v
+        if v:
+            a, v_a = s, v
+        s_prev = s

@@ -49,10 +49,8 @@ __all__ = [
 ]
 
 
-def _imag_threshold(bits: Optional[int] = None) -> mpf:
-    if bits is None:
-        bits = mp.prec
-    return mpf(2) ** (-(bits - 16))
+def _imag_threshold() -> mpf:
+    return mpf(2) ** (-(mp.prec - 16))
 
 
 def _pair_conjugates(raw: Sequence) -> Tuple[mpc, ...]:

@@ -85,7 +85,11 @@ __all__ = [
 ]
 
 
-def phi(u, n_terms: int = 100000) -> mpf:
+#: terms :func:`phi` sums before it gives up
+PHI_TERMS = 100000
+
+
+def phi(u) -> mpf:
     """The positive kernel Phi(u), summed until the tail is negligible.
 
     Phi is even, so the argument is reduced to |u|.  With b = pi e^(2u),
@@ -102,7 +106,7 @@ def phi(u, n_terms: int = 100000) -> mpf:
     ``mpmath.libmp`` tuples, each operation rounded to prec bits to the
     nearest as the ``mpf`` expression
     2 pi (e^(2u) e^(u/2)) e^(-b) (S 2^-(prec+16)) would round it, with
-    one ``mpf`` made at the end.  Exhausting ``n_terms`` first raises
+    one ``mpf`` made at the end.  Exhausting :data:`PHI_TERMS` first raises
     :class:`AccuracyError`; a nonpositive result (impossible analytically)
     raises :class:`ConsistencyError`.
 
@@ -115,8 +119,6 @@ def phi(u, n_terms: int = 100000) -> mpf:
     Phi(u) < 2^-(10^28), and exp(-pi e^(2u)) would need an argument
     reduction of about 2.9 |u| bits (2.9 s at u = 1e5): DomainError instead.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
     u = abs(to_mpf(u))
     if u > 32:
         raise DomainError("Phi(u) is evaluated for |u| <= 32 only")
@@ -136,7 +138,7 @@ def phi(u, n_terms: int = 100000) -> mpf:
     ratio = _raw_to_fixed(mpf_pos(x2, prec, rnd), bits)
     b2, three = 2 * _raw_to_fixed(b, bits), 3 << bits
     s = 0
-    for n in range(1, n_terms + 1):
+    for n in range(1, PHI_TERMS + 1):
         n2 = n * n
         term = n2 * (n2 * b2 - three) * p >> bits
         s += term
@@ -151,7 +153,7 @@ def phi(u, n_terms: int = 100000) -> mpf:
         p = p * q >> bits
         q = q * ratio >> bits
     raise AccuracyError(
-        f"Phi series did not converge within {n_terms} terms at u = {u}")
+        f"Phi series did not converge within {PHI_TERMS} terms at u = {u}")
 
 
 def kernel_cutoff(prec: int, q: int, slope: float) -> mpf:

@@ -437,6 +437,38 @@ def test_fixed_point_sums_within_their_bound(bits, levels):
                         assert abs(v - w) <= bound, (lv, derivative)
 
 
+@pytest.mark.parametrize("bits, levels", [(64, (9, 7)), (256, (7, 7)),
+                                          (1056, (5, 5))])
+def test_sign_width_sums_within_their_bound(bits, levels):
+    # fourier_sign's width: turns at F = SIGN_BITS fraction bits against
+    # the kernel's one table of integers at 2^-(prec + guard), the exact
+    # totals of _fixed_totals at scale 2^-(prec + guard + F) against
+    # cos_sin and fdot on the same nodes, for a one-part and a folded
+    # kernel, every level up to ``levels``, both columns, within the bound
+    # of each level in the sweep of the finer one
+    F = numkernel.SIGN_BITS
+    with workprec(bits):
+        kernels = [CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 14,
+                                          gaussian_majorant),
+                   folded_complex_kernel()]
+    target = numkernel.sign_target(bits)
+    for kernel, s, top in zip(kernels, (mpf("17.3"), mpf("-2.9")), levels):
+        references = fourier_references(kernel, s, top)
+        exact = kernel.prec + numkernel._QUAD_GUARD + F + 64
+        for lv in range(1, top + 1):
+            bounds = [mpmath.exp(kernel._log_fixed_radius(k, lv, F))
+                      for k in (lv - 1, lv)]
+            assert bounds[1] <= target / 16
+            totals, _ = kernel._fixed_totals(s, lv, True, F)
+            with workprec(exact):
+                for columns, want, bound in zip(
+                        totals, references[lv - 1:lv + 1], bounds):
+                    assert len(columns) == 2
+                    for ((re, im), x), w in zip(columns, want):
+                        v = mpc(mpmath.ldexp(re, x), mpmath.ldexp(im, x))
+                        assert abs(v - w) <= bound, lv
+
+
 @pytest.mark.parametrize("bits, level", [(64, MAX_LEVELS),
                                          (256, MAX_LEVELS), (1056, 8)])
 def test_angle_addition_stays_within_its_lemma(bits, level):
@@ -723,6 +755,18 @@ def test_sign_change_brackets_on_cos():
     # bisection midpoints fall strictly between two scan points
     scan = [x for x in points if 2 * x == int(2 * x)]
     assert scan == [k * SCAN_STEP for k in range(21)]
+
+
+def test_zero_on_a_scan_point_is_bracketed():
+    # the scan value at 3/2 is exactly 0: the cell spans it, from the last
+    # nonzero value before it, and bisection returns a bracket centred on
+    # it; a double zero there has no sign change and yields nothing
+    linear = lambda x: x - mpf(3) / 2
+    cells = list(sign_changes(linear, 0, 3))
+    assert cells == [(1, 2, mpf(-1) / 2, mpf(1) / 2)]
+    b = bisect_sign_change(linear, *cells[0])
+    assert b.refined_root == mpf(3) / 2
+    assert list(sign_changes(lambda x: linear(x) ** 2, 0, 3)) == []
 
 
 def test_newton_safeguard_keeps_evaluations_in_bracket():

@@ -108,11 +108,11 @@ def test_phi_node_values_match_the_mpf_expression(bits):
             assert value._mpf_ == mpf_phi(j * h)._mpf_, (bits, j)
 
 
-def test_phi_term_budget():
-    with pytest.raises(AccuracyError):
-        phi(0, n_terms=1)
-    with pytest.raises(DomainError):
-        phi(0, n_terms=0)
+def test_phi_term_budget(monkeypatch):
+    from momentsieve import riemann
+    monkeypatch.setattr(riemann, "PHI_TERMS", 1)
+    with pytest.raises(AccuracyError, match="within 1 terms"):
+        phi(0)
 
 
 # --- coefficients -------------------------------------------------------------
