@@ -327,22 +327,16 @@ def gauss_sum(chi: DirichletCharacter) -> mpc:
 
 
 def epsilon_factor(chi: DirichletCharacter) -> mpc:
-    """Root number epsilon(chi) = tau(chi) / (i^kappa sqrt(q)), cached."""
-    return _epsilon_factor_cached(chi, mp.prec)
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _epsilon_factor_cached(chi: DirichletCharacter, prec: int) -> mpc:
-    with workprec(prec):
-        denom = mpmath.sqrt(mpf(chi.q))
-        return gauss_sum(chi) / (mpc(0, 1) ** chi.parity * denom)
+    """Root number epsilon(chi) = tau(chi) / (i^kappa sqrt(q))."""
+    denom = mpmath.sqrt(mpf(chi.q))
+    return gauss_sum(chi) / (mpc(0, 1) ** chi.parity * denom)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _phase(chi: DirichletCharacter, prec: int) -> mpc:
     """epsilon(chi)^(1/2), the phase that :func:`z_char_eval` divides out."""
     with workprec(prec):
-        return mpmath.sqrt(_epsilon_factor_cached(chi, prec))
+        return mpmath.sqrt(epsilon_factor(chi))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +375,10 @@ def _chi_fixed_table(q: int, exponents: Tuple[int, ...], prec: int):
                  for v in table)
 
 
+#: terms :func:`_theta_series` sums before it gives up
+THETA_TERMS = 1000000
+
+
 def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
     """The direct series for phi(y, chi); at y < 0 only to term roundoff.
 
@@ -400,14 +398,14 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
     sums would round it.  The term magnitude
     decays like a Gaussian in n; summation stops when it falls below
     2^-(prec+8) of the largest magnitude seen (after at least one full
-    period of chi).  The table of conj chi negates the imaginary parts
-    exactly, so phi(y, conj chi) = conj phi(y, chi) bit for bit.
+    period of chi); exhausting :data:`THETA_TERMS` first raises
+    :class:`AccuracyError`.  The table of conj chi negates the imaginary
+    parts exactly, so phi(y, conj chi) = conj phi(y, chi) bit for bit.
 
     Accuracy: B, from the fourth power of e^(y/2), is off by about
     4 B 2^-prec, so the value loses about log2 B + 2 bits, 10.7 bits at
     q = 5, y = 3.25.
     """
-    n_terms = 1000000  # give up after this many terms
     q = chi.q
     kappa = chi.parity
     prec, rnd = mp.prec, round_nearest
@@ -425,7 +423,7 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
     step = _raw_to_fixed(mpf_mul(x2, x, prec, rnd), bits)
     ratio = _raw_to_fixed(mpf_pos(x2, prec, rnd), bits)
     s_re = s_im = peak = 0
-    for n in range(1, n_terms + 1):
+    for n in range(1, THETA_TERMS + 1):
         entry = values[n % q]
         if entry is not None:
             c_re, c_im = entry
@@ -444,7 +442,7 @@ def _theta_series(y: mpf, chi: DirichletCharacter) -> mpc:
         p = p * step >> bits
         step = step * ratio >> bits
     raise AccuracyError(
-        f"phi(y, chi) did not converge within {n_terms} terms at y = {y}")
+        f"phi(y, chi) did not converge within {THETA_TERMS} terms at y = {y}")
 
 
 def phi_char(y, chi: DirichletCharacter) -> mpc:

@@ -374,13 +374,9 @@ class CachedKernelQuadrature:
         self._fixed = []
         self._majorants = {}  # p -> (log M_p, log tail_p, log R_p)
         self._grids = {}  # (t, x0) -> (log m, log(x^2 + a^2)) at x0 + k dx
-        # the radius terms that do not depend on s: level -> log of the
-        # discretisation factor, (level, sweep, bits) -> log of fourier's
-        # fixed-point bound
-        self._log_discs = {}
+        # (level, sweep, bits) -> log of fourier's fixed-point bound
         self._fixed_radii = {}
-        # converted arguments -> Integral, and ("log", target) -> its float
-        # log, oldest first
+        # converted arguments -> Integral, oldest first
         self._memo = {}
 
     def _step(self, level: int) -> mpf:
@@ -452,34 +448,32 @@ class CachedKernelQuadrature:
             max(u, v) for u, v in zip(f, f[1:]))
         return upper(grid(a, 0.0)), log_tail, upper(grid(0.0, 0.0))
 
-    def _log_radii(self, growth, level: int, sweep: Optional[int] = None,
-                   bits: Optional[int] = None):
-        """log of the error radius of level ``level``, one per column.
+    def _log_radii(self, growth, level: int, bits: Optional[int] = None):
+        """log of the error radii of levels ``level - 1`` and ``level``, one
+        ``(below, at)`` pair per column.
 
-        ``sweep`` adds the error bound of :meth:`fourier`'s fixed-point
-        sum of the level taken in the sweep of level ``sweep`` with turns
-        at ``bits`` fraction bits (None: prec + guard), which needs the
-        kernel values of every level up to ``level``; the rest is
-        a-priori.  The discretisation term and the fixed-point bound of a
-        level are computed once per kernel.
+        With ``bits`` None they are the a-priori radii, those of
+        :meth:`moments`' exact sums.  An integer ``bits`` adds to each the
+        error bound of :meth:`fourier`'s fixed-point sum of that level,
+        taken in the sweep of level ``level`` with turns at ``bits``
+        fraction bits, which builds the levels up to ``level``.
         """
-        log_disc = self._log_discs.get(level)
-        if log_disc is None:
-            x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << level) \
-                / float(self.b)
-            log_disc = self._log_discs[level] = \
-                math.log(2) - x - math.log1p(-math.exp(-x))
         guard = -(self.prec + _QUAD_GUARD - 16) * _LN2
-        extra = [] if sweep is None else \
-            [self._log_fixed_radius(level, sweep, bits)]
+        terms = []  # per level: (log of the discretisation factor, extra)
+        for lv in (level - 1, level):
+            x = 2 * math.pi * STRIP * BASE_INTERVALS * (1 << lv) \
+                / float(self.b)
+            terms.append((math.log(2) - x - math.log1p(-math.exp(-x)),
+                          [] if bits is None else
+                          [self._log_fixed_radius(lv, level, bits)]))
         out = []
         for sigma, p in growth:
             if p not in self._majorants:
                 self._majorants[p] = self._majorant_integrals(p)
             log_m, log_tail, log_r = self._majorants[p]
-            out.append(_log_sum_exp([
+            out.append(tuple(_log_sum_exp([
                 log_disc + float(sigma) * STRIP + log_m, log_tail,
-                guard + log_r] + extra))
+                guard + log_r] + extra) for log_disc, extra in terms))
         return out
 
     def _target(self, target) -> mpf:
@@ -500,27 +494,28 @@ class CachedKernelQuadrature:
             self._memo[key] = found
         return found
 
-    def _level(self, columns, target, fixed: bool = False,
-               bits: Optional[int] = None) -> int:
+    def _level(self, columns, target, bits: Optional[int] = None) -> int:
         """The smallest level >= 1 whose radii meet ``target``.
 
-        ``fixed``: with the bound of the fixed-point sums with turns at
-        ``bits`` fraction bits (None: prec + guard).
+        ``bits`` is that of :meth:`_log_radii`: None for :meth:`moments`,
+        the turn bits of the fixed-point sums for :meth:`fourier` and
+        :meth:`fourier_sign`.
         """
         target = self._target(target)
-        log_target = self._memoized(("log", target),
-                                    lambda: float(mpmath.log(target)))
+        man, exp = target.man_exp
+        log_target = math.log(man) + exp * _LN2
         for level in range(1, MAX_LEVELS + 1):
-            log_radii = self._log_radii(columns, level)
-            if fixed and max(log_radii) <= log_target:
+            log_radius = max(at for _, at in self._log_radii(columns, level))
+            if bits is not None and log_radius <= log_target:
                 # builds the level: only once the a-priori part fits
-                log_radii = self._log_radii(columns, level, level, bits)
-            if max(log_radii) <= log_target:
+                log_radius = max(
+                    at for _, at in self._log_radii(columns, level, bits))
+            if log_radius <= log_target:
                 return level
         raise AccuracyError(
             f"no trapezoidal level up to {MAX_LEVELS} meets the target "
             f"{mpmath.nstr(target, 5)}: the error bound there is "
-            f"{mpmath.nstr(mpmath.exp(max(log_radii)), 5)}")
+            f"{mpmath.nstr(mpmath.exp(log_radius), 5)}")
 
     def moments(self, degrees, target=None) -> Integral:
         """The :class:`Integral` of ``int K(x) x^n dx`` for each n in ``degrees``.
@@ -644,9 +639,9 @@ class CachedKernelQuadrature:
         W with every 2^(l - lv)-th of these integers (times the node index
         j for the derivative), at scale E e, all levels being converted
         once.  The sums of levels l - 1 and l both come from this one
-        sweep.  The error bound :meth:`_log_fixed_radius`, added to the
-        radius inside the level choice, covers the fixed point at either
-        width:
+        sweep.  The error bound :meth:`_log_fixed_radius` covers the fixed
+        point at either width; :meth:`_log_radii`, given F, adds it to the
+        radii of both levels, in the level choice and in the result:
 
         * Recurrence.  Let e_J = z_J - 2^F e^(i s J h), so e_0 = 0.  Then
           z_J (c + i d) / 2^F = (2^F e^(i s J h) + e_J)(e^(i s h) + r)
@@ -691,10 +686,11 @@ class CachedKernelQuadrature:
             columns = [(abs(s), 0)] + ([(abs(s), 1)] if derivative else [])
 
             def compute():
-                level = self._level(columns, target, fixed=True)
+                bits = self.prec + _QUAD_GUARD
+                level = self._level(columns, target, bits)
                 below, sums = self._fixed_sums(s, level, derivative)
                 return self._integral(columns, level, below, sums,
-                                      derivative, fixed=True)
+                                      derivative, bits)
 
             return self._memoized(("fourier", s, target, derivative),
                                   compute)
@@ -725,16 +721,15 @@ class CachedKernelQuadrature:
             def compute():
                 bits = min(SIGN_BITS, self.prec + _QUAD_GUARD)
                 columns = [(abs(s), 0)]
-                level = self._level(columns, sign_target(self.prec),
-                                    fixed=True, bits=bits)
+                level = self._level(columns, sign_target(self.prec), bits)
                 totals, complex_ = self._fixed_totals(s, level, False, bits)
+                (log_radii,) = self._log_radii(columns, level, bits)
                 values, radii = [], []
-                for top, ((re, im), exp) in zip((level - 1, level),
-                                                (t[0] for t in totals)):
+                for log_radius, ((re, im), exp) in zip(
+                        log_radii, (t[0] for t in totals)):
                     value = _to_float(re, exp)
                     if complex_:
                         value = complex(value, _to_float(im, exp))
-                    log_radius, = self._log_radii(columns, top, level, bits)
                     values.append(value)
                     radii.append((math.exp(log_radius) + abs(value) * 2 ** -52
                                   + 2 ** -1074) * (1 + 2 ** -50))
@@ -744,16 +739,14 @@ class CachedKernelQuadrature:
 
             return self._memoized(("sign", s), compute)
 
-    def _turns(self, s, level: int, bits: Optional[int] = None):
+    def _turns(self, s, level: int, bits: int):
         """2^F (cos s x, sin s x) at the nodes x = J h, J = 0..n, of the
-        grid of level ``level``, as integers; F = ``bits`` (None:
-        prec + guard).
+        grid of level ``level``, as integers; F = ``bits``.
 
         One angle-addition sweep with truncating shifts from the exact pair
         (2^F, 0), its step from one ``cos_sin`` of s h and none at s = 0
         (see :meth:`fourier`).
         """
-        bits = self.prec + _QUAD_GUARD if bits is None else bits
         if s:
             with workprec(bits + 16):
                 dc, ds = (_to_fixed(v, bits) for v in mpmath.cos_sin(
@@ -829,20 +822,16 @@ class CachedKernelQuadrature:
         with workprec(bits):
             return tuple(rounded(columns) for columns in totals)
 
-    def _log_fixed_radius(self, level: int, sweep: Optional[int] = None,
-                          bits: Optional[int] = None) -> float:
+    def _log_fixed_radius(self, level: int, sweep: int, bits: int) -> float:
         """log of :meth:`fourier`'s fixed-point error bound at ``level``.
 
         The bound of the level's sum taken in the sweep of level ``sweep``
-        (None: its own) with turns at ``bits`` fraction bits (None:
-        prec + guard), evaluated in floats from exact integers and
-        doubled, as the a-priori terms are.  It reads only levels
-        0..``level``, which never change once built, so it is computed once
-        per (level, sweep, bits), after building the level.
+        with turns at ``bits`` fraction bits, evaluated in floats from
+        exact integers and doubled, as the a-priori terms are.  It reads
+        only levels 0..``level``, which never change once built, so it is
+        computed once per (level, sweep, bits), after building the level.
         """
         full = self.prec + _QUAD_GUARD
-        sweep = level if sweep is None else sweep
-        bits = full if bits is None else bits
         found = self._fixed_radii.get((level, sweep, bits))
         if found is None:
             self._ensure_level(level)
@@ -858,21 +847,20 @@ class CachedKernelQuadrature:
         return found
 
     def _integral(self, columns, level, below, sums, vector,
-                  fixed=False) -> Integral:
+                  bits: Optional[int] = None) -> Integral:
         """The :class:`Integral` of the level sums, with the consistency check.
 
-        ``fixed``: the sums come from :meth:`fourier`'s sweep of ``level``.
+        ``bits`` is that of :meth:`_log_radii`: None for :meth:`moments`'
+        sums, the turn bits for those of :meth:`fourier`'s sweep.
         """
-        sweep = level if fixed else None
-        radii = [mpmath.exp(r)
-                 for r in self._log_radii(columns, level, sweep)]
-        lower = [mpmath.exp(r)
-                 for r in self._log_radii(columns, level - 1, sweep)]
-        for s, t, r, r_below in zip(sums, below, radii, lower):
+        radii = [tuple(map(mpmath.exp, pair))
+                 for pair in self._log_radii(columns, level, bits)]
+        for s, t, (r_below, r) in zip(sums, below, radii):
             _check_levels(level, abs(s - t), r + r_below)
         unpack = tuple if vector else (lambda parts: parts[0])
         with workprec(self.prec):
-            return Integral(unpack([+s for s in sums]), unpack(radii))
+            return Integral(unpack([+s for s in sums]),
+                            unpack([r for _, r in radii]))
 
 
 def _check_levels(level: int, difference, radius):

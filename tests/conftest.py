@@ -12,6 +12,7 @@ from mpmath import mp, mpf, mpc
 from momentsieve import dirichlet
 from momentsieve.moments import MomentSequence
 from momentsieve.numkernel import (
+    _QUAD_GUARD,
     CachedKernelQuadrature,
     DomainError,
     _to_fixed,
@@ -85,7 +86,8 @@ def levels_covered_two_levels_up(kernel, targets, degree=None, s=None):
             (t_l,), (t_finer,) = (kernel._moment_sums((degree,), lv)[1]
                                   for lv in (level, level + 2))
         else:
-            level = kernel._level([(abs(s), 0)], target, fixed=True)
+            level = kernel._level([(abs(s), 0)], target,
+                                  kernel.prec + _QUAD_GUARD)
             radius = kernel.fourier(s, target).radius
             (t_l,), (t_finer,) = (kernel._fixed_sums(s, lv, False)[1]
                                   for lv in (level, level + 2))

@@ -20,6 +20,7 @@ from momentsieve.dirichlet import (
     z_char_eval,
 )
 from momentsieve.numkernel import (
+    AccuracyError,
     BASE_INTERVALS,
     CachedKernelQuadrature,
     DomainError,
@@ -311,6 +312,12 @@ def test_phi_char_negative_y_has_full_relative_accuracy():
         assert abs(value - reference) <= mpf(2) ** -(256 - 24) * abs(reference)
 
 
+def test_theta_term_budget(chi3, monkeypatch):
+    monkeypatch.setattr(dirichlet, "THETA_TERMS", 1)
+    with pytest.raises(AccuracyError, match="within 1 terms"):
+        phi_char(mpf(0), chi3)
+
+
 def test_phi_char_rejects_nonprimitive():
     chi6 = characters_mod(6)[1]
     with pytest.raises(DomainError, match="conductor 3"):
@@ -497,7 +504,7 @@ def test_sweep_zero_scans_take_signs_from_fourier_sign(monkeypatch):
     z_char = dirichlet.z_char_eval
     signs, nodes, z_calls = [], [], []
 
-    def counting_turns(self, s, level, bits=None):
+    def counting_turns(self, s, level, bits):
         cs, ss = turns(self, s, level, bits)
         nodes.append(len(cs))
         return cs, ss
@@ -706,6 +713,25 @@ def test_grh_ratio_within_its_radius_fails_hypothesis(chi3, monkeypatch):
     assert result.tail is None
     assert result.eq331_status == "fails at n = 2"
     assert result.verdict == "hypothesis fails"
+
+
+def test_grh_pipeline_deepens_past_a_central_zero(chi3, monkeypatch):
+    # mu > 0 leading coefficients vanish: the pipeline asks again for 2N + mu
+    # coefficients, so that b_0..b_N stay available
+    computed, calls = dirichlet.char_coeffs, []
+
+    def first_with_mu_one(chi, N):
+        calls.append(N)
+        coeffs = computed(chi, N)
+        return dataclasses.replace(coeffs, mu=1) if len(calls) == 1 \
+            else coeffs
+
+    monkeypatch.setattr(dirichlet, "char_coeffs", first_with_mu_one)
+    with workprec(96):
+        result = grh_moment_pipeline(chi3, 6, "auto", 1, 1)
+    assert calls == [12, 13]
+    assert len(result.coefficients.a) == 14
+    assert result.eq331_status == "holds for n <= 6"
 
 
 def test_grh_pipeline_rejects_nonprimitive():

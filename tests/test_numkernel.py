@@ -425,7 +425,8 @@ def test_fixed_point_sums_within_their_bound(bits, levels):
     for kernel, s, top in zip(kernels, (mpf("17.3"), mpf("-2.9")), levels):
         references = fourier_references(kernel, s, top)
         for lv in range(1, top + 1):
-            bounds = [mpmath.exp(kernel._log_fixed_radius(k))
+            full = kernel.prec + numkernel._QUAD_GUARD
+            bounds = [mpmath.exp(kernel._log_fixed_radius(k, k, full))
                       for k in (lv - 1, lv)]
             assert bounds[1] <= target * mpf(2) ** -16
             for derivative in (False, True):
@@ -481,7 +482,7 @@ def test_angle_addition_stays_within_its_lemma(bits, level):
     fixed = bits + numkernel._QUAD_GUARD
     s = mpf("-23.7")
     h = kernel.b / (numkernel.BASE_INTERVALS << level)
-    cs, ss = kernel._turns(s, level)
+    cs, ss = kernel._turns(s, level, fixed)
     assert len(cs) == len(ss) == (numkernel.BASE_INTERVALS << level) + 1
     assert (cs[0], ss[0]) == (1 << fixed, 0)
     with workprec(fixed + 64):
@@ -499,10 +500,11 @@ def test_fourier_matches_cos_sin_sums():
     s = mpf("1.7")
     columns = [(s, 0), (s, 1)]
     got = kernel.fourier(s, derivative=True)
-    level = kernel._level(columns, None, fixed=True)
+    full = kernel.prec + numkernel._QUAD_GUARD
+    level = kernel._level(columns, None, full)
     want = fourier_references(kernel, s, level)[level]
-    r_want = [mpmath.exp(r) for r in kernel._log_radii(columns, level)]
-    bound = mpmath.exp(kernel._log_fixed_radius(level))
+    r_want = [mpmath.exp(r) for _, r in kernel._log_radii(columns, level)]
+    bound = mpmath.exp(kernel._log_fixed_radius(level, level, full))
     for v, w, r, rw in zip(got.value, want, got.radius, r_want):
         assert abs(v - w) <= bound + mpf(2) ** -mp.prec * abs(w)
         assert rw <= r <= rw + 2 * bound
@@ -560,6 +562,7 @@ def test_cached_radius_terms_do_not_go_stale(kind, monkeypatch):
     from momentsieve import dirichlet
     monkeypatch.setattr(dirichlet, "_char_kernel_cache", {})
     (kernel, reference), bits = stale_radius_kernels(kind)
+    full = bits + numkernel._QUAD_GUARD
     coarse = mpf(2) ** -(bits // 2)  # a target that lands on level 3
     calls = [(mpf("4.5"), coarse, False),
              (mpf("30.25"), None, False),
@@ -570,15 +573,16 @@ def test_cached_radius_terms_do_not_go_stale(kind, monkeypatch):
         fresh = stale_radius_kernels(kind)[0][0]
         assert got == fresh.fourier(s, target, derivative), (s, target)
         columns = [(s, 0)] + ([(s, 1)] if derivative else [])
-        levels.append(kernel._level(columns, target, fixed=True))
+        levels.append(kernel._level(columns, target, full))
     assert levels[0] == 3 and levels[1] > levels[2]
     top = max(levels)
     reference._ensure_level(top)
     columns = [(mpf("4.5"), 0), (mpf("4.5"), 1)]
-    for lv in range(1, top + 1):
-        for sweep in (lv, lv + 1):
-            assert kernel._log_radii(columns, lv, sweep) \
-                == reference._log_radii(columns, lv, sweep), (lv, sweep)
+    # the sweep of each level gives the radii of it and of the level below,
+    # so sweeps 1..top + 1 cover every level 1..top in sweeps lv and lv + 1
+    for sweep in range(1, top + 2):
+        assert kernel._log_radii(columns, sweep, full) \
+            == reference._log_radii(columns, sweep, full), sweep
 
 
 def sign_kernels(bits):
@@ -656,6 +660,27 @@ def test_memo_keeps_the_newest_results():
     assert len(kernel._memo) <= numkernel.MEMO_SIZE == 1024
     assert ("fourier", mpf(1999) / 256, target, False) in kernel._memo
     assert ("fourier", mpf(0), target, False) not in kernel._memo
+
+
+def test_memo_slots_hold_only_results(monkeypatch):
+    # four sign values through three memo slots: the last three are kept,
+    # so the second is a hit that sums nothing
+    monkeypatch.setattr(numkernel, "MEMO_SIZE", 3)
+    with workprec(64):
+        kernel = CachedKernelQuadrature(lambda x: mpmath.exp(-x * x), 14,
+                                        gaussian_majorant)
+    for s in (1, 2, 3, 4):
+        kernel.fourier_sign(s)
+    totals, calls = kernel._fixed_totals, []
+
+    def counting(*args):
+        calls.append(args)
+        return totals(*args)
+
+    monkeypatch.setattr(kernel, "_fixed_totals", counting)
+    kernel.fourier_sign(2)
+    assert calls == []
+    assert list(kernel._memo) == [("sign", mpf(s)) for s in (2, 3, 4)]
 
 
 # --- sign certification -------------------------------------------------------

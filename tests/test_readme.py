@@ -1,4 +1,5 @@
-"""The README's concurrency paragraph names every module-level cache."""
+"""The README's concurrency paragraph names every module-level cache,
+and no cache that the package lacks."""
 
 import ast
 import re
@@ -42,3 +43,24 @@ def test_readme_names_every_cache():
     missing = [f"{module}.{name}" for module, name in caches
                if not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)]
     assert not missing, f"README does not name the caches {missing}"
+
+
+def test_readme_names_no_stale_cache():
+    # the other way round: each backticked name that ends in _cache or
+    # _cached is a module-level cache of the package (module-qualified if
+    # the README qualifies it); lru_cache is the decorator itself
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
+                    flags=re.S)
+    caches = module_caches()
+    names = {name for _, name in caches}
+    named, stale = [], []
+    for span in re.findall(r"`([^`]+)`", readme):
+        for ref in re.findall(r"[\w.]+", span):
+            module, _, name = ref.rpartition(".")
+            if name == "lru_cache" or not name.endswith(("_cache", "_cached")):
+                continue
+            named.append(ref)
+            if (module, name) not in caches if module else name not in names:
+                stale.append(ref)
+    assert "riemann._kernel_cache" in named
+    assert not stale, f"README names caches the package lacks: {stale}"

@@ -187,7 +187,7 @@ def test_xi_command_node_counts(monkeypatch, capsys):
         kernel_values.append(u)
         return phi(u)
 
-    def counting_turns(self, s, level, bits=None):
+    def counting_turns(self, s, level, bits):
         cs, ss = turns(self, s, level, bits)
         levels.append((level, len(cs)))
         return cs, ss
